@@ -269,7 +269,7 @@ def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -
         body = cutoff_mod.bound_check_grid(r1, r2, sorted(set(n_values)), kmax=kmax)
     else:
         checks = [
-            cutoff_mod.derivative_bound_check(cutoff_mod.build_cutoff(family, k), family)
+            cutoff_mod.derivative_bound_check(cutoff_mod.build_cutoff(family, k))
             for k in range(1, min(kmax, family.levels) + 1)
         ]
         cs = [c["C_measured"] for c in checks]
@@ -404,6 +404,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("N must be a power of 2, N >= 4")
         if not args.r1 < args.r2:
             parser.error("need r1 < r2")
+        if args.kmax < 1:
+            parser.error("kmax must be >= 1")
     if args.command == "flow":
         if not 0 < args.a < args.b:
             parser.error("need 0 < a < b")

@@ -18,11 +18,13 @@ computed from the truncated-power representation
     B_n^(j)(y) = (1/(n-j-1)!) sum_s (-1)^s C(n, s) (y - s)_+^(n-j-1),
 
 whose numerator is a pure integer for rational y — evaluation and sign
-queries are exact at any size.  Suprema are located by exact critical-point
+queries are exact at any size.  Suprema are searched by critical-point
 isolation for small budgets and by an exact-evaluation grid refinement (knot
-values from Eulerian numbers, then dyadic/parabolic polish) for large ones;
-either way the reported supremum is the exact spline value at an explicitly
-known rational abscissa.
+values from Eulerian numbers, then dyadic/parabolic polish) for large ones.
+Either way the reported "sup" is the exact spline value at a rational
+abscissa the search reached, so it is a lower bound on the true supremum:
+critical-point isolation reports the value at the midpoint of its last
+bisection bracket, not at the critical point itself.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "write_cutoff_samples_csv",
 ]
 
-# budgets up to this size get certified critical-point isolation; larger ones
+# budgets up to this size get critical-point isolation; larger ones
 # use the exact-evaluation grid refinement (validated against the exact path)
 EXACT_SUP_CAP = 32
 
@@ -136,10 +138,11 @@ def _next_eulerian_row(prev: list[int], m: int) -> list[int]:
     """Row m of the Eulerian triangle from row m-1 (row m has m entries)."""
     width = max(m, 1)
     row = [0] * width
-    for j in range(width):
+    # A(m, k) = A(m, m-1-k): compute the left half, mirror the rest
+    for j in range((width + 1) // 2):
         left = prev[j] if j < len(prev) else 0
         diag = prev[j - 1] if 0 <= j - 1 < len(prev) else 0
-        row[j] = (j + 1) * left + (m - j) * diag
+        row[j] = row[width - 1 - j] = (j + 1) * left + (m - j) * diag
     return row
 
 
@@ -150,15 +153,19 @@ def _knot_numerators_from_row(n: int, j: int, eulerian_row: list[int]) -> list[i
     difference; ``eulerian_row`` must be row q-1 of the triangle.
     """
     q = n - j
+    half = n // 2
     base = [0] * (q + 1)
     for i in range(1, q):
         base[i] = eulerian_row[i - 1]
     nums = [0] * (n + 1)
     for r in range(j + 1):
         c = comb(j, r) if r % 2 == 0 else -comb(j, r)
-        for i in range(1, q):
+        for i in range(1, min(q, half - r + 1)):
             if base[i]:
                 nums[i + r] += c * base[i]
+    # B_n^(j)(n - y) = (-1)^j B_n^(j)(y): the right half mirrors the left
+    for i in range(half + 1, n + 1):
+        nums[i] = nums[n - i] if j % 2 == 0 else -nums[n - i]
     return nums
 
 
@@ -222,7 +229,12 @@ def _sup_const_piece(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _sup_exact(n: int, j: int) -> tuple[Fraction, Fraction]:
-    """Certified supremum of |B_n^(j)| via critical-point isolation."""
+    """Largest |B_n^(j)| found via critical-point isolation.
+
+    Each sign change of the next derivative is bisected 60 times and the
+    value is taken at the midpoint of the last bracket, so the result is the
+    exact value at that abscissa and a lower bound on the supremum.
+    """
     q = n - j
     if q == 1:
         return _sup_const_piece(n)
@@ -298,25 +310,39 @@ def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fra
     swept on a quarter-knot grid and the champion refined on a sixteenth
     grid.  High degree means a near-Gaussian profile resolved by the knot
     grid, so only the championship windows get parabolic polishing — all
-    candidate evaluations are exact either way.
+    candidate evaluations are exact either way.  Knot values (integer
+    abscissae) come from ``nums`` when it is given, and each abscissa is
+    evaluated at most once per call.
     """
     q = n - j
     best = Fraction(0)
     best_x = Fraction(1)
+    scale = factorial(q - 1)
+    values: dict = {}
+
+    def value(x: Fraction) -> Fraction:
+        v = values.get(x)
+        if v is None:
+            if nums and x.denominator == 1 and 0 <= x <= n:
+                v = Fraction(nums[x.numerator], scale)
+            else:
+                v = _eval_deriv(n, j, x)
+            values[x] = v
+        return v
 
     def consider(x: Fraction):
         nonlocal best, best_x
         if x <= 0 or x >= n:
             return
-        v = abs(_eval_deriv(n, j, x))
+        v = abs(value(x))
         if v > best:
             best, best_x = v, x
 
     def polish(x0: Fraction, h: Fraction, rounds: int = 1):
         for _ in range(rounds):
-            vm = _eval_deriv(n, j, x0 - h)
-            v0 = _eval_deriv(n, j, x0)
-            vp = _eval_deriv(n, j, x0 + h)
+            vm = value(x0 - h)
+            v0 = value(x0)
+            vp = value(x0 + h)
             sign = -1 if v0 < 0 else 1
             vertex = _parabola_vertex(x0, h, sign * vm, sign * v0, sign * vp)
             if vertex is None:
@@ -414,8 +440,10 @@ def _sup_batch(n: int, j_values) -> None:
 def bspline_derivative_sup(n: int, j: int) -> dict:
     """sup |B_n^(j)| for the cardinal B-spline of n unit boxes, 0 <= j <= n-1.
 
-    Returns the supremum as an exact Fraction (the spline value at the
-    reported rational abscissa), its natural log, and which search mode ran.
+    Returns "sup", the exact Fraction value of |B_n^(j)| at the rational
+    abscissa "argmax" where the search ended; it is a lower bound on the
+    true supremum, not an enclosure.  Also returns its natural log and which
+    search mode ran.
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
@@ -493,7 +521,7 @@ class EhrenpreisCutoff:
         return float(scaled) if isinstance(r, float) else scaled
 
     def derivative_sup(self, ell: int) -> dict:
-        """Exact supremum of |phi^(l)| with the abscissa where it is attained."""
+        """Largest |phi^(l)| found (exact, a lower bound on the sup) and its abscissa."""
         if ell == 0:
             return {"sup": Fraction(1), "log_sup": 0.0, "argmax_r": self.plateau_lo, "mode": "plateau"}
         if not 1 <= ell <= self.budget:
@@ -575,7 +603,7 @@ def _ell_ladder(budget: int) -> list[int]:
     return ells
 
 
-def derivative_bound_check(cutoff: EhrenpreisCutoff, family: BandFamily | None = None) -> dict:
+def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
     """Least C with sup |phi^(l)| <= (C/d)^(l+1) N^l over the checked orders.
 
     For budgets above the dense cap the order set is thinned to a geometric
@@ -640,7 +668,7 @@ def bound_check_grid(r1, r2, n_values, kmax: int = 8) -> dict:
     for n in sorted(n_values):
         family = build_bands(r1, r2, n)
         for k in range(1, min(kmax, family.levels) + 1):
-            check = derivative_bound_check(build_cutoff(family, k), family)
+            check = derivative_bound_check(build_cutoff(family, k))
             entries.append(
                 {"N": n, "k": k, "budget": check["budget"], "C_measured": check["C_measured"]}
             )

@@ -139,6 +139,12 @@ class TestCutoffCommand:
             cli.main(["cutoff", "--N", "12"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--kmax", "0"], ["--kmax", "-3"], ["--kmax", "0", "--grid"]])
+    def test_nonpositive_kmax_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cutoff", "--N", "16", *argv])
+        assert exc.value.code == 2
+
 
 def test_report_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path / "redirected"))

@@ -153,6 +153,41 @@ class TestBsplineSups:
         with pytest.raises(ValueError):
             bspline_derivative_sup(4, 4)
 
+    def test_eulerian_rows_match_explicit_sum(self):
+        row = [1]
+        for m in range(1, 41):
+            row = co._next_eulerian_row(row, m)
+            assert row == [
+                sum((-1) ** i * math.comb(m + 1, i) * (k + 1 - i) ** m for i in range(k + 2))
+                for k in range(m)
+            ]
+
+    @pytest.mark.parametrize("n", [65, 128])
+    def test_knot_numerators_match_direct_evaluation(self, n):
+        # odd and even j on odd and even n exercise both mirror signs
+        js = sorted({0, 1, 2, 3, 40, 41, n - 66, n - 65, n - 3, n - 2} & set(range(n - 1)))
+        rows = {0: [1]}
+        for m in range(1, n):
+            rows[m] = co._next_eulerian_row(rows[m - 1], m)
+        for j in js:
+            nums = co._knot_numerators_from_row(n, j, rows[n - j - 1])
+            assert nums == [co._deriv_numerator(n, j, i, 1) for i in range(n + 1)]
+
+    @pytest.mark.parametrize(
+        "n, j, argmax, log_sup",
+        [
+            (256, 1, Fraction(64683229, 524288), -4.480381833738647),  # two-round polish
+            (256, 150, Fraction(128), 64.69193969978818),  # window sweep
+            (128, 40, Fraction(64), 3.990050758828829),
+        ],
+    )
+    def test_grid_sup_pinned(self, monkeypatch, n, j, argmax, log_sup):
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        info = bspline_derivative_sup(n, j)
+        assert info["argmax"] == argmax
+        assert info["log_sup"] == log_sup
+        assert abs(co._eval_deriv(n, j, argmax)) == info["sup"]
+
 
 class TestDerivativeValues:
     def test_first_derivative_sup_at_most_budget_over_gap(self):
@@ -205,7 +240,7 @@ class TestDerivativeValues:
 class TestBoundCheck:
     def test_small_budget_full_policy(self):
         fam = build_bands(0, 1, 16)
-        report = derivative_bound_check(build_cutoff(fam, 1), fam)
+        report = derivative_bound_check(build_cutoff(fam, 1))
         assert report["order_policy"] == "full"
         assert report["checked_orders"] == list(range(17))
         assert report["pass"]
@@ -213,7 +248,7 @@ class TestBoundCheck:
 
     def test_order_zero_forces_c_at_least_gap(self):
         fam = build_bands(0, 1, 16)
-        report = derivative_bound_check(build_cutoff(fam, 1), fam)
+        report = derivative_bound_check(build_cutoff(fam, 1))
         c0 = next(e for e in report["profile"] if e["ell"] == 0)
         assert c0["bound_c"] == pytest.approx(0.25)
 
@@ -221,7 +256,7 @@ class TestBoundCheck:
         # (C/d)^(l+1) N^l with the measured C really dominates each sup
         fam = build_bands(0, 1, 32)
         cut = build_cutoff(fam, 1)
-        report = derivative_bound_check(cut, fam)
+        report = derivative_bound_check(cut)
         c = report["C_measured"] * (1 + 1e-12)
         d = float(cut.gap)
         for ell in report["checked_orders"]:
@@ -235,7 +270,7 @@ class TestBoundCheck:
 
     def test_thinned_policy_large_budget(self):
         fam = build_bands(0, 1, 128)
-        report = derivative_bound_check(build_cutoff(fam, 1), fam)
+        report = derivative_bound_check(build_cutoff(fam, 1))
         assert report["order_policy"] == "thinned-ladder"
         assert report["checked_orders"][-1] == 128
         assert report["pass"]

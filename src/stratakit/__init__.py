@@ -3,7 +3,8 @@
 The package machine-checks the algebra and geometry attached to the model
 operator P = X1^2 + X2^2 with X1 = d/dt and X2 = d/dtheta + t^k r d/dr:
 
-* :mod:`stratakit.exactalg`  — exact rational series and coefficient engines
+* :mod:`stratakit.exactalg`  — the shared exact core (``exact``, ``fmt_fraction``,
+  ``SparseTerms``), rational series and coefficient engines
 * :mod:`stratakit.opalg`     — normal-ordered differential operator algebra
 * :mod:`stratakit.localize`  — localizer operators and bracket identities
 * :mod:`stratakit.geometry`  — strata, Poisson brackets, Hamilton flows

@@ -39,7 +39,7 @@ REPORT_DIR_ENV = "STRATAKIT_REPORT_DIR"
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return exactalg.fmt_fraction(obj)
     if isinstance(obj, geometry.StratumLabel):
         return obj.value
     if isinstance(obj, dict):
@@ -62,15 +62,19 @@ def _resolve_output(path: str | None) -> Path | None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # an unwritable path is bad configuration, not a failed check
+            sys.stderr.write(f"stratakit: error: cannot write {path}: {exc.strerror}\n")
+            raise SystemExit(2) from None
         raise
 
 
@@ -126,7 +130,7 @@ def run_coeffs(jmax: int, table_out: str | None = None) -> dict:
         "suite": "coefficient-tables",
         "jmax": jmax,
         "dual_route_agree": agree,
-        "bernoulli_head": [f"{c.numerator}/{c.denominator}" for c in inverse[:4]],
+        "bernoulli_head": [exactalg.fmt_fraction(c) for c in inverse[:4]],
         "bernoulli_identity": bern_match,
         "growth_scan": scan,
         "pass": agree and bern_match and scan["pass"],
@@ -191,7 +195,7 @@ def run_classify(args) -> tuple[dict, geometry.StratumLabel]:
     return report, label
 
 
-def run_geometry_suite(k: int, seed: int, samples: int = 100, mu=Fraction(1, 2)) -> dict:
+def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
     rng = random.Random(seed)
     closed = geometry.ModelParams(variant="closed", k=k)
     sigma1_ok = sigma2_ok = 0
@@ -264,9 +268,7 @@ def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -
         while n_values[-1] < n:
             n_values.append(n_values[-1] * 4)
         n_values[-1] = min(n_values[-1], n)
-        if n_values[-1] != n:
-            n_values.append(n)
-        body = cutoff_mod.bound_check_grid(r1, r2, sorted(set(n_values)), kmax=kmax)
+        body = cutoff_mod.bound_check_grid(r1, r2, n_values, kmax=kmax)
     else:
         checks = [
             cutoff_mod.derivative_bound_check(cutoff_mod.build_cutoff(family, k))
@@ -287,7 +289,7 @@ def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -
     report = {
         "suite": "cutoff-bounds",
         "N": n,
-        "band_gaps": [f"{b.d.numerator}/{b.d.denominator}" for b in family.bands],
+        "band_gaps": [exactalg.fmt_fraction(b.d) for b in family.bands],
         "budgets": [b.budget for b in family.bands],
         "bound_check": body,
         "recursion_rate": {
@@ -392,6 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
+    for name, value in vars(args).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            parser.error(f"--{name.replace('_', '-')} must be a finite number")
     if getattr(args, "k", None) is not None and isinstance(args.k, int) and args.k < 2:
         parser.error("k must be >= 2")
     if args.command == "verify":
@@ -413,6 +419,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("mu must be > 0")
         if args.h <= 0 or args.t_end <= 0:
             parser.error("need h > 0 and t-end > 0")
+        steps = args.t_end / args.h
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            parser.error("--h must divide --t-end into a whole number of steps")
     if args.command == "classify" and args.variant == "spiral":
         if args.mu is None or args.a is None or args.b is None:
             parser.error("spiral classification needs --mu, --a, --b")
@@ -434,7 +444,10 @@ def main(argv=None) -> int:
         return 0 if report["pass"] else 1
 
     if args.command == "classify":
-        report, label = run_classify(args)
+        try:
+            report, label = run_classify(args)
+        except ValueError as exc:  # zero covector, negative tolerance, bad spiral model
+            parser.error(str(exc))
         if args.output:
             _emit(report, args.output)
         print(label.value)

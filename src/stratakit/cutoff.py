@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .exactalg import fmt_fraction
+
 __all__ = [
     "Band",
     "BandFamily",
@@ -51,18 +53,6 @@ __all__ = [
 # budgets up to this size get critical-point isolation; larger ones
 # use the exact-evaluation grid refinement (validated against the exact path)
 EXACT_SUP_CAP = 32
-
-
-def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
 
 
 def _log_frac(q: Fraction) -> float:
@@ -112,7 +102,7 @@ class BandFamily:
 
 def build_bands(r1, r2, n: int) -> BandFamily:
     """Band family with gaps d_k = (r2 - r1)/(4 k^2) and budgets N/2^(k-1)."""
-    lo, hi = _to_frac(r1), _to_frac(r2)
+    lo, hi = Fraction(r1), Fraction(r2)  # a float enters as its exact binary value
     if not lo < hi:
         raise ValueError("need r1 < r2")
     if n < 4 or n & (n - 1):
@@ -491,7 +481,7 @@ class EhrenpreisCutoff:
 
     def _knot_coord(self, r) -> tuple[Fraction, int]:
         """Map r to (ramp coordinate y in knot units, side sign)."""
-        fr = _to_frac(r)
+        fr = Fraction(r)
         mid = (self.plateau_lo + self.plateau_hi) / 2
         if fr <= mid:
             return (fr - self.support_lo) / self.box_width, +1
@@ -643,7 +633,7 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
     return {
         "band": cutoff.band_index,
         "budget": n,
-        "gap": f"{d.numerator}/{d.denominator}",
+        "gap": fmt_fraction(d),
         "checked_orders": ells,
         "order_policy": "full" if n <= 64 else "thinned-ladder",
         "sup_mode": "exact" if n <= EXACT_SUP_CAP else "grid",
@@ -677,8 +667,8 @@ def bound_check_grid(r1, r2, n_values, kmax: int = 8) -> dict:
     cs = [e["C_measured"] for e in entries]
     uniform_ok = max(cs) <= 2.0 * reference
     return {
-        "r1": str(_to_frac(r1)),
-        "r2": str(_to_frac(r2)),
+        "r1": str(Fraction(r1)),
+        "r2": str(Fraction(r2)),
         "entries": entries,
         "C_uniform": max(cs),
         "single_band_reference": reference,

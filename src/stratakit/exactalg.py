@@ -1,8 +1,12 @@
-"""Exact rational coefficient engines.
+"""Exact rational coefficient engines and the package's shared exact core.
 
 Everything here is computed over the rationals (stdlib ``fractions.Fraction``,
 which keeps values in lowest terms with positive denominator) — no floating
-point.  The module provides truncated power series arithmetic, the triangular
+point.  The shared exact core used by every other module is ``exact`` (the
+strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
+report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
+with their linear arithmetic, the base of ``DiffOp`` and ``PhasePoly``).
+The module also provides truncated power series arithmetic, the triangular
 localizer-coefficient table a[j][j'] with its two independent construction
 routes (recurrence back-substitution vs. generating function), the convolution
 inverse of the factorial band matrix, Stirling numbers of the second kind in
@@ -19,6 +23,9 @@ from functools import lru_cache
 from math import factorial
 
 __all__ = [
+    "exact",
+    "fmt_fraction",
+    "SparseTerms",
     "Series",
     "CoeffTable",
     "PROVENANCE_RECURRENCE",
@@ -38,12 +45,95 @@ PROVENANCE_RECURRENCE = "recurrence"
 PROVENANCE_GENERATING = "generating-function"
 
 
-def _frac(x) -> Fraction:
+def exact(x) -> Fraction:
+    """Coerce an exact number (Fraction or int) to a Fraction; floats raise TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def fmt_fraction(q: Fraction) -> str:
+    """The report form of a rational: always "num/den", "1/1" included."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+class SparseTerms:
+    """Finite sum of monomial keys with nonzero exact rational coefficients.
+
+    Holds the linear structure shared by operators and phase-space
+    polynomials; subclasses add their own product and rendering and set
+    ``_UNIT_KEY``, the key of the constant monomial 1.  Values are immutable
+    once built: every operation returns a fresh instance.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        pruned = {}
+        if terms:
+            for key, coeff in terms.items():
+                c = exact(coeff)
+                if c != 0:
+                    pruned[tuple(key)] = c
+        self.terms = pruned
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap an already pruned dict of exact coefficients without copying it."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            acc = out.get(key, Fraction(0)) + coeff
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+        return self._of(out)
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        f = exact(factor)
+        return self._of({} if f == 0 else {k: f * c for k, c in self.terms.items()})
+
+    def __rmul__(self, factor):
+        if isinstance(factor, (int, Fraction)):
+            return self.scale(factor)
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        """Repeated product from the subclass's unit monomial ``_UNIT_KEY``."""
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
+        result = self._of({self._UNIT_KEY: Fraction(1)})
+        for _ in range(exponent):
+            result = result * self
+        return result
 
 
 @dataclass(frozen=True)
@@ -58,7 +148,7 @@ class Series:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coefficients", tuple(_frac(c) for c in self.coefficients)
+            self, "coefficients", tuple(exact(c) for c in self.coefficients)
         )
         if not self.coefficients:
             raise ValueError("a series needs at least the constant coefficient")
@@ -132,10 +222,6 @@ class Series:
     @staticmethod
     def one(order: int) -> "Series":
         return Series((Fraction(1),) + (Fraction(0),) * order)
-
-    @staticmethod
-    def zero(order: int) -> "Series":
-        return Series((Fraction(0),) * (order + 1))
 
 
 def bernoulli_generator(order: int) -> Series:
@@ -307,14 +393,10 @@ def default_table(jmax: int = 40) -> CoeffTable:
     return a_table_recurrence(jmax)
 
 
-def _format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def coeff_table_to_json(table: CoeffTable) -> str:
     """Serialize to the documented JSON schema; round-trips bit-exactly."""
     items = [
-        [f"{j}/{jp}", _format_fraction(table.entries[(j, jp)])]
+        [f"{j}/{jp}", fmt_fraction(table.entries[(j, jp)])]
         for j in range(table.jmax + 1)
         for jp in range(j + 1)
     ]

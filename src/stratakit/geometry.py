@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from enum import Enum
 
+from .exactalg import SparseTerms
+
 __all__ = [
     "PhasePoly",
     "StratumLabel",
@@ -57,70 +59,23 @@ _PAIRS = ((1, 4), (2, 5), (0, 3))
 _ZERO6 = (0, 0, 0, 0, 0, 0)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact coefficients required, got {type(x).__name__}")
+class PhasePoly(SparseTerms):
+    """Polynomial on phase space with exact rational coefficients.
 
+    Keys are exponent 6-tuples over ``_VARS``; addition, negation, scaling,
+    powers and equality come from ``SparseTerms``.
+    """
 
-class PhasePoly:
-    """Polynomial on phase space with exact rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        pruned = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _frac(coeff)
-                if c != 0:
-                    pruned[tuple(key)] = c
-        self.terms = pruned
+    __slots__ = ()
+    _UNIT_KEY = _ZERO6
 
     @staticmethod
     def const(c) -> "PhasePoly":
         return PhasePoly({_ZERO6: c})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PhasePoly") -> "PhasePoly":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        poly = PhasePoly.__new__(PhasePoly)
-        poly.terms = out
-        return poly
-
-    def __neg__(self) -> "PhasePoly":
-        poly = PhasePoly.__new__(PhasePoly)
-        poly.terms = {k: -c for k, c in self.terms.items()}
-        return poly
-
-    def __sub__(self, other: "PhasePoly") -> "PhasePoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "PhasePoly":
         if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            poly = PhasePoly.__new__(PhasePoly)
-            poly.terms = {} if f == 0 else {k: f * c for k, c in self.terms.items()}
-            return poly
+            return self.scale(other)
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -130,19 +85,7 @@ class PhasePoly:
                     out[key] = acc
                 else:
                     out.pop(key, None)
-        poly = PhasePoly.__new__(PhasePoly)
-        poly.terms = out
-        return poly
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PhasePoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = PhasePoly.const(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return self._of(out)
 
     def diff(self, name: str) -> "PhasePoly":
         idx = _VAR_INDEX[name]
@@ -153,9 +96,7 @@ class PhasePoly:
                 continue
             down = key[:idx] + (e - 1,) + key[idx + 1:]
             out[down] = out.get(down, Fraction(0)) + coeff * e
-        poly = PhasePoly.__new__(PhasePoly)
-        poly.terms = out
-        return poly
+        return self._of(out)
 
     def eval(self, point) -> Fraction | float:
         """Evaluate at (t, x1, x2, tau, xi1, xi2); exact for exact inputs."""
@@ -227,10 +168,6 @@ class ModelParams:
                 raise ValueError("spiral variant requires mu > 0")
             if self.a is None or self.b is None or not 0 < self.a < self.b:
                 raise ValueError("spiral variant requires 0 < a < b")
-
-    def matrix(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        mu = self.mu
-        return ((mu, 1.0), (-1.0, mu))
 
 
 @dataclass(frozen=True)
@@ -433,19 +370,30 @@ def make_flow_state(x, xi, params: ModelParams, time: float = 0.0) -> FlowState:
     )
 
 
+def _leaf_rhs(u, mu, a2, b2):
+    """Flow right side on the augmented state (x1, x2, xi1, xi2, quadrature).
+
+    Returns (x', xi', g1 g2): the last component is the integrand of the
+    quadrature that the integrator carries alongside the trajectory.
+    """
+    x1, x2, xi1, xi2, _ = u
+    r2 = x1 * x1 + x2 * x2
+    g = (r2 - a2) * (b2 - r2)
+    return (
+        g * (mu * x1 - x2),
+        g * (x1 + mu * x2),
+        -g * (mu * xi1 + xi2),
+        -g * (-xi1 + mu * xi2),
+        g,
+    )
+
+
 def hamilton_rhs(state: FlowState, params: ModelParams) -> dict:
     """Right side x' = g1 g2 A^T x, xi' = -g1 g2 A xi of the leaf flow."""
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
-    x1, x2 = state.x
-    xi1, xi2 = state.xi
-    mu = float(params.mu)
-    r2 = x1 * x1 + x2 * x2
-    g = (r2 - params.a ** 2) * (params.b ** 2 - r2)
-    return {
-        "x_dot": (g * (mu * x1 - x2), g * (x1 + mu * x2)),
-        "xi_dot": (-g * (mu * xi1 + xi2), -g * (-xi1 + mu * xi2)),
-    }
+    rhs = _leaf_rhs((*state.x, *state.xi, 0.0), float(params.mu), params.a ** 2, params.b ** 2)
+    return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
 
 
 @dataclass
@@ -463,22 +411,10 @@ class Trajectory:
 
 
 def _rk4_step(y, h, mu, a2, b2):
-    def f(u):
-        x1, x2, xi1, xi2, _ = u
-        r2 = x1 * x1 + x2 * x2
-        g = (r2 - a2) * (b2 - r2)
-        return (
-            g * (mu * x1 - x2),
-            g * (x1 + mu * x2),
-            -g * (mu * xi1 + xi2),
-            -g * (-xi1 + mu * xi2),
-            g,
-        )
-
-    k1 = f(y)
-    k2 = f(tuple(y[i] + 0.5 * h * k1[i] for i in range(5)))
-    k3 = f(tuple(y[i] + 0.5 * h * k2[i] for i in range(5)))
-    k4 = f(tuple(y[i] + h * k3[i] for i in range(5)))
+    k1 = _leaf_rhs(y, mu, a2, b2)
+    k2 = _leaf_rhs(tuple(y[i] + 0.5 * h * k1[i] for i in range(5)), mu, a2, b2)
+    k3 = _leaf_rhs(tuple(y[i] + 0.5 * h * k2[i] for i in range(5)), mu, a2, b2)
+    k4 = _leaf_rhs(tuple(y[i] + h * k3[i] for i in range(5)), mu, a2, b2)
     return tuple(
         y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(5)
     )
@@ -517,6 +453,8 @@ def integrate(
     mu = float(params.mu)
     a2, b2 = params.a ** 2, params.b ** 2
     n_steps = int(round(t_end / h))
+    if n_steps < 1:
+        raise ValueError(f"t_end / h = {t_end / h:.3g} rounds to zero steps")
 
     y = (s0.x[0], s0.x[1], s0.xi[0], s0.xi[1], 0.0)
     states = [make_flow_state(s0.x, s0.xi, params, time=s0.time)]
@@ -533,11 +471,7 @@ def integrate(
     trap = 0.0
     trap_dev = 0.0
 
-    def g_of(u):
-        r2 = u[0] * u[0] + u[1] * u[1]
-        return (r2 - a2) * (b2 - r2)
-
-    g_prev = g_of(y)
+    g_prev = _leaf_rhs(y, mu, a2, b2)[4]
     for step in range(1, n_steps + 1):
         y_next = _rk4_step(y, h, mu, a2, b2)
         if richardson_tol is not None:
@@ -548,7 +482,7 @@ def integrate(
                     f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
                 )
         y = y_next
-        g_here = g_of(y)
+        g_here = _leaf_rhs(y, mu, a2, b2)[4]
         trap += 0.5 * h * (g_prev + g_here)
         g_prev = g_here
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import exactalg, opalg
-from .exactalg import CoeffTable, default_table
-from .opalg import DiffOp, build_model, commutator, render
+from .exactalg import CoeffTable, default_table, fmt_fraction
+from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
     "LocalizerN",
@@ -48,16 +48,12 @@ __all__ = [
 _MAX_REPORTED_MONOMIALS = 20
 
 
-def _fmt(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _residual_case(tag: int | str, residual: DiffOp) -> dict:
+def _residual_case(residual: DiffOp) -> dict:
     case = {"residual_terms": len(residual), "pass": residual.is_zero}
     if not residual.is_zero:
         keys = sorted(residual.terms)[:_MAX_REPORTED_MONOMIALS]
         case["offending_monomials"] = [
-            f"{_fmt(residual.terms[k])} * {opalg._render_key(k)}" for k in keys
+            f"{fmt_fraction(residual.terms[k])} * {opalg._render_key(k)}" for k in keys
         ]
     return case
 
@@ -136,7 +132,7 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable | None = None)
     for j in range(1, jmax + 1):
         current = build_N(j, k, table)
         residual = commutator(model.X2, current.op) + tk * previous.op * model.R
-        case = {"j": j, **_residual_case(j, residual)}
+        case = {"j": j, **_residual_case(residual)}
         cases.append(case)
         previous = current
     return {
@@ -161,7 +157,7 @@ def verify_x2_bracket(pmax: int, k: int, table: CoeffTable | None = None) -> dic
         rp = build_Rp_phi(p, k, table)
         np_op = build_N(p, k, table)
         residual = commutator(model.X2, rp.op) - tk * opalg.phi(p + 1) * np_op.op
-        cases.append({"p": p, **_residual_case(p, residual)})
+        cases.append({"p": p, **_residual_case(residual)})
     return {
         "identity": "x2-localized-power-bracket",
         "statement": "[X2, R^p_phi] - t^k phi^(p+1) N_p == 0",
@@ -190,7 +186,7 @@ def _compare_candidate(extracted: list[Fraction], candidate: list[Fraction]) -> 
             first_mismatch = idx
             break
     return {
-        "values": [_fmt(v) for v in candidate],
+        "values": [fmt_fraction(v) for v in candidate],
         "matches": first_mismatch is None,
         "first_mismatch": first_mismatch,
     }
@@ -229,7 +225,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable | None = None) -> dict:
                 ).op
                 residual = residual + delta_ell * basis
         deltas_by_p[p] = deltas
-        cases.append({"p": p, **_residual_case(p, residual)})
+        cases.append({"p": p, **_residual_case(residual)})
     reference = deltas_by_p[pmax]
     p_independent = all(
         deltas_by_p[p] == reference[:p] for p in range(1, pmax + 1)
@@ -246,7 +242,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable | None = None) -> dict:
         "k": k,
         "pmax": pmax,
         "cases": cases,
-        "delta": [_fmt(d) for d in reference],
+        "delta": [fmt_fraction(d) for d in reference],
         "delta_values": reference,
         "delta_p_independent": p_independent,
         "delta_abs_le_1": bounded,
@@ -324,7 +320,7 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable | None = None) -
         "k": k,
         "jmax": jmax,
         "cases": cases,
-        "gamma": [_fmt(g) for g in reference],
+        "gamma": [fmt_fraction(g) for g in reference],
         "gamma_values": reference,
         "gamma_j_independent": j_independent,
         "pass": j_independent and all(c["pass"] for c in cases),
@@ -347,7 +343,7 @@ def verify_stirling_identity(jmax: int) -> dict:
             }
         )
         residual = power - expected
-        case = {"j": j, **_residual_case(j, residual)}
+        case = {"j": j, **_residual_case(residual)}
         row = [exactalg.stirling_B(j, ell) for ell in range(1, j + 1)]
         case["row_positive_integers"] = all(
             b >= 1 and b.denominator == 1 for b in row
@@ -380,7 +376,7 @@ def bound_scan_a(jmax: int, table: CoeffTable | None = None) -> dict:
     for j in range(jmax + 1):
         m_j = max(abs(table.entry(j, jp)) for jp in range(j + 1))
         rate = float(m_j) ** (1.0 / j) if j >= 1 else float(m_j)
-        per_j.append({"j": j, "max_abs": _fmt(m_j), "rate": rate})
+        per_j.append({"j": j, "max_abs": fmt_fraction(m_j), "rate": rate})
         if j >= 2:
             c_min = max(c_min, rate)
     return {

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
+from .exactalg import SparseTerms
 __all__ = [
     "DiffOp",
     "ModelOps",
@@ -50,14 +51,6 @@ Key = tuple  # (t_pow, phis, dt_pow, r_pow, dth_pow)
 _ZERO_KEY: Key = (0, (), 0, 0, 0)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"coefficients must be exact rationals, got {type(x).__name__}")
-
-
 @lru_cache(maxsize=None)
 def _phi_derive(phis: tuple, times: int) -> tuple:
     """Distribution of R^times acting on a product of phi symbols.
@@ -78,82 +71,20 @@ def _phi_derive(phis: tuple, times: int) -> tuple:
     return tuple(current.items())
 
 
-def _falling(a: int, i: int) -> int:
-    out = 1
-    for step in range(i):
-        out *= a - step
-    return out
+class DiffOp(SparseTerms):
+    """Finite rational combination of normal-ordered monomials.
 
+    Addition, negation, scaling, powers and equality come from ``SparseTerms``.
+    """
 
-class DiffOp:
-    """Finite rational combination of normal-ordered monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        pruned = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _frac(coeff)
-                if c != 0:
-                    pruned[key] = c
-        self.terms = pruned
-
-    # -- basic structure ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    __slots__ = ()
+    _UNIT_KEY = _ZERO_KEY
 
     def derivation_order(self) -> int:
         """Highest total derivation degree (Dt, R, Dtheta powers combined)."""
         if not self.terms:
             return 0
         return max(k[2] + k[3] + k[4] for k in self.terms)
-
-    # -- linear operations --------------------------------------------------
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = DiffOp.__new__(DiffOp)
-        result.terms = out
-        return result
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def __neg__(self) -> "DiffOp":
-        result = DiffOp.__new__(DiffOp)
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
-
-    def scale(self, factor) -> "DiffOp":
-        f = _frac(factor)
-        result = DiffOp.__new__(DiffOp)
-        result.terms = {} if f == 0 else {k: f * c for k, c in self.terms.items()}
-        return result
-
-    def __rmul__(self, factor) -> "DiffOp":
-        if isinstance(factor, (int, Fraction)):
-            return self.scale(factor)
-        return NotImplemented
 
     # -- multiplication -----------------------------------------------------
 
@@ -170,7 +101,7 @@ class DiffOp:
                 base = c1 * c2
                 # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
                 for i in range(min(b1, a2) + 1):
-                    ct = base * comb(b1, i) * _falling(a2, i)
+                    ct = base * comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
                     t_pow = a1 + a2 - i
                     dt_left = b1 - i
                     for i2 in range(r1 + 1):
@@ -188,17 +119,7 @@ class DiffOp:
                                 out[key] = acc
                             else:
                                 out.pop(key, None)
-        result = DiffOp.__new__(DiffOp)
-        result.terms = out
-        return result
-
-    def __pow__(self, exponent: int) -> "DiffOp":
-        if exponent < 0:
-            raise ValueError("negative operator powers are not defined")
-        result = one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return self._of(out)
 
     # -- evaluations ----------------------------------------------------------
 
@@ -232,7 +153,7 @@ def one() -> DiffOp:
 
 
 def scalar(c) -> DiffOp:
-    return DiffOp({_ZERO_KEY: _frac(c)})
+    return DiffOp({_ZERO_KEY: c})
 
 
 def tvar(power: int = 1) -> DiffOp:

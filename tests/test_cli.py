@@ -168,3 +168,32 @@ def test_report_all_quick(tmp_path, capsys):
     geom = read_json(outdir / "geometry.json")
     assert geom["sigma1_nondegenerate"] == geom["samples"]
     assert geom["sigma2_degenerate"] == geom["samples"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cutoff", "--N", "8", "--r2", "inf"],
+        ["flow", "--h", "nan"],
+        ["flow", "--h", "inf"],
+        ["flow", "--mu", "inf"],
+        ["flow", "--richardson-tol", "nan", "--t-end", "0.01"],
+        ["classify", "--k", "2", "--t", "nan", "--x", "1,0", "--tau", "0", "--xi", "1,0"],
+        ["classify", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "inf,0"],
+        ["flow", "--h", "0.3", "--t-end", "0.1"],
+        ["flow", "--t-end", "0.0015", "--h", "0.001"],
+        ["classify", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "0,0"],
+        ["verify", "--jmax", "2", "--pmax", "2", "-o", "{file}/x.json"],
+        ["report-all", "--quick", "--outdir", "{file}"],
+    ],
+)
+def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory\n")
+    argv = [a.format(file=blocker) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err

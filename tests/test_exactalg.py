@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import exactalg, opalg
+from stratakit import exactalg, geometry, opalg
 from stratakit.exactalg import (
     CoeffTable,
     Series,
@@ -236,3 +236,29 @@ class TestSerialization:
     def test_bad_provenance_rejected(self):
         with pytest.raises(ValueError):
             CoeffTable(jmax=0, entries={(0, 0): Fraction(1)}, provenance="psychic")
+
+
+class TestExactnessGuard:
+    """Every exact container refuses a float coefficient instead of rounding it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: opalg.DiffOp({(0, (), 1, 0, 0): 0.5}),
+            lambda: geometry.PhasePoly({(1, 0, 0, 0, 0, 0): 0.5}),
+            lambda: Series((Fraction(1), 0.5)),
+            lambda: opalg.scalar(0.5),
+            lambda: opalg.dt().scale(0.5),
+            lambda: geometry.var("t").scale(0.5),
+        ],
+        ids=["DiffOp", "PhasePoly", "Series", "scalar", "DiffOp.scale", "PhasePoly.scale"],
+    )
+    def test_float_coefficient_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_exact_inputs_pass_through(self):
+        half = Fraction(1, 2)
+        assert exactalg.exact(half) is half
+        assert exactalg.exact(3) == Fraction(3)
+        assert exactalg.fmt_fraction(Fraction(3)) == "3/1"

@@ -321,6 +321,8 @@ class TestIntegrate:
             integrate(initial_leaf_state(), SPIRAL, t_end=1.0, h=-1e-3)
         with pytest.raises(ValueError):
             integrate(initial_leaf_state(), CLOSED, t_end=1.0, h=1e-3)
+        with pytest.raises(ValueError):
+            integrate(initial_leaf_state(), SPIRAL, t_end=0.1, h=0.3)  # rounds to zero steps
 
 
 def test_log_spiral_pitch_matches_mu():

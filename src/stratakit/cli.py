@@ -72,10 +72,24 @@ def _write_atomic(path: Path, text: str) -> None:
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):  # an unwritable path is bad configuration, not a failed check
-            sys.stderr.write(f"stratakit: error: cannot write {path}: {exc.strerror}\n")
-            raise SystemExit(2) from None
+        if isinstance(exc, OSError):
+            _unwritable(path, exc)
         raise
+
+
+def _unwritable(path: Path, exc: OSError) -> None:
+    """An unwritable path is bad configuration, not a failed check: exit 2."""
+    sys.stderr.write(f"stratakit: error: cannot write {path}: {exc.strerror}\n")
+    raise SystemExit(2) from None
+
+
+def _check_writable_dir(path: Path) -> None:
+    """Create ``path`` and write a scratch file in it, before any work is done."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    except OSError as exc:
+        _unwritable(path, exc)
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -482,6 +496,7 @@ def main(argv=None) -> int:
         if any(k < 2 for k in ks):
             parser.error("k must be >= 2")
         outdir = args.outdir
+        _check_writable_dir(_resolve_output(outdir))
         depth = {"jmax": 6, "pmax": 5} if args.quick else {"jmax": 10, "pmax": 8}
         coeffs_jmax = 12 if args.quick else 40
         cutoff_n = 16 if args.quick else 64

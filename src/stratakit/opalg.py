@@ -98,10 +98,10 @@ class DiffOp(SparseTerms):
             a1, f1, b1, r1, d1 = k1
             for k2, c2 in other.terms.items():
                 a2, f2, b2, r2, d2 = k2
-                base = c1 * c2
+                base = c1 * c2  # the one Fraction factor: every multiplier below is an int
                 # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
                 for i in range(min(b1, a2) + 1):
-                    ct = base * comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
+                    ct = comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
                     t_pow = a1 + a2 - i
                     dt_left = b1 - i
                     for i2 in range(r1 + 1):
@@ -114,7 +114,7 @@ class DiffOp(SparseTerms):
                                 r1 - i2 + r2,
                                 d1 + d2,
                             )
-                            acc = out.get(key, Fraction(0)) + cr * mult
+                            acc = out.get(key, Fraction(0)) + base * (cr * mult)
                             if acc:
                                 out[key] = acc
                             else:

@@ -197,3 +197,18 @@ def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def test_unwritable_outdir_fails_before_any_section(monkeypatch, tmp_path, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a report section ran before the --outdir check")
+
+    monkeypatch.setattr(cli, "run_coeffs", must_not_run)
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file, not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report-all", "--quick", "--outdir", str(blocker)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"stratakit: error: cannot write {blocker}" in err

@@ -1,6 +1,7 @@
 """Localizers, localized powers, and the bracket identity verifications."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,15 @@ from stratakit.localize import (
     verify_x2_bracket,
 )
 from stratakit.opalg import build_model, commutator, one, phi, rr
+
+
+def _direct_N(j, k, table):
+    """N_j = sum a[j][j'] M^j'/j'! built from opalg products, with no memo."""
+    m = build_model(k).M
+    op = opalg.zero()
+    for jp in range(j + 1):
+        op = op + (table.entry(j, jp) / factorial(jp)) * m ** jp
+    return op
 
 
 class TestLocalizerConstruction:
@@ -36,6 +46,23 @@ class TestLocalizerConstruction:
         with pytest.raises(ValueError):
             build_N(5, 2, table=small)
 
+    def test_memo_keeps_tables_apart(self):
+        base = exactalg.a_table_recurrence(4)
+        entries = dict(base.entries)
+        entries[(3, 1)] += 1
+        perturbed = exactalg.CoeffTable(4, entries, exactalg.PROVENANCE_RECURRENCE)
+        changed = build_N(3, 2, perturbed).op
+        assert changed == _direct_N(3, 2, perturbed)
+        assert changed != _direct_N(3, 2, base)
+        assert build_N(3, 2).op == _direct_N(3, 2, base)
+
+    def test_adding_to_a_returned_localizer_leaves_the_next_one_intact(self):
+        expected = _direct_N(4, 3, exactalg.default_table(4))
+        op = build_N(4, 3).op
+        op += opalg.tvar()
+        assert op != expected
+        assert build_N(4, 3).op == expected
+
 
 class TestLocalizedPower:
     def test_p0_is_phi(self):
@@ -55,6 +82,20 @@ class TestLocalizedPower:
         shifted = build_Rp_phi(1, 2, base_derivative=3).op
         m = build_model(2).M
         assert shifted == phi(3) * rr() + phi(4) * (m - one())
+
+    def test_negative_base_derivative_rejected(self):
+        with pytest.raises(ValueError):
+            build_Rp_phi(2, 2, base_derivative=-1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_direct_product_sum(self, k):
+        table = exactalg.default_table(6)
+        for p in range(7):
+            for m in range(4):
+                expected = opalg.zero()
+                for j in range(p + 1):
+                    expected = expected + phi(j + m) * _direct_N(j, k, table) * rr() ** (p - j)
+                assert build_Rp_phi(p, k, table, base_derivative=m).op == expected
 
 
 class TestX2LocalizerBracket:
@@ -206,6 +247,14 @@ class TestBoundScan:
     def test_rejects_tiny_jmax(self):
         with pytest.raises(ValueError):
             bound_scan_a(1)
+
+    def test_fails_on_fast_growth(self):
+        entries = dict(exactalg.a_table_recurrence(2).entries)
+        entries[(2, 1)] = Fraction(100)
+        table = exactalg.CoeffTable(2, entries, exactalg.PROVENANCE_RECURRENCE)
+        scan = bound_scan_a(2, table)
+        assert scan["c_min_empirical"] == pytest.approx(10.0)
+        assert scan["pass"] is False
 
 
 @pytest.mark.parametrize("k", [2, 3])

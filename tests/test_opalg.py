@@ -155,6 +155,12 @@ def test_binomial_ad_expansion_matches_direct(z, w, j):
 
 @given(_ops, _ops)
 @settings(max_examples=60, deadline=None)
+def test_product_coefficients_are_fractions(a, b):
+    assert all(type(c) is Fraction for c in (a * b).terms.values())
+
+
+@given(_ops, _ops)
+@settings(max_examples=60, deadline=None)
 def test_commutator_lowers_derivation_order(a, b):
     bound = a.derivation_order() + b.derivation_order() - 1
     c = commutator(a, b)

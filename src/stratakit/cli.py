@@ -105,8 +105,21 @@ def _parse_number(text: str):
     """Exact Fraction when the literal allows it, float otherwise."""
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"division by zero in {text!r}") from None
     except ValueError:
         return float(text)
+
+
+def _parse_k_list(text: str) -> list[int]:
+    try:
+        ks = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        msg = f"expected a comma list of integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+    if not ks:
+        raise argparse.ArgumentTypeError("expected at least one model degree")
+    return ks
 
 
 def _parse_pair(text: str):
@@ -399,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("report-all", help="run every suite with defaults")
-    p.add_argument("--k", default="2,3", help="comma list of model degrees")
+    p.add_argument("--k", type=_parse_k_list, default="2,3", help="comma list of model degrees")
     p.add_argument("--outdir", default="stratakit-reports")
     p.add_argument("--seed", type=int, default=20260401)
     p.add_argument("--quick", action="store_true", help="smaller depths everywhere")
@@ -433,6 +446,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("mu must be > 0")
         if args.h <= 0 or args.t_end <= 0:
             parser.error("need h > 0 and t-end > 0")
+        if args.richardson_tol is not None and args.richardson_tol <= 0:
+            parser.error("--richardson-tol must be > 0")
         steps = args.t_end / args.h
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9 * steps):
@@ -475,10 +490,13 @@ def main(argv=None) -> int:
         json_out = args.output
         if args.format == "csv" and args.output:
             csv_out, json_out = args.output, None
-        report = run_flow(
-            params, args.x0, args.xi0, args.t_end, args.h, args.richardson_tol,
-            args.drift_tol, args.closed_form_tol, csv_out,
-        )
+        try:
+            report = run_flow(
+                params, args.x0, args.xi0, args.t_end, args.h, args.richardson_tol,
+                args.drift_tol, args.closed_form_tol, csv_out,
+            )
+        except (geometry.StepSizeError, ValueError) as exc:  # unmet tolerance, divergence
+            parser.error(str(exc))
         _emit(report, json_out)
         return 0 if report["pass"] else 1
 
@@ -492,7 +510,7 @@ def main(argv=None) -> int:
         return 0 if report["pass"] else 1
 
     if args.command == "report-all":
-        ks = [int(v) for v in str(args.k).split(",") if v.strip()]
+        ks = args.k
         if any(k < 2 for k in ks):
             parser.error("k must be >= 2")
         outdir = args.outdir

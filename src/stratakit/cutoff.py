@@ -18,13 +18,14 @@ computed from the truncated-power representation
     B_n^(j)(y) = (1/(n-j-1)!) sum_s (-1)^s C(n, s) (y - s)_+^(n-j-1),
 
 whose numerator is a pure integer for rational y — evaluation and sign
-queries are exact at any size.  Suprema are searched by critical-point
-isolation for small budgets and by an exact-evaluation grid refinement (knot
-values from Eulerian numbers, then dyadic/parabolic polish) for large ones.
-Either way the reported "sup" is the exact spline value at a rational
-abscissa the search reached, so it is a lower bound on the true supremum:
-critical-point isolation reports the value at the midpoint of its last
-bisection bracket, not at the critical point itself.
+queries are exact at any size.  One dispatcher, ``_sup_batch``, picks the
+search: critical-point isolation for small budgets, and for large ones an
+exact-evaluation grid search seeded by the knot values (from Eulerian
+numbers), then dyadic/parabolic polish.  Either way the reported "sup" is
+the exact spline value at a rational abscissa the search reached, so it is
+a lower bound on the true supremum: critical-point isolation reports the
+value at the midpoint of its last bisection bracket, not at the critical
+point itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 # budgets up to this size get critical-point isolation; larger ones
-# use the exact-evaluation grid refinement (validated against the exact path)
+# use the knot-seeded grid search (validated against the exact path)
 EXACT_SUP_CAP = 32
 
 
@@ -198,18 +199,8 @@ def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
 
 
 def _cdf(n: int, y: Fraction) -> Fraction:
-    """Transition ramp: n-fold box smoothing of the unit step, at knot scale."""
-    if y <= 0:
-        return Fraction(0)
-    if y >= n:
-        return Fraction(1)
-    p, q_den = y.numerator, y.denominator
-    binom = _comb_row(n)
-    acc = 0
-    for s in range(min(p // q_den, n) + 1):
-        term = binom[s] * (p - s * q_den) ** n
-        acc += -term if s % 2 else term
-    return Fraction(acc, factorial(n) * q_den ** n)
+    """Transition ramp B_n^(-1) = integral of B_n: the smoothed unit step, at knot scale."""
+    return Fraction(1) if y >= n else _eval_deriv(n, -1, y)
 
 
 def _sup_const_piece(n: int) -> tuple[Fraction, Fraction]:
@@ -226,8 +217,6 @@ def _sup_exact(n: int, j: int) -> tuple[Fraction, Fraction]:
     exact value at that abscissa and a lower bound on the supremum.
     """
     q = n - j
-    if q == 1:
-        return _sup_const_piece(n)
     best = Fraction(0)
     best_x = Fraction(1)
     samples_per_interval = 2 * q + 3
@@ -297,12 +286,13 @@ def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fra
     """Supremum search seeded by exact (scaled-integer) knot values.
 
     Low piece degree means knot-to-knot oscillation, so every interval is
-    swept on a quarter-knot grid and the champion refined on a sixteenth
-    grid.  High degree means a near-Gaussian profile resolved by the knot
-    grid, so only the championship windows get parabolic polishing — all
-    candidate evaluations are exact either way.  Knot values (integer
-    abscissae) come from ``nums`` when it is given, and each abscissa is
-    evaluated at most once per call.
+    swept on a quarter-knot grid; a near-Gaussian profile that the knot grid
+    undersamples is swept on quarter-knot windows around its largest knot
+    values.  Either sweep is refined on a sixteenth grid around its champion
+    and polished.  A profile the knot grid resolves only gets parabolic
+    polishing in its championship windows.  All candidate evaluations are
+    exact: knot values (integer abscissae) come from ``nums``, and each
+    abscissa is evaluated at most once per call.
     """
     q = n - j
     best = Fraction(0)
@@ -313,7 +303,7 @@ def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fra
     def value(x: Fraction) -> Fraction:
         v = values.get(x)
         if v is None:
-            if nums and x.denominator == 1 and 0 <= x <= n:
+            if x.denominator == 1 and 0 <= x <= n:
                 v = Fraction(nums[x.numerator], scale)
             else:
                 v = _eval_deriv(n, j, x)
@@ -342,10 +332,15 @@ def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fra
 
     # local oscillation wavelength of the derivative spline, in knot units
     wavelength = math.pi * math.sqrt(n / 12.0) / math.sqrt(max(j, 1))
+    peak = max(abs(v) for v in nums)
 
-    if q <= 64:
-        # low piece degree: quarter-knot sweep everywhere, then refine
-        for num in range(1, 4 * n):
+    if q <= 64 or wavelength < 3.0:
+        if q <= 64:
+            quarters = range(1, 4 * n)
+        else:
+            windows = [i for i in range(n + 1) if abs(nums[i]) >= peak // 2][:8]
+            quarters = [4 * i + s for i in windows for s in range(-4, 5)]
+        for num in quarters:
             consider(Fraction(num, 4))
         center = best_x
         for s in range(-4, 5):
@@ -353,23 +348,8 @@ def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fra
         polish(best_x, Fraction(1, 16))
         return best, best_x
 
-    best_i = max(range(n + 1), key=lambda i: abs(nums[i]))
-    if wavelength < 3.0:
-        # knot grid undersamples the oscillation: sweep generous windows
-        threshold = abs(nums[best_i]) // 2
-        windows = [i for i in range(n + 1) if abs(nums[i]) >= threshold][:8]
-        for i in windows:
-            for s in range(-4, 5):
-                consider(Fraction(4 * i + s, 4))
-        center = best_x
-        for s in range(-4, 5):
-            consider(center + Fraction(s, 16))
-        polish(best_x, Fraction(1, 16))
-        return best, best_x
-
     # knot-resolved regime: parabolic polishing around the champion knots
-    threshold = abs(nums[best_i]) * 49 // 50
-    windows = [i for i in range(n + 1) if abs(nums[i]) >= threshold][:4]
+    windows = [i for i in range(n + 1) if abs(nums[i]) >= peak * 49 // 50][:4]
     rounds = 2 if q <= 256 else 1
     for i in windows:
         consider(Fraction(i))
@@ -394,37 +374,27 @@ def _cache_sup(n: int, j: int, sup: Fraction, arg: Fraction, mode: str) -> dict:
 
 
 def _sup_batch(n: int, j_values) -> None:
-    """Fill the sup cache for many derivative orders with one Eulerian pass.
+    """Fill the sup cache for derivative orders of B_n; the one search dispatcher.
 
-    The Eulerian recurrence is walked upward once, keeping a single row in
-    memory; each requested order consumes the row matching its piece degree.
-    Orders are served in increasing row order (decreasing j).
+    Orders are served by decreasing j, so one upward walk of the Eulerian
+    recurrence, keeping a single row in memory, gives each grid order the
+    row of its piece degree to seed the search with knot values.
     """
-    todo = sorted(
-        (n - j - 1, j) for j in j_values if (n, j) not in _BSUP_CACHE and n - j >= 2
-    )
-    for j in j_values:
-        if (n, j) in _BSUP_CACHE:
-            continue
-        if n - j == 1:
-            sup, arg = _sup_const_piece(n)
-            _cache_sup(n, j, sup, arg, "grid")
-    if not todo:
-        return
+    mode = "exact" if n <= EXACT_SUP_CAP else "grid"
     row = [1]
     m = 0
-    for target, j in todo:
-        if n - j <= 64:
-            # full-sweep regime: knot values are not needed as seeds
-            sup, arg = _sup_grid_from_knots(n, j, [])
-            _cache_sup(n, j, sup, arg, "grid")
-            continue
-        while m < target:
-            m += 1
-            row = _next_eulerian_row(row, m)
-        nums = _knot_numerators_from_row(n, j, row)
-        sup, arg = _sup_grid_from_knots(n, j, nums)
-        _cache_sup(n, j, sup, arg, "grid")
+    for j in sorted({j for j in j_values if (n, j) not in _BSUP_CACHE}, reverse=True):
+        q = n - j
+        if q == 1:
+            sup, arg = _sup_const_piece(n)
+        elif mode == "exact":
+            sup, arg = _sup_exact(n, j)
+        else:
+            while m < q - 1:
+                m += 1
+                row = _next_eulerian_row(row, m)
+            sup, arg = _sup_grid_from_knots(n, j, _knot_numerators_from_row(n, j, row))
+        _cache_sup(n, j, sup, arg, mode)
 
 
 def bspline_derivative_sup(n: int, j: int) -> dict:
@@ -437,14 +407,8 @@ def bspline_derivative_sup(n: int, j: int) -> dict:
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
-    key = (n, j)
-    if key not in _BSUP_CACHE:
-        if n <= EXACT_SUP_CAP:
-            sup, arg = _sup_exact(n, j)
-            _cache_sup(n, j, sup, arg, "exact")
-        else:
-            _sup_batch(n, [j])
-    return _BSUP_CACHE[key]
+    _sup_batch(n, [j])
+    return _BSUP_CACHE[(n, j)]
 
 
 # -- cutoff functions -------------------------------------------------------------
@@ -604,18 +568,23 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
     d = cutoff.gap
     log_d = _log_frac(d)
     log_n = math.log(n)
+    log_w = _log_frac(cutoff.box_width)
     ells = _ell_ladder(n)
-    if n > EXACT_SUP_CAP:
-        _sup_batch(n, [ell - 1 for ell in ells if ell >= 1])
+    _sup_batch(n, [ell - 1 for ell in ells if ell >= 1])
     profile = []
     c_measured = 0.0
     weak_ok = True
+    # |B_n^(j)| <= 2^j: B_n^(j) is the j-th backward difference of B_(n-j),
+    # which lies in [0, 1]
+    difference_bound_ok = True
     for ell in ells:
         if ell == 0:
             log_sup = 0.0
         else:
-            info = cutoff.derivative_sup(ell)
-            log_sup = info["log_sup"]
+            info = bspline_derivative_sup(n, ell - 1)
+            sup_mode = info["mode"]
+            log_sup = info["log_sup"] - ell * log_w
+            difference_bound_ok = difference_bound_ok and info["sup"] <= 2 ** (ell - 1)
         log_c = log_d + (log_sup - ell * log_n) / (ell + 1)
         c_ell = math.exp(log_c)
         c_measured = max(c_measured, c_ell)
@@ -635,12 +604,12 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
         "budget": n,
         "gap": fmt_fraction(d),
         "checked_orders": ells,
-        "order_policy": "full" if n <= 64 else "thinned-ladder",
-        "sup_mode": "exact" if n <= EXACT_SUP_CAP else "grid",
+        "order_policy": "full" if len(ells) == n + 1 else "thinned-ladder",
+        "sup_mode": sup_mode,
         "profile": profile,
         "C_measured": c_measured,
         "weak_form_ok": weak_ok,
-        "pass": math.isfinite(c_measured) and c_measured > 0,
+        "pass": math.isfinite(c_measured) and c_measured > 0 and difference_bound_ok,
     }
 
 

@@ -422,8 +422,11 @@ def _rk4_step(y, h, mu, a2, b2):
 
 def _closed_form_xi(xi0, quadrature: float, mu: float) -> tuple[float, float]:
     # exp(-I A) = e^(-mu I) (cos I * Id - sin I * J) for A = mu Id + J
-    damp = math.exp(-mu * quadrature)
-    c, s = math.cos(quadrature), math.sin(quadrature)
+    try:
+        damp = math.exp(-mu * quadrature)
+        c, s = math.cos(quadrature), math.sin(quadrature)
+    except (OverflowError, ValueError):  # only a runaway orbit gets here
+        raise ValueError(f"the flow diverged: quadrature reached {quadrature!r}") from None
     j_xi = (xi0[1], -xi0[0])
     return (damp * (c * xi0[0] - s * j_xi[0]), damp * (c * xi0[1] - s * j_xi[1]))
 
@@ -444,7 +447,8 @@ def integrate(
     step and the worst relative deviation from the integrated xi recorded.
 
     With ``richardson_tol`` set, each step is compared against two half
-    steps and a deviation beyond the tolerance raises StepSizeError.
+    steps and a deviation beyond the tolerance raises StepSizeError.  A
+    diverging flow raises ValueError instead of reporting NaN monitors.
     """
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
@@ -514,6 +518,9 @@ def integrate(
         prev_norm = norm_x
         max_norm = max(max_norm, norm_x)
 
+    # the right side has no division, so a state that went non-finite stays so
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"the flow diverged: the state at t_end is {y!r}")
     return Trajectory(
         params=params,
         h=h,

@@ -176,6 +176,45 @@ def test_criterion_10_cutoff_bounds(bound_grid):
     report(10, "cutoff derivative bounds uniform over N<=2^10, k<=8", ok, detail)
 
 
+# C_measured per (N, band) on the acceptance grid, recorded before the sup
+# search was routed through one dispatcher; every search change must keep them
+PINNED_C = {
+    (4, 1): 0.9440875112949019,
+    (4, 2): 0.39685026299204984,
+    (16, 1): 1.5438922036509644,
+    (16, 2): 1.0908675094401188,
+    (16, 3): 0.6083643418932059,
+    (16, 4): 0.25000000000000006,
+    (64, 1): 1.8495951074302222,
+    (64, 2): 1.661183672980905,
+    (64, 3): 1.3567038636412188,
+    (64, 4): 0.9351396085574598,
+    (64, 5): 0.49593441964128293,
+    (64, 6): 0.19078570709222198,
+    (256, 1): 1.955582785881046,
+    (256, 2): 1.897118198343818,
+    (256, 3): 1.788117336881554,
+    (256, 4): 1.592844615710398,
+    (256, 5): 1.2775714819884734,
+    (256, 6): 0.8545649207063806,
+    (256, 7): 0.4334839645459555,
+    (256, 8): 0.15749013123685912,
+    (1024, 1): 1.987426305294174,
+    (1024, 2): 1.9709563201512883,
+    (1024, 3): 1.9389347750268415,
+    (1024, 4): 1.8768400329741488,
+    (1024, 5): 1.7602319457973772,
+    (1024, 6): 1.554179636282,
+    (1024, 7): 1.2279867344554156,
+    (1024, 8): 0.8016428025634608,
+}
+
+
+def test_grid_constants_pinned(bound_grid):
+    measured = {(e["N"], e["k"]): e["C_measured"] for e in bound_grid["entries"]}
+    assert measured == PINNED_C
+
+
 def test_criterion_11_recursion_product_convergence(bound_grid):
     # evaluated at the constant the bound actually certifies: the measured
     # uniform C from the derivative checks

@@ -1,8 +1,11 @@
 """CLI behavior: exit codes, report artifacts, atomic writes, env override."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratakit import cli
 from stratakit.exactalg import coeff_table_from_json
@@ -185,12 +188,21 @@ def test_report_all_quick(tmp_path, capsys):
         ["classify", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "0,0"],
         ["verify", "--jmax", "2", "--pmax", "2", "-o", "{file}/x.json"],
         ["report-all", "--quick", "--outdir", "{file}"],
+        ["cutoff", "--N", "8", "--r1", "1/0"],
+        ["classify", "--k", "2", "--t", "1/0", "--x", "1,0", "--tau", "0", "--xi", "1,0"],
+        ["flow", "--mu", "1/0"],
+        ["report-all", "--quick", "--k", "2,x", "--outdir", "{tmp}/r"],
+        ["report-all", "--quick", "--k", "", "--outdir", "{tmp}/r"],
+        ["flow", "--richardson-tol", "-1", "--t-end", "0.01"],
+        ["flow", "--richardson-tol", "1e-20", "--t-end", "0.01"],
+        ["flow", "--x0", "1e200,0", "--t-end", "0.01"],
+        ["flow", "--x0", "1.5,0", "--mu", "100", "--t-end", "1", "--h", "0.01"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_text("a regular file, not a directory\n")
-    argv = [a.format(file=blocker) for a in argv]
+    argv = [a.format(file=blocker, tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -212,3 +224,77 @@ def test_unwritable_outdir_fails_before_any_section(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"stratakit: error: cannot write {blocker}" in err
+
+
+# values that have each broken some argument parser at least once
+FUZZ_POOL = ["1/0", "nan", "inf", "-1", "0", "1/3", "2,x", ""]
+
+# per subcommand: the flags drawn (each with a few valid values besides the
+# pool), and the ones always given, which keep every run small
+FUZZ_FLAGS = {
+    "coeffs": ({"--jmax": ["2", "6"]}, ["--jmax"]),
+    "verify": (
+        {"--k": ["2", "3"], "--jmax": ["1", "6"], "--pmax": ["1", "4"]},
+        ["--jmax", "--pmax"],
+    ),
+    "classify": (
+        {
+            "--k": ["2", "3"], "--t": ["1", "1/2"], "--x": ["1,0", "0,1"], "--tau": ["1"],
+            "--xi": ["1,0", "0,0", "1,-1"], "--variant": ["spiral"], "--mu": ["1/2"],
+            "--a": ["1"], "--b": ["2"], "--tol": ["1e-12"],
+        },
+        ["--k", "--t", "--x", "--tau", "--xi"],
+    ),
+    "flow": (
+        {
+            "--t-end": ["0.01", "0.002"], "--h": ["0.001", "0.002"], "--mu": ["0.5", "100"],
+            "--x0": ["1.2,0", "1e200,0", "0,0"], "--xi0": ["-0.96,0.48", "0,0"],
+            "--a": ["1"], "--b": ["2"], "--k": ["3"], "--richardson-tol": ["1e-9", "1e-20"],
+        },
+        ["--t-end"],
+    ),
+    "cutoff": (
+        {"--N": ["4", "8", "16"], "--r1": ["1", "1/3"], "--r2": ["2"], "--kmax": ["1", "8"]},
+        ["--N"],
+    ),
+    "report-all": ({"--k": ["2", "3", "2,3"], "--seed": ["7"]}, []),
+}
+
+
+@st.composite
+def cli_argv(draw, commands):
+    command = draw(st.sampled_from(commands))
+    flags, required = FUZZ_FLAGS[command]
+    chosen = required + draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3))
+    argv = [command]
+    for flag in dict.fromkeys(chosen):
+        argv += [flag, draw(st.sampled_from(flags[flag] + FUZZ_POOL))]
+    if command == "cutoff" and draw(st.booleans()):
+        argv.append("--grid")
+    return argv
+
+
+def assert_exit_contract(argv):
+    """cli.main returns or exits with 0, 1 or 2; any other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "report-all":
+            argv = argv + ["--quick", "--outdir", f"{tmp}/reports"]
+        else:
+            argv = argv + ["-o", f"{tmp}/out"]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+
+
+@given(cli_argv(["coeffs", "verify", "classify", "flow", "cutoff"]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_argv_keeps_exit_contract(argv):
+    assert_exit_contract(argv)
+
+
+@given(cli_argv(["report-all"]))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_fuzzed_report_all_argv_keeps_exit_contract(argv):
+    assert_exit_contract(argv)

@@ -140,9 +140,13 @@ class TestBsplineSups:
 
     def test_grid_matches_exact_path(self):
         for n in (8, 16, 32):
+            rows = {0: [1]}
+            for m in range(1, n):
+                rows[m] = co._next_eulerian_row(rows[m - 1], m)
             for j in range(n):
                 exact = co._sup_exact(n, j)[0]
-                grid = co._sup_grid_from_knots(n, j, [])[0]
+                nums = co._knot_numerators_from_row(n, j, rows[n - j - 1])
+                grid = co._sup_grid_from_knots(n, j, nums)[0]
                 assert abs(float((grid - exact) / exact)) < 1e-5
 
     def test_sup_is_attained_value(self):
@@ -187,6 +191,37 @@ class TestBsplineSups:
         assert info["argmax"] == argmax
         assert info["log_sup"] == log_sup
         assert abs(co._eval_deriv(n, j, argmax)) == info["sup"]
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_cdf_matches_direct_alternating_sum(self, n):
+        def direct(y):
+            if y <= 0:
+                return Fraction(0)
+            if y >= n:
+                return Fraction(1)
+            acc = sum((-1) ** s * math.comb(n, s) * (y - s) ** n for s in range(n + 1) if y > s)
+            return acc / math.factorial(n)
+
+        points = [Fraction(-3, 2), Fraction(0), Fraction(n), Fraction(2 * n + 1, 2)]
+        points += [Fraction(i, 7) for i in range(1, 7 * n)]
+        for y in points:
+            assert co._cdf(n, y) == direct(y)
+
+    @pytest.mark.parametrize("n, mode", [(4, "exact"), (32, "exact"), (33, "grid"), (64, "grid")])
+    def test_mode_follows_budget_for_every_order(self, monkeypatch, n, mode):
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        for j in (0, n // 2, n - 2, n - 1):  # n - 1 is the piecewise-constant order
+            assert bspline_derivative_sup(n, j)["mode"] == mode
+
+    @pytest.mark.parametrize("n", [48, 80])
+    def test_batch_matches_single_order_calls(self, monkeypatch, n):
+        orders = [5, n - 1, 5, n // 2, 0, n - 1, n - 10]
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        co._sup_batch(n, orders)
+        batched = co._BSUP_CACHE
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        singles = {(n, j): bspline_derivative_sup(n, j) for j in orders}
+        assert batched == singles
 
 
 class TestDerivativeValues:
@@ -274,6 +309,15 @@ class TestBoundCheck:
         assert report["order_policy"] == "thinned-ladder"
         assert report["checked_orders"][-1] == 128
         assert report["pass"]
+
+    def test_difference_bound_gates_pass(self, monkeypatch):
+        # |B_n^(j)| <= 2^j; a planted sup just above it must fail the check
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        assert derivative_bound_check(cut)["pass"]
+        entry = co._BSUP_CACHE[(8, 3)]
+        co._BSUP_CACHE[(8, 3)] = dict(entry, sup=Fraction(2 ** 3) + Fraction(1, 10 ** 9))
+        assert derivative_bound_check(cut)["pass"] is False
 
     def test_uniformity_grid_small(self):
         grid = bound_check_grid(0, 1, [4, 16, 64], kmax=8)

@@ -314,6 +314,19 @@ class TestIntegrate:
         traj = integrate(initial_leaf_state(), SPIRAL, t_end=0.5, h=1e-3, richardson_tol=1e-9)
         assert len(traj.states) == 501
 
+    @pytest.mark.parametrize(
+        "x0, mu, t_end, h",
+        [
+            ((1e200, 0.0), 0.5, 0.01, 1e-3),  # the state turns NaN and stays so
+            ((1.5, 0.0), 100, 1.0, 1e-2),  # the closed form's exp overflows first
+        ],
+    )
+    def test_diverging_flow_raises(self, x0, mu, t_end, h):
+        params = ModelParams(variant="spiral", k=2, mu=mu, a=1.0, b=2.0)
+        s0 = make_flow_state(x0, (-0.96, 0.48), params)
+        with pytest.raises(ValueError, match="diverged"):
+            integrate(s0, params, t_end=t_end, h=h)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             integrate(initial_leaf_state(), SPIRAL, t_end=0.0, h=1e-3)

@@ -272,10 +272,9 @@ def run_flow(params: geometry.ModelParams, x0, xi0, t_end, h, richardson_tol,
         "drift_x_xi": traj.drift_x_xi,
         "drift_x_A_xi": traj.drift_x_A_xi,
         "xi_closed_form_max_rel_dev": traj.xi_closed_form_max_rel_dev,
-        "xi_closed_form_max_rel_dev_trapezoid": traj.xi_closed_form_max_rel_dev_trapezoid,
         "norm_x_monotone": traj.norm_x_monotone,
         "max_norm_x": traj.max_norm_x,
-        "final_quadrature": traj.final_quadrature,
+        "state_frozen_from": traj.state_frozen_from,
         "log_spiral_fit": fit,
         "thresholds": {"drift": drift_tol, "closed_form_rel": closed_form_tol},
         "pass": ok,
@@ -442,8 +441,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "flow":
         if not 0 < args.a < args.b:
             parser.error("need 0 < a < b")
-        if args.mu <= 0:
-            parser.error("mu must be > 0")
+        if args.mu < 0:
+            parser.error("mu must be >= 0")
         if args.h <= 0 or args.t_end <= 0:
             parser.error("need h > 0 and t-end > 0")
         if args.richardson_tol is not None and args.richardson_tol <= 0:

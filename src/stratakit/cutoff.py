@@ -144,6 +144,8 @@ def _knot_numerators_from_row(n: int, j: int, eulerian_row: list[int]) -> list[i
     difference; ``eulerian_row`` must be row q-1 of the triangle.
     """
     q = n - j
+    if q == 1:  # piecewise constant: the value on [i, i+1), as _deriv_numerator takes it
+        return [0] + [(-1) ** i * comb(n - 1, i) for i in range(1, n)] + [0]
     half = n // 2
     base = [0] * (q + 1)
     for i in range(1, q):
@@ -573,7 +575,6 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
     _sup_batch(n, [ell - 1 for ell in ells if ell >= 1])
     profile = []
     c_measured = 0.0
-    weak_ok = True
     # |B_n^(j)| <= 2^j: B_n^(j) is the j-th backward difference of B_(n-j),
     # which lies in [0, 1]
     difference_bound_ok = True
@@ -588,9 +589,6 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
         log_c = log_d + (log_sup - ell * log_n) / (ell + 1)
         c_ell = math.exp(log_c)
         c_measured = max(c_measured, c_ell)
-        # corrected weak form: sup <= (C'/d)^(l+1) l! e^N, via N^l <= l! e^N
-        if ell * log_n > math.lgamma(ell + 1) + n + 1e-9:
-            weak_ok = False
         profile.append(
             {
                 "ell": ell,
@@ -608,7 +606,6 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
         "sup_mode": sup_mode,
         "profile": profile,
         "C_measured": c_measured,
-        "weak_form_ok": weak_ok,
         "pass": math.isfinite(c_measured) and c_measured > 0 and difference_bound_ok,
     }
 

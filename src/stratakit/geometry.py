@@ -15,7 +15,8 @@ Stratum membership, Poisson brackets, and the bracket-matrix rank test are
 all available in exact rational arithmetic (`fractions.Fraction` inputs stay
 exact end to end); classification of float covectors uses a relative
 tolerance.  The flow integrator is a fixed-step classical Runge-Kutta scheme
-with conserved-quantity monitors and an optional Richardson step check.
+with conserved-quantity monitors, a check of every step against the explicit
+leaf, and an optional Richardson step check.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from enum import Enum
+from itertools import islice, pairwise
 
 from .exactalg import SparseTerms
 
@@ -164,8 +166,8 @@ class ModelParams:
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.variant == "spiral":
-            if self.mu is None or self.mu <= 0:
-                raise ValueError("spiral variant requires mu > 0")
+            if self.mu is None or self.mu < 0:
+                raise ValueError("spiral variant requires mu >= 0")
             if self.a is None or self.b is None or not 0 < self.a < self.b:
                 raise ValueError("spiral variant requires 0 < a < b")
 
@@ -362,21 +364,13 @@ def _monitors(x, xi, mu) -> dict:
 def make_flow_state(x, xi, params: ModelParams, time: float = 0.0) -> FlowState:
     if params.variant != "spiral":
         raise ValueError("flow states belong to the spiral variant")
-    return FlowState(
-        time=time,
-        x=(float(x[0]), float(x[1])),
-        xi=(float(xi[0]), float(xi[1])),
-        monitors=_monitors((float(x[0]), float(x[1])), (float(xi[0]), float(xi[1])), float(params.mu)),
-    )
+    x, xi = (float(x[0]), float(x[1])), (float(xi[0]), float(xi[1]))
+    return FlowState(time=time, x=x, xi=xi, monitors=_monitors(x, xi, float(params.mu)))
 
 
 def _leaf_rhs(u, mu, a2, b2):
-    """Flow right side on the augmented state (x1, x2, xi1, xi2, quadrature).
-
-    Returns (x', xi', g1 g2): the last component is the integrand of the
-    quadrature that the integrator carries alongside the trajectory.
-    """
-    x1, x2, xi1, xi2, _ = u
+    """Flow right side x' = g1 g2 A^T x, xi' = -g1 g2 A xi on (x1, x2, xi1, xi2)."""
+    x1, x2, xi1, xi2 = u
     r2 = x1 * x1 + x2 * x2
     g = (r2 - a2) * (b2 - r2)
     return (
@@ -384,7 +378,6 @@ def _leaf_rhs(u, mu, a2, b2):
         g * (x1 + mu * x2),
         -g * (mu * xi1 + xi2),
         -g * (-xi1 + mu * xi2),
-        g,
     )
 
 
@@ -392,7 +385,7 @@ def hamilton_rhs(state: FlowState, params: ModelParams) -> dict:
     """Right side x' = g1 g2 A^T x, xi' = -g1 g2 A xi of the leaf flow."""
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
-    rhs = _leaf_rhs((*state.x, *state.xi, 0.0), float(params.mu), params.a ** 2, params.b ** 2)
+    rhs = _leaf_rhs((*state.x, *state.xi), float(params.mu), params.a ** 2, params.b ** 2)
     return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
 
 
@@ -404,31 +397,48 @@ class Trajectory:
     drift_x_xi: float
     drift_x_A_xi: float
     xi_closed_form_max_rel_dev: float
-    xi_closed_form_max_rel_dev_trapezoid: float
     norm_x_monotone: bool
     max_norm_x: float
-    final_quadrature: float
+    state_frozen_from: float | None
 
 
 def _rk4_step(y, h, mu, a2, b2):
     k1 = _leaf_rhs(y, mu, a2, b2)
-    k2 = _leaf_rhs(tuple(y[i] + 0.5 * h * k1[i] for i in range(5)), mu, a2, b2)
-    k3 = _leaf_rhs(tuple(y[i] + 0.5 * h * k2[i] for i in range(5)), mu, a2, b2)
-    k4 = _leaf_rhs(tuple(y[i] + h * k3[i] for i in range(5)), mu, a2, b2)
+    k2 = _leaf_rhs(tuple(y[i] + 0.5 * h * k1[i] for i in range(4)), mu, a2, b2)
+    k3 = _leaf_rhs(tuple(y[i] + 0.5 * h * k2[i] for i in range(4)), mu, a2, b2)
+    k4 = _leaf_rhs(tuple(y[i] + h * k3[i] for i in range(4)), mu, a2, b2)
     return tuple(
-        y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(5)
+        y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)
     )
 
 
-def _closed_form_xi(xi0, quadrature: float, mu: float) -> tuple[float, float]:
-    # exp(-I A) = e^(-mu I) (cos I * Id - sin I * J) for A = mu Id + J
-    try:
-        damp = math.exp(-mu * quadrature)
-        c, s = math.cos(quadrature), math.sin(quadrature)
-    except (OverflowError, ValueError):  # only a runaway orbit gets here
-        raise ValueError(f"the flow diverged: quadrature reached {quadrature!r}") from None
-    j_xi = (xi0[1], -xi0[0])
-    return (damp * (c * xi0[0] - s * j_xi[0]), damp * (c * xi0[1] - s * j_xi[1]))
+def _leaf_taus(mu, s0, a2, b2, h, n_steps):
+    """Leaf parameter tau = integral of g1 g2 dt at t = h, 2h, ..., n_steps h.
+
+    The leaf through |x0|^2 = s0 has s = s0 e^(2 mu tau), so t(s) is explicit
+    by partial fractions.  Newton's method inverts it in the variable
+    v = -ln((b^2 - s)/(b^2 - s0)), where 2 mu t(v) is concave with slope
+    1/(s (s - a^2)): from the previous time's root the iterates rise
+    monotonically and stay in the ring however close s gets to b^2.  They
+    stop once a step no longer moves v forward.  At mu = 0 the leaf is a
+    circle.
+    """
+    if mu == 0:
+        yield from ((s0 - a2) * (b2 - s0) * step * h for step in range(1, n_steps + 1))
+        return
+    ring = b2 - a2
+    v = 0.0
+    for step in range(1, n_steps + 1):
+        while True:
+            ds = -(b2 - s0) * math.expm1(-v)  # s - s0
+            log_s = math.log1p(ds / s0)  # ln(s/s0) = 2 mu tau
+            two_mu_t = (-log_s / (a2 * b2) + math.log1p(ds / (s0 - a2)) / (a2 * ring)
+                        + v / (b2 * ring))
+            dv = (2.0 * mu * step * h - two_mu_t) * (s0 + ds) * (s0 + ds - a2)
+            if not dv > 0 or v + dv == v:
+                break
+            v += dv
+        yield log_s / (2.0 * mu)
 
 
 def integrate(
@@ -438,100 +448,73 @@ def integrate(
     h: float,
     richardson_tol: float | None = None,
 ) -> Trajectory:
-    """Fixed-step 4th-order integration of the spiral Hamilton system.
+    """Fixed-step 4th-order integration of the spiral Hamilton system from a
+    start in the open ring a < |x0| < b.
 
-    The quadrature of g1 g2 along the orbit is carried as an augmented state
-    component (same accuracy order as the trajectory itself); the composite
-    trapezoid value on the step grid is reported alongside for comparison.
-    The closed form xi(t) = exp(-quadrature * A) xi0 is evaluated at every
-    step and the worst relative deviation from the integrated xi recorded.
-
-    With ``richardson_tol`` set, each step is compared against two half
-    steps and a deviation beyond the tolerance raises StepSizeError.  A
-    diverging flow raises ValueError instead of reporting NaN monitors.
+    Every state is checked against the explicit leaf xi = e^(-mu tau) R(tau)
+    xi0 (R the counter-clockwise rotation, tau from ``_leaf_taus``, which never
+    reads the integrated state); xi and the gated pairings <x, xi>, <x, A xi>
+    fix x.  ``state_frozen_from`` is the time of the last step that changed
+    the state, None if the final step did.  With ``richardson_tol`` set, each
+    step is compared against two half steps and a deviation beyond the
+    tolerance raises StepSizeError.  A diverging flow raises ValueError.
     """
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
+    # squares by multiplication: a huge value gives inf here, not OverflowError
+    a2, b2 = params.a * params.a, params.b * params.b
+    s_start = s0.x[0] * s0.x[0] + s0.x[1] * s0.x[1]
+    if not a2 < s_start < b2:
+        raise ValueError(f"x0 must lie in the open ring a < |x0| < b, but |x0|^2 = {s_start!r}"
+                         f" with a^2 = {a2!r}, b^2 = {b2!r}")
     mu = float(params.mu)
-    a2, b2 = params.a ** 2, params.b ** 2
     n_steps = int(round(t_end / h))
     if n_steps < 1:
         raise ValueError(f"t_end / h = {t_end / h:.3g} rounds to zero steps")
 
-    y = (s0.x[0], s0.x[1], s0.xi[0], s0.xi[1], 0.0)
+    y = (*s0.x, *s0.xi)
     states = [make_flow_state(s0.x, s0.xi, params, time=s0.time)]
-    xi0 = (s0.x[0], s0.x[1]), (s0.xi[0], s0.xi[1])
-    base_x_xi = states[0].monitors["x_dot_xi"]
-    base_x_A_xi = states[0].monitors["x_A_xi"]
-
-    drift_x_xi = 0.0
-    drift_x_a_xi = 0.0
-    closed_dev = 0.0
-    monotone = True
-    prev_norm = states[0].monitors["norm_x"]
-    max_norm = prev_norm
-    trap = 0.0
-    trap_dev = 0.0
-
-    g_prev = _leaf_rhs(y, mu, a2, b2)[4]
+    last_change = 0
     for step in range(1, n_steps + 1):
         y_next = _rk4_step(y, h, mu, a2, b2)
         if richardson_tol is not None:
             half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
-            err = max(abs(half[i] - y_next[i]) for i in range(5))
+            err = max(abs(half[i] - y_next[i]) for i in range(4))
             if err > richardson_tol:
                 raise StepSizeError(
                     f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
                 )
+        if y_next != y:
+            last_change = step
         y = y_next
-        g_here = _leaf_rhs(y, mu, a2, b2)[4]
-        trap += 0.5 * h * (g_prev + g_here)
-        g_prev = g_here
-
-        time = s0.time + step * h
-        x = (y[0], y[1])
-        xi = (y[2], y[3])
-        state = make_flow_state(x, xi, params, time=time)
-        states.append(state)
-
-        drift_x_xi = max(drift_x_xi, abs(state.monitors["x_dot_xi"] - base_x_xi))
-        drift_x_a_xi = max(drift_x_a_xi, abs(state.monitors["x_A_xi"] - base_x_A_xi))
-
-        xi_norm = state.monitors["norm_xi"]
-        closed = _closed_form_xi(xi0[1], y[4], mu)
-        closed_dev = max(
-            closed_dev,
-            math.hypot(closed[0] - xi[0], closed[1] - xi[1]) / max(xi_norm, 1e-300),
-        )
-        closed_trap = _closed_form_xi(xi0[1], trap, mu)
-        trap_dev = max(
-            trap_dev,
-            math.hypot(closed_trap[0] - xi[0], closed_trap[1] - xi[1])
-            / max(xi_norm, 1e-300),
-        )
-
-        norm_x = state.monitors["norm_x"]
-        if norm_x < prev_norm - 1e-12:
-            monotone = False
-        prev_norm = norm_x
-        max_norm = max(max_norm, norm_x)
-
+        states.append(make_flow_state(y[:2], y[2:], params, time=s0.time + step * h))
     # the right side has no division, so a state that went non-finite stays so
     if not all(map(math.isfinite, y)):
         raise ValueError(f"the flow diverged: the state at t_end is {y!r}")
+
+    xi0 = s0.xi
+    closed_dev = 0.0
+    taus = _leaf_taus(mu, s_start, a2, b2, h, n_steps)
+    for state, tau in zip(islice(states, 1, None), taus):
+        damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
+        off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - state.xi[0],
+                         damp * (s * xi0[0] + c * xi0[1]) - state.xi[1])
+        closed_dev = max(closed_dev, off / max(state.monitors["norm_xi"], 1e-300))
+    first = states[0].monitors
     return Trajectory(
         params=params,
         h=h,
         states=states,
-        drift_x_xi=drift_x_xi,
-        drift_x_A_xi=drift_x_a_xi,
+        drift_x_xi=max(abs(st.monitors["x_dot_xi"] - first["x_dot_xi"]) for st in states),
+        drift_x_A_xi=max(abs(st.monitors["x_A_xi"] - first["x_A_xi"]) for st in states),
         xi_closed_form_max_rel_dev=closed_dev,
-        xi_closed_form_max_rel_dev_trapezoid=trap_dev,
-        norm_x_monotone=monotone,
-        max_norm_x=max_norm,
-        final_quadrature=y[4],
+        norm_x_monotone=all(
+            q.monitors["norm_x"] >= p.monitors["norm_x"] - 1e-12 for p, q in pairwise(states)
+        ),
+        max_norm_x=max(st.monitors["norm_x"] for st in states),
+        state_frozen_from=None if last_change == n_steps else s0.time + last_change * h,
     )
 
 

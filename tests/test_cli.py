@@ -118,6 +118,13 @@ class TestFlowCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["suite"] == "hamilton-flow"
 
+    def test_closed_leaves_at_mu_zero(self, tmp_path):
+        out = tmp_path / "flow.json"
+        assert cli.main(["flow", "--mu", "0", "--t-end", "6", "-o", str(out)]) == 0
+        report = read_json(out)
+        assert report["params"]["mu"] == 0.0
+        assert report["state_frozen_from"] is None
+
     def test_bad_annulus_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["flow", "--a", "2", "--b", "1"])
@@ -197,6 +204,11 @@ def test_report_all_quick(tmp_path, capsys):
         ["flow", "--richardson-tol", "1e-20", "--t-end", "0.01"],
         ["flow", "--x0", "1e200,0", "--t-end", "0.01"],
         ["flow", "--x0", "1.5,0", "--mu", "100", "--t-end", "1", "--h", "0.01"],
+        ["flow", "--x0", "3,0"],
+        ["flow", "--x0", "1,0"],
+        ["flow", "--x0", "0,0"],
+        ["flow", "--mu", "-1/2"],
+        ["flow", "--a", "1e200", "--b", "1e201", "--x0", "2e200,0", "--t-end", "0.01"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):

@@ -195,6 +195,7 @@ class TestModelParams:
             ModelParams(variant="spiral", k=2, mu=1.0, a=2.0, b=1.0)
         with pytest.raises(ValueError):
             ModelParams(variant="spiral", k=2, mu=-1.0, a=1.0, b=2.0)
+        assert ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0).mu == 0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -298,8 +299,39 @@ class TestIntegrate:
     def test_closed_form_xi_agrees(self):
         traj = integrate(initial_leaf_state(), SPIRAL, t_end=10.0, h=1e-3)
         assert traj.xi_closed_form_max_rel_dev < 1e-8
-        # the trapezoid figure is reported too, at its own (lower) order
-        assert traj.xi_closed_form_max_rel_dev_trapezoid < 1e-4
+
+    def test_closed_form_deviation_is_the_actual_error(self):
+        # the reference must not share the integrator's error: the reported
+        # deviation at a coarse step matches the difference from a 16x finer run
+        s0 = initial_leaf_state()
+        coarse = integrate(s0, SPIRAL, t_end=4.0, h=0.04)
+        fine = integrate(s0, SPIRAL, t_end=4.0, h=0.0025)
+        actual = max(
+            math.hypot(c.xi[0] - f.xi[0], c.xi[1] - f.xi[1]) / math.hypot(*f.xi)
+            for c, f in zip(coarse.states, fine.states[::16])
+        )
+        assert coarse.xi_closed_form_max_rel_dev == pytest.approx(actual, rel=0.05)
+
+    def test_state_frozen_from(self):
+        # b^2 - |x|^2 reaches the float floor near t = 3.1; later steps repeat the state
+        traj = integrate(initial_leaf_state(), SPIRAL, t_end=5.0, h=1e-3)
+        assert traj.state_frozen_from == 3108 * 1e-3
+        assert traj.states[3108].x == traj.states[-1].x
+        assert traj.states[3107].x != traj.states[3108].x
+        assert integrate(initial_leaf_state(), SPIRAL, t_end=2.0, h=1e-3).state_frozen_from is None
+
+    def test_closed_leaf_at_mu_zero(self):
+        # t_end = 6 exceeds one period 2 pi / (g1 g2)(|x0|^2) = 5.578 of the circle
+        params = ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0)
+        s0 = make_flow_state((1.2, 0.0), (-0.96, 0.48), params)
+        coarse = integrate(s0, params, t_end=6.0, h=0.02)
+        fine = integrate(s0, params, t_end=6.0, h=0.01)
+        assert coarse.xi_closed_form_max_rel_dev / fine.xi_closed_form_max_rel_dev > 12.0
+        for traj in (coarse, fine):
+            assert traj.drift_x_xi <= 1e-8
+            assert traj.drift_x_A_xi <= 1e-8
+            assert traj.norm_x_monotone
+            assert traj.state_frozen_from is None
 
     def test_radius_monotone_and_confined(self):
         traj = integrate(initial_leaf_state(), SPIRAL, t_end=20.0, h=1e-3)
@@ -317,8 +349,7 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "x0, mu, t_end, h",
         [
-            ((1e200, 0.0), 0.5, 0.01, 1e-3),  # the state turns NaN and stays so
-            ((1.5, 0.0), 100, 1.0, 1e-2),  # the closed form's exp overflows first
+            ((1.5, 0.0), 100, 1.0, 1e-2),  # the state overflows to NaN and stays so
         ],
     )
     def test_diverging_flow_raises(self, x0, mu, t_end, h):
@@ -326,6 +357,12 @@ class TestIntegrate:
         s0 = make_flow_state(x0, (-0.96, 0.48), params)
         with pytest.raises(ValueError, match="diverged"):
             integrate(s0, params, t_end=t_end, h=h)
+
+    @pytest.mark.parametrize("x0", [(1e200, 0.0), (3.0, 0.0), (1.0, 0.0), (0.0, 2.0), (0.0, 0.0)])
+    def test_start_outside_open_ring_rejected(self, x0):
+        s0 = make_flow_state(x0, (-0.96, 0.48), SPIRAL)
+        with pytest.raises(ValueError, match="open ring"):
+            integrate(s0, SPIRAL, t_end=0.01, h=1e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

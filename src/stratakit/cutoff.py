@@ -18,14 +18,15 @@ computed from the truncated-power representation
     B_n^(j)(y) = (1/(n-j-1)!) sum_s (-1)^s C(n, s) (y - s)_+^(n-j-1),
 
 whose numerator is a pure integer for rational y — evaluation and sign
-queries are exact at any size.  One dispatcher, ``_sup_batch``, picks the
-search: critical-point isolation for small budgets, and for large ones an
-exact-evaluation grid search seeded by the knot values (from Eulerian
-numbers), then dyadic/parabolic polish.  Either way the reported "sup" is
-the exact spline value at a rational abscissa the search reached, so it is
-a lower bound on the true supremum: critical-point isolation reports the
-value at the midpoint of its last bisection bracket, not at the critical
-point itself.
+queries are exact at any size.  One search, ``_sup_batch``, serves every
+order.  By total positivity B_n^(j+1) has exactly j+1 sign changes, one at
+each local maximum of |B_n^(j)|.  The search counts the sign changes of its
+integer knot values (from Eulerian numbers); when there are j+1, every
+local maximum lies in a unit bracket the search sees, and the count is kept
+as that certificate.  Brackets are visited by decreasing tangent-line
+estimate, with a Newton search inside each.  The reported "sup" is the
+exact spline value at the rational abscissa where the search ended, so it
+is a lower bound on the true supremum, not an enclosure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .exactalg import fmt_fraction
 
@@ -51,13 +52,13 @@ __all__ = [
     "write_cutoff_samples_csv",
 ]
 
-# budgets up to this size get critical-point isolation; larger ones
-# use the knot-seeded grid search (validated against the exact path)
-EXACT_SUP_CAP = 32
-
-
 def _log_frac(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+    if q.denominator < 1 << 53:
+        return math.log(q.numerator) - math.log(q.denominator)
+    # the logs of two huge integers would cancel ~1e-13 of accuracy; the log
+    # of their quotient, brought near 1 by a power of two, keeps it
+    shift = q.numerator.bit_length() - q.denominator.bit_length()
+    return math.log(q / Fraction(2) ** shift) + shift * math.log(2)
 
 
 def _sci_from_log(log_value: float) -> str:
@@ -137,29 +138,28 @@ def _next_eulerian_row(prev: list[int], m: int) -> list[int]:
     return row
 
 
-def _knot_numerators_from_row(n: int, j: int, eulerian_row: list[int]) -> list[int]:
-    """Integer knot values of B_n^(j) scaled by (q-1)!, q = n - j.
+def _knot_differences(n: int, j: int, eulerian_row: list[int]) -> list[int]:
+    """Knot values h(i), 0 <= i <= n//2 + 1, of the j-fold backward difference of B_(q-1).
 
-    B_q(i) = A(q-1, i-1)/(q-1)! feeds the j-fold alternating-binomial
-    difference; ``eulerian_row`` must be row q-1 of the triangle.
+    With q = n - j >= 2, h is scaled by (q-2)!; ``eulerian_row`` must be row
+    q-2 of the triangle, so (q-2)! B_(q-1)(i) = A(q-2, i-1).  h gives the
+    integer knot values of both g = B_n^(j+1) and f = B_n^(j):
+
+        (q-2)! g(i) = h(i) - h(i-1),    (q-1)! f(i) = i (q-2)! g(i) + n h(i-1),
+
+    the second from the recurrence (q-1) B_q(x) = x B_(q-1)(x) +
+    (q-x) B_(q-1)(x-1) differenced j times.  B_n^(j)(n - y) = (-1)^j B_n^(j)(y)
+    gives the knots past n//2 + 1.  At q = 2, g is piecewise constant and
+    h(i) - h(i-1) is its value on [i, i+1), for i >= 1.
     """
-    q = n - j
-    if q == 1:  # piecewise constant: the value on [i, i+1), as _deriv_numerator takes it
-        return [0] + [(-1) ** i * comb(n - 1, i) for i in range(1, n)] + [0]
-    half = n // 2
-    base = [0] * (q + 1)
-    for i in range(1, q):
-        base[i] = eulerian_row[i - 1]
-    nums = [0] * (n + 1)
-    for r in range(j + 1):
-        c = comb(j, r) if r % 2 == 0 else -comb(j, r)
-        for i in range(1, min(q, half - r + 1)):
-            if base[i]:
-                nums[i + r] += c * base[i]
-    # B_n^(j)(n - y) = (-1)^j B_n^(j)(y): the right half mirrors the left
-    for i in range(half + 1, n + 1):
-        nums[i] = nums[n - i] if j % 2 == 0 else -nums[n - i]
-    return nums
+    size = n // 2 + 2
+    # B_1 is the unit box: its one knot value is 1 at the left end
+    h = ([0] + eulerian_row if n - j > 2 else [1]) + [0] * size
+    del h[size:]
+    for _ in range(j):  # a backward difference at i reads only i - 1
+        for i in range(size - 1, 0, -1):
+            h[i] -= h[i - 1]
+    return h
 
 
 _COMB_ROWS: dict = {}
@@ -174,20 +174,29 @@ def _comb_row(n: int) -> list[int]:
     return _COMB_ROWS[n]
 
 
-def _deriv_numerator(n: int, j: int, p: int, q_den: int) -> int:
-    """Integer numerator of B_n^(j)(p/q_den) over (n-j-1)! * q_den^(n-j-1)."""
-    deg = n - j - 1
+def _deriv_numerators(n: int, j: int, p: int, q_den: int, orders: int = 1) -> list[int]:
+    """Integer numerators of B_n^(j), ..., B_n^(j+orders-1) at p/q_den.
+
+    Order j+m has its numerator over (n-j-m-1)! * q_den^(n-j-m-1); one pass
+    of the truncated-power sum gives all of them.
+    """
+    low = n - j - orders  # degree of the highest order asked for
+    acc = [0] * orders
     if p <= 0:
-        return 0
-    top = min(p // q_den, n)
+        return acc
     binom = _comb_row(n)
-    acc = 0
-    for s in range(top + 1):
+    for s in range(min(p // q_den, n) + 1):
         base = p - s * q_den
-        if base == 0 and deg > 0:
+        c = -binom[s] if s % 2 else binom[s]
+        if base == 0:  # (y - s)_+^0 is 1 at y = s; higher powers vanish
+            if low == 0:
+                acc[-1] += c
             continue
-        term = binom[s] * base ** deg
-        acc += -term if s % 2 else term
+        term = c * base ** low
+        acc[-1] += term
+        for m in range(orders - 2, -1, -1):
+            term *= base  # a short factor: far cheaper than a second c * power
+            acc[m] += term
     return acc
 
 
@@ -196,7 +205,7 @@ def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
     if y <= 0 or y >= n:
         return Fraction(0)
     deg = n - j - 1
-    num = _deriv_numerator(n, j, y.numerator, y.denominator)
+    [num] = _deriv_numerators(n, j, y.numerator, y.denominator)
     return Fraction(num, factorial(deg) * y.denominator ** deg)
 
 
@@ -205,210 +214,156 @@ def _cdf(n: int, y: Fraction) -> Fraction:
     return Fraction(1) if y >= n else _eval_deriv(n, -1, y)
 
 
-def _sup_const_piece(n: int) -> tuple[Fraction, Fraction]:
-    # top derivative is piecewise constant with values (-1)^i C(n-1, i)
-    i0 = (n - 1) // 2
-    return Fraction(comb(n - 1, i0)), Fraction(2 * i0 + 1, 2)
+def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in [lo, hi], lo <= hi (continued fractions)."""
+    whole = lo.numerator // lo.denominator
+    if whole == lo:
+        return lo
+    if whole + 1 <= hi:
+        return Fraction(whole + 1)
+    return whole + 1 / _simplest_in(1 / (hi - whole), 1 / (lo - whole))
 
 
-def _sup_exact(n: int, j: int) -> tuple[Fraction, Fraction]:
-    """Largest |B_n^(j)| found via critical-point isolation.
+def _sup_search(n: int, j: int, h: list[int]):
+    """Largest |f|, f = B_n^(j), from the knot values h of ``_knot_differences``.
 
-    Each sign change of the next derivative is bisected 60 times and the
-    value is taken at the midpoint of the last bracket, so the result is the
-    exact value at that abscissa and a lower bound on the supremum.
+    For q = n - j <= 2, f is piecewise linear or constant (its knot values
+    are g of order n-2), so the largest knot value is the sup.  Otherwise,
+    by total positivity g has exactly j+1 sign changes in (0, n), so the
+    local maxima of |f| are the zeros of g; the sign changes of g's knot
+    values bracket them.  By symmetry only the left half is searched.
+    Brackets are visited by decreasing tangent-line estimate, and a Newton
+    iteration on g inside each one stops once its quadratic model predicts
+    a relative rise of at most ``tol``.  Each iterate is the simplest
+    rational within the distance over which |f| drops by at most ``tol``
+    from its peak, so its exact evaluation stays cheap; floats only choose
+    abscissae.  Returns (sup, argmax, sign changes of g's knot values),
+    with a knot as argmax and None as the count where q <= 2.
     """
     q = n - j
-    best = Fraction(0)
-    best_x = Fraction(1)
-    samples_per_interval = 2 * q + 3
 
-    def consider(x: Fraction):
-        nonlocal best, best_x
-        v = abs(_eval_deriv(n, j, x))
-        if v > best:
-            best, best_x = v, x
+    def g_num(i: int) -> int:  # (q-2)! g(i)
+        return h[i] - h[i - 1] if i else h[0]
 
-    deg_next = n - j - 2  # degree of the derivative spline pieces
+    def f_num(i: int) -> int:  # (q-1)! f(i)
+        return i * g_num(i) + n * h[i - 1] if i else 0
 
-    def dsign(x: Fraction) -> int:
-        num = _deriv_numerator(n, j + 1, x.numerator, x.denominator)
-        return (num > 0) - (num < 0)
-
-    for i in range(1, n):
-        consider(Fraction(i))
-    for i in range(n):
-        xs = [Fraction(i * samples_per_interval + s, samples_per_interval)
-              for s in range(1, samples_per_interval)]
-        for x in xs:
-            consider(x)
-        if deg_next < 0:
-            continue
-        pts = [Fraction(i)] + xs + [Fraction(i + 1)]
-        signs = [dsign(x) for x in pts]
-        for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]):
-            if sa == 0 or sa * sb >= 0:
-                continue
-            lo, hi = a, b
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                sm = dsign(mid)
-                if sm == 0:
-                    lo = hi = mid
-                    break
-                if sm == sa:
-                    lo = mid
-                else:
-                    hi = mid
-            consider((lo + hi) / 2)
-    return best, best_x
-
-
-def _parabola_vertex(x0: Fraction, h: Fraction, vm: Fraction, v0: Fraction, vp: Fraction):
-    """Vertex abscissa of the parabola through three exact samples.
-
-    The offset is computed on value *ratios* in float (safe for any
-    magnitude) and snapped to a dyadic rational so later exact evaluations
-    at the vertex stay cheap.
-    """
-    if v0 == 0:
-        return None
-    rm, rp = float(vm / v0), float(vp / v0)
-    denom = rm - 2.0 + rp
-    if denom == 0.0 or not math.isfinite(denom):
-        return None
-    offset = (rm - rp) / (2.0 * denom)
-    if not abs(offset) <= 1.0:
-        return None
-    snapped = Fraction(round(offset * 65536), 65536)
-    return x0 + snapped * h
-
-
-def _sup_grid_from_knots(n: int, j: int, nums: list[int]) -> tuple[Fraction, Fraction]:
-    """Supremum search seeded by exact (scaled-integer) knot values.
-
-    Low piece degree means knot-to-knot oscillation, so every interval is
-    swept on a quarter-knot grid; a near-Gaussian profile that the knot grid
-    undersamples is swept on quarter-knot windows around its largest knot
-    values.  Either sweep is refined on a sixteenth grid around its champion
-    and polished.  A profile the knot grid resolves only gets parabolic
-    polishing in its championship windows.  All candidate evaluations are
-    exact: knot values (integer abscissae) come from ``nums``, and each
-    abscissa is evaluated at most once per call.
-    """
-    q = n - j
-    best = Fraction(0)
-    best_x = Fraction(1)
+    if q <= 2:
+        nums = f_num if q == 2 else g_num  # both scaled by 0! = 1! = 1
+        top = max(range(1, n // 2 + 1), key=lambda i: abs(nums(i)))
+        return Fraction(abs(nums(top))), Fraction(top), None
+    # relative; far below the double rounding of the reported log, so a
+    # log_sup differs from that of the true sup by at most that rounding
+    tol = 1e-20
     scale = factorial(q - 1)
-    values: dict = {}
-
-    def value(x: Fraction) -> Fraction:
-        v = values.get(x)
-        if v is None:
-            if x.denominator == 1 and 0 <= x <= n:
-                v = Fraction(nums[x.numerator], scale)
+    # the right half mirrors the left, with one more change at the centre
+    # when g is odd about n/2 (j even)
+    signs = [v > 0 for v in map(g_num, range(n // 2 + 1)) if v]
+    sign_changes = 2 * sum(a != b for a, b in zip(signs, signs[1:])) + (j % 2 == 0)
+    best, best_x = Fraction(0), Fraction(0)
+    for i in range(1, n // 2 + 1):  # a zero of g at a knot is a critical point there
+        if g_num(i) == 0 and abs(f_num(i)) > best * scale:
+            best, best_x = Fraction(abs(f_num(i)), scale), Fraction(i)
+    brackets = []
+    for i in range((n + 1) // 2):
+        fa, fb = f_num(i), f_num(i + 1)
+        ga, gb = (q - 1) * g_num(i), (q - 1) * g_num(i + 1)  # f' on f's scale
+        if (ga > 0 > gb) or (ga < 0 < gb):
+            # the tangents at i and i+1 meet at height peak / |ga - gb|
+            peak = abs(ga * fb - gb * fa - ga * gb)
+            if peak:  # ranked by the log of the estimate; the stop test is exact
+                brackets.append((math.log(peak) - math.log(abs(ga - gb)), i, (fa, fb, ga, gb), peak))
+    brackets.sort(reverse=True)
+    for _, i, ends, peak in brackets:
+        if Fraction(peak, abs(ends[2] - ends[3]) * scale) <= best:
+            break
+        # start at the argmax of the cubic Hermite interpolant of the four knot data
+        fa, fb, ga, gb = (v / max(map(abs, ends)) for v in ends)
+        a, b = 6 * (fa - fb) + 3 * (ga + gb), 6 * (fb - fa) - 4 * ga - 2 * gb
+        t_lo, t_hi, t = 0.0, 1.0, 0.5
+        while t_lo < t < t_hi:
+            if ((a * t + b) * t + ga > 0) == (ga > 0):
+                t_lo = t
             else:
-                v = _eval_deriv(n, j, x)
-            values[x] = v
-        return v
-
-    def consider(x: Fraction):
-        nonlocal best, best_x
-        if x <= 0 or x >= n:
-            return
-        v = abs(value(x))
-        if v > best:
-            best, best_x = v, x
-
-    def polish(x0: Fraction, h: Fraction, rounds: int = 1):
-        for _ in range(rounds):
-            vm = value(x0 - h)
-            v0 = value(x0)
-            vp = value(x0 + h)
-            sign = -1 if v0 < 0 else 1
-            vertex = _parabola_vertex(x0, h, sign * vm, sign * v0, sign * vp)
-            if vertex is None:
-                return
-            consider(vertex)
-            x0, h = vertex, h / 8
-
-    # local oscillation wavelength of the derivative spline, in knot units
-    wavelength = math.pi * math.sqrt(n / 12.0) / math.sqrt(max(j, 1))
-    peak = max(abs(v) for v in nums)
-
-    if q <= 64 or wavelength < 3.0:
-        if q <= 64:
-            quarters = range(1, 4 * n)
-        else:
-            windows = [i for i in range(n + 1) if abs(nums[i]) >= peak // 2][:8]
-            quarters = [4 * i + s for i in windows for s in range(-4, 5)]
-        for num in quarters:
-            consider(Fraction(num, 4))
-        center = best_x
-        for s in range(-4, 5):
-            consider(center + Fraction(s, 16))
-        polish(best_x, Fraction(1, 16))
-        return best, best_x
-
-    # knot-resolved regime: parabolic polishing around the champion knots
-    windows = [i for i in range(n + 1) if abs(nums[i]) >= peak * 49 // 50][:4]
-    rounds = 2 if q <= 256 else 1
-    for i in windows:
-        consider(Fraction(i))
-        polish(Fraction(i), Fraction(1), rounds)
-    return best, best_x
+                t_hi = t
+            t = (t_lo + t_hi) / 2
+        lo, hi = Fraction(i), Fraction(i + 1)
+        # |f| drops by at most tol within reach = sqrt(2 tol |f / f''|) of its
+        # peak; the secant of f' over the bracket estimates f'' at the start
+        reach = Fraction(math.sqrt(2 * tol * (peak / (ends[2] - ends[3]) ** 2)))
+        target = lo + Fraction(t)
+        while True:
+            x = _simplest_in(target - reach, target + reach)
+            if not lo < x < hi:
+                x = (lo + hi) / 2
+            den = x.denominator
+            fx, gx, hx = _deriv_numerators(n, j, x.numerator, den, 3)
+            value = Fraction(abs(fx), scale * den ** (q - 1))
+            if value > best:
+                best, best_x = value, x
+            if gx == 0:
+                break
+            if (gx > 0) == (ends[2] > 0):
+                lo = x
+            else:
+                hi = x
+            if hi - lo <= reach:
+                break
+            curvature = hx * fx
+            if curvature >= 0:  # |f| is not concave here: bisect
+                target = (lo + hi) / 2
+                continue
+            rise = gx * gx * (q - 1) / (2 * (q - 2) * -curvature)
+            if rise <= tol or value * (1 + Fraction(rise)) <= best:
+                break
+            ratio = -fx / (hx * (q - 1) * (q - 2) * den * den)  # |f / f''|
+            reach = min(reach, Fraction(math.sqrt(2 * tol * ratio)))
+            target = x - Fraction(gx / (hx * (q - 2) * den))  # Newton step on g
+    return best, best_x, sign_changes
 
 
 _BSUP_CACHE: dict = {}
 
 
-def _cache_sup(n: int, j: int, sup: Fraction, arg: Fraction, mode: str) -> dict:
-    entry = {
-        "n": n,
-        "j": j,
-        "sup": sup,
-        "argmax": arg,
-        "log_sup": _log_frac(sup) if sup else float("-inf"),
-        "mode": mode,
-    }
-    _BSUP_CACHE[(n, j)] = entry
-    return entry
-
-
 def _sup_batch(n: int, j_values) -> None:
-    """Fill the sup cache for derivative orders of B_n; the one search dispatcher.
+    """Fill the sup cache for derivative orders of B_n: one search for every order.
 
     Orders are served by decreasing j, so one upward walk of the Eulerian
-    recurrence, keeping a single row in memory, gives each grid order the
-    row of its piece degree to seed the search with knot values.
+    recurrence, keeping a single row in memory, gives each order the row
+    its knot numerators come from; the entry keeps the sign-change count of
+    g = B_n^(j+1) beside the sup.
     """
-    mode = "exact" if n <= EXACT_SUP_CAP else "grid"
     row = [1]
     m = 0
     for j in sorted({j for j in j_values if (n, j) not in _BSUP_CACHE}, reverse=True):
         q = n - j
-        if q == 1:
-            sup, arg = _sup_const_piece(n)
-        elif mode == "exact":
-            sup, arg = _sup_exact(n, j)
-        else:
-            while m < q - 1:
-                m += 1
-                row = _next_eulerian_row(row, m)
-            sup, arg = _sup_grid_from_knots(n, j, _knot_numerators_from_row(n, j, row))
-        _cache_sup(n, j, sup, arg, mode)
+        while m < q - 2:
+            m += 1
+            row = _next_eulerian_row(row, m)
+        sup, arg, sign_changes = _sup_search(n, j, _knot_differences(n, min(j, n - 2), row))
+        _BSUP_CACHE[(n, j)] = {
+            "n": n,
+            "j": j,
+            "sup": sup,
+            "argmax": arg,
+            "log_sup": _log_frac(sup) if sup else float("-inf"),
+            "sign_changes": sign_changes,
+        }
 
 
 def bspline_derivative_sup(n: int, j: int) -> dict:
-    """sup |B_n^(j)| for the cardinal B-spline of n unit boxes, 0 <= j <= n-1.
+    """sup |B_n^(j)| for the cardinal B-spline of n >= 2 unit boxes, 0 <= j <= n-1.
 
     Returns "sup", the exact Fraction value of |B_n^(j)| at the rational
     abscissa "argmax" where the search ended; it is a lower bound on the
-    true supremum, not an enclosure.  Also returns its natural log and which
-    search mode ran.
+    true supremum, not an enclosure.  Also returns its natural log and
+    "sign_changes", the number of sign changes of the knot values of
+    B_n^(j+1), which total positivity fixes at j+1 and which certifies that
+    every local maximum was bracketed; it is None for j >= n-2, where the
+    sup is a knot value.
     """
-    if not 0 <= j <= n - 1:
-        raise ValueError("need 0 <= j <= n-1")
+    if n < 2 or not 0 <= j <= n - 1:
+        raise ValueError("need n >= 2 and 0 <= j <= n-1")
     _sup_batch(n, [j])
     return _BSUP_CACHE[(n, j)]
 
@@ -475,22 +430,6 @@ class EhrenpreisCutoff:
         if side < 0 and ell % 2 == 1:
             scaled = -scaled
         return float(scaled) if isinstance(r, float) else scaled
-
-    def derivative_sup(self, ell: int) -> dict:
-        """Largest |phi^(l)| found (exact, a lower bound on the sup) and its abscissa."""
-        if ell == 0:
-            return {"sup": Fraction(1), "log_sup": 0.0, "argmax_r": self.plateau_lo, "mode": "plateau"}
-        if not 1 <= ell <= self.budget:
-            raise ValueError(f"derivative order {ell} outside 1..{self.budget}")
-        info = bspline_derivative_sup(self.budget, ell - 1)
-        sup = info["sup"] / self.box_width ** ell
-        argmax_r = self.support_lo + info["argmax"] * self.box_width
-        return {
-            "sup": sup,
-            "log_sup": info["log_sup"] - ell * _log_frac(self.box_width),
-            "argmax_r": argmax_r,
-            "mode": info["mode"],
-        }
 
 
 def build_cutoff(family: BandFamily, k: int) -> EhrenpreisCutoff:
@@ -578,14 +517,17 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
     # |B_n^(j)| <= 2^j: B_n^(j) is the j-th backward difference of B_(n-j),
     # which lies in [0, 1]
     difference_bound_ok = True
+    # B_n^(l) has exactly l sign changes, so every local maximum of
+    # |B_n^(l-1)| was bracketed when its knot values show all l of them
+    counted_ok = True
     for ell in ells:
         if ell == 0:
             log_sup = 0.0
         else:
             info = bspline_derivative_sup(n, ell - 1)
-            sup_mode = info["mode"]
             log_sup = info["log_sup"] - ell * log_w
             difference_bound_ok = difference_bound_ok and info["sup"] <= 2 ** (ell - 1)
+            counted_ok = counted_ok and info["sign_changes"] in (None, ell)
         log_c = log_d + (log_sup - ell * log_n) / (ell + 1)
         c_ell = math.exp(log_c)
         c_measured = max(c_measured, c_ell)
@@ -603,10 +545,10 @@ def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
         "gap": fmt_fraction(d),
         "checked_orders": ells,
         "order_policy": "full" if len(ells) == n + 1 else "thinned-ladder",
-        "sup_mode": sup_mode,
         "profile": profile,
         "C_measured": c_measured,
-        "pass": math.isfinite(c_measured) and c_measured > 0 and difference_bound_ok,
+        "pass": (math.isfinite(c_measured) and c_measured > 0 and difference_bound_ok
+                 and counted_ok),
     }
 
 

@@ -385,7 +385,11 @@ def hamilton_rhs(state: FlowState, params: ModelParams) -> dict:
     """Right side x' = g1 g2 A^T x, xi' = -g1 g2 A xi of the leaf flow."""
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
-    rhs = _leaf_rhs((*state.x, *state.xi), float(params.mu), params.a ** 2, params.b ** 2)
+    # squares by multiplication: a huge value gives inf here, not OverflowError
+    a2, b2 = params.a * params.a, params.b * params.b
+    rhs = _leaf_rhs((*state.x, *state.xi), float(params.mu), a2, b2)
+    if not all(math.isfinite(v) for v in rhs):
+        raise ValueError(f"the flow right side is not finite at x = {state.x!r}")
     return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
 
 

@@ -138,16 +138,16 @@ class TestBsplineSups:
         info = bspline_derivative_sup(6, 5)
         assert info["sup"] == 10  # C(5, 2)
 
-    def test_grid_matches_exact_path(self):
-        for n in (8, 16, 32):
-            rows = {0: [1]}
-            for m in range(1, n):
-                rows[m] = co._next_eulerian_row(rows[m - 1], m)
-            for j in range(n):
-                exact = co._sup_exact(n, j)[0]
-                nums = co._knot_numerators_from_row(n, j, rows[n - j - 1])
-                grid = co._sup_grid_from_knots(n, j, nums)[0]
-                assert abs(float((grid - exact) / exact)) < 1e-5
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_sup_dominates_exact_scan(self, monkeypatch, n):
+        # an exact reference: every 1/64 point of (0, n)
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        for j in range(n):
+            info = bspline_derivative_sup(n, j)
+            scan = max(abs(co._eval_deriv(n, j, Fraction(i, 64))) for i in range(1, 64 * n))
+            assert info["sup"] >= scan
+            assert abs(co._eval_deriv(n, j, info["argmax"])) == info["sup"]
+            assert info["sign_changes"] == (j + 1 if j <= n - 3 else None)
 
     def test_sup_is_attained_value(self):
         info = bspline_derivative_sup(12, 4)
@@ -168,18 +168,31 @@ class TestBsplineSups:
 
     @pytest.mark.parametrize("n", [65, 128])
     def test_knot_numerators_match_direct_evaluation(self, n):
-        # odd and even j on odd and even n exercise both mirror signs
-        js = sorted({0, 1, 2, 3, 40, 41, n - 66, n - 65, n - 3, n - 2, n - 1} & set(range(n)))
+        # odd and even j on odd and even n, up to the piecewise-linear order n - 2
+        js = sorted({0, 1, 2, 3, 40, 41, n - 66, n - 65, n - 4, n - 3, n - 2} & set(range(n - 1)))
         rows = {0: [1]}
         for m in range(1, n):
             rows[m] = co._next_eulerian_row(rows[m - 1], m)
         for j in js:
-            nums = co._knot_numerators_from_row(n, j, rows[n - j - 1])
-            assert nums == [co._deriv_numerator(n, j, i, 1) for i in range(n + 1)]
+            h = co._knot_differences(n, j, rows[n - j - 2]) + [0]  # h[-1] reads as h(-1) = 0
+            g_nums = [h[i] - h[i - 1] for i in range(n // 2 + 2)]
+            f_nums = [i * g_nums[i] + n * h[i - 1] for i in range(n // 2 + 2)]
+            direct = [co._deriv_numerators(n, j, i, 1, 2) for i in range(n // 2 + 2)]
+            assert f_nums == [f for f, _ in direct]
+            # at j = n - 2, g is piecewise constant: h gives its values on [i, i+1)
+            knots = range(n // 2 + 2) if j < n - 2 else range(1, n // 2 + 2)
+            assert [g_nums[i] for i in knots] == [direct[i][1] for i in knots]
+
+    # argmax and log_sup of the bracketed search, keyed by (n, j)
+    SUP_PINS = {
+        (256, 1): (Fraction(5078196, 41161), -4.480381821948611),
+        (256, 150): (Fraction(128), 64.69193969978815),
+        (128, 40): (Fraction(64), 3.990050758828824),
+    }
 
     @pytest.mark.parametrize(
         "n, j, argmax, log_sup",
-        [
+        [  # where the earlier grid search ended, and the log it reported there
             (256, 1, Fraction(64683229, 524288), -4.480381833738647),  # two-round polish
             (256, 150, Fraction(128), 64.69193969978818),  # window sweep
             (128, 40, Fraction(64), 3.990050758828829),
@@ -188,9 +201,18 @@ class TestBsplineSups:
     def test_grid_sup_pinned(self, monkeypatch, n, j, argmax, log_sup):
         monkeypatch.setattr(co, "_BSUP_CACHE", {})
         info = bspline_derivative_sup(n, j)
-        assert info["argmax"] == argmax
-        assert info["log_sup"] == log_sup
-        assert abs(co._eval_deriv(n, j, argmax)) == info["sup"]
+        assert abs(co._eval_deriv(n, j, argmax)) <= info["sup"]
+        assert math.isclose(info["log_sup"], log_sup, rel_tol=1e-8)
+        assert (info["argmax"], info["log_sup"]) == self.SUP_PINS[(n, j)]
+        assert abs(co._eval_deriv(n, j, info["argmax"])) == info["sup"]
+
+    def test_sup_beats_windowed_grid_at_512_363(self, monkeypatch):
+        # the earlier windowed sweep stopped at 66655313/262144, 1.18% below the peak
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        old = abs(co._eval_deriv(512, 363, Fraction(66655313, 262144)))
+        info = bspline_derivative_sup(512, 363)
+        assert info["sup"] >= Fraction(101, 100) * old
+        assert info["sign_changes"] == 364
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_cdf_matches_direct_alternating_sum(self, n):
@@ -207,12 +229,6 @@ class TestBsplineSups:
         for y in points:
             assert co._cdf(n, y) == direct(y)
 
-    @pytest.mark.parametrize("n, mode", [(4, "exact"), (32, "exact"), (33, "grid"), (64, "grid")])
-    def test_mode_follows_budget_for_every_order(self, monkeypatch, n, mode):
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        for j in (0, n // 2, n - 2, n - 1):  # n - 1 is the piecewise-constant order
-            assert bspline_derivative_sup(n, j)["mode"] == mode
-
     @pytest.mark.parametrize("n", [48, 80])
     def test_batch_matches_single_order_calls(self, monkeypatch, n):
         orders = [5, n - 1, 5, n // 2, 0, n - 1, n - 10]
@@ -227,7 +243,7 @@ class TestBsplineSups:
 class TestDerivativeValues:
     def test_first_derivative_sup_at_most_budget_over_gap(self):
         cut = build_cutoff(build_bands(0, 1, 16), 1)
-        sup = cut.derivative_sup(1)["sup"]
+        sup = bspline_derivative_sup(cut.budget, 0)["sup"] / cut.box_width
         assert sup <= Fraction(cut.budget) / cut.gap
 
     def test_derivative_antisymmetry_across_sides(self):
@@ -246,8 +262,8 @@ class TestDerivativeValues:
     def test_finite_differences_agree(self):
         # FD probes of the exact evaluator around the reported argmax
         cut = build_cutoff(build_bands(0, 1, 16), 2)  # budget 8
-        info = cut.derivative_sup(1)
-        center = float(info["argmax_r"])
+        info = bspline_derivative_sup(cut.budget, 0)
+        center = float(cut.support_lo + info["argmax"] * cut.box_width)
         w = float(cut.box_width)
         delta = w / 2000.0
         worst = 0.0
@@ -256,12 +272,13 @@ class TestDerivativeValues:
             fd = (cut.value(r + delta) - cut.value(r - delta)) / (2 * delta)
             exact = cut.derivative_value(r, 1)
             worst = max(worst, abs(fd - exact))
-        assert worst / float(info["sup"]) < 1e-6
+        assert worst / float(info["sup"] / cut.box_width) < 1e-6
 
     def test_fd_sup_estimate_matches_reported_sup(self):
         cut = build_cutoff(build_bands(0, 1, 16), 2)
-        info = cut.derivative_sup(1)
-        center = float(info["argmax_r"])
+        info = bspline_derivative_sup(cut.budget, 0)
+        center = float(cut.support_lo + info["argmax"] * cut.box_width)
+        sup = float(info["sup"] / cut.box_width)
         w = float(cut.box_width)
         delta = w / 4000.0
         fd_max = max(
@@ -269,7 +286,7 @@ class TestDerivativeValues:
             / (2 * delta)
             for i in range(-500, 501)
         )
-        assert abs(fd_max - float(info["sup"])) / float(info["sup"]) < 1e-6
+        assert abs(fd_max - sup) / sup < 1e-6
 
 
 class TestBoundCheck:
@@ -298,7 +315,7 @@ class TestBoundCheck:
                 sup = 1.0
                 assert sup <= c / d
             else:
-                log_sup = cut.derivative_sup(ell)["log_sup"]
+                log_sup = bspline_derivative_sup(cut.budget, ell - 1)["log_sup"] - ell * math.log(cut.box_width)
                 bound = (ell + 1) * (math.log(c) - math.log(d)) + ell * math.log(cut.budget)
                 assert log_sup <= bound + 1e-9
 
@@ -316,6 +333,16 @@ class TestBoundCheck:
         assert derivative_bound_check(cut)["pass"]
         entry = co._BSUP_CACHE[(8, 3)]
         co._BSUP_CACHE[(8, 3)] = dict(entry, sup=Fraction(2 ** 3) + Fraction(1, 10 ** 9))
+        assert derivative_bound_check(cut)["pass"] is False
+
+    def test_sign_count_gates_pass(self, monkeypatch):
+        # B_8^(4) has 4 sign changes; a count one short means a maximum may be missed
+        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        assert derivative_bound_check(cut)["pass"]
+        entry = co._BSUP_CACHE[(8, 3)]
+        assert entry["sign_changes"] == 4
+        co._BSUP_CACHE[(8, 3)] = dict(entry, sign_changes=3)
         assert derivative_bound_check(cut)["pass"] is False
 
     def test_uniformity_grid_small(self):

@@ -274,6 +274,12 @@ class TestHamiltonRhs:
         with pytest.raises(ValueError):
             hamilton_rhs(s, CLOSED)
 
+    def test_huge_ring_raises_value_error(self):
+        # squaring 1e200 overflows a float: the right side must refuse, not raise OverflowError
+        params = ModelParams(variant="spiral", k=2, mu=0.5, a=1e200, b=1e201)
+        with pytest.raises(ValueError):
+            hamilton_rhs(make_flow_state((2e200, 0), (1, 0), params), params)
+
 
 def initial_leaf_state():
     # <x0, A xi0> = 0 with <x0, xi0> != 0: a genuine depth-two leaf projection

@@ -9,13 +9,19 @@ verify      operator-identity suite: localizer brackets, localized-power
 classify    stratum label for one covector (exact for rational inputs)
 flow        spiral Hamilton trajectory with conservation monitors
 cutoff      band-family derivative bound checks and the product-rate bound
-report-all  every suite with defaults, one JSON file per section
+report-all  every suite, one JSON file per section; each section but the
+            symplectic dichotomy is its subcommand run on its own argv
 
-Reports are JSON (CSV for trajectories and cutoff samples), written
-atomically (temp file + rename).  Exit codes: 0 all requested checks pass,
-1 a verification failed (the report is still written), 2 invalid
-configuration.  The environment variable STRATAKIT_REPORT_DIR redirects
-relative output paths.
+One path takes argv to a report: ``main`` parses, ``run_<command>`` turns
+the namespace into a report, ``main`` writes it.  Argparse types check each
+outside input's syntax and range (finite numbers, exact where the literal
+allows; k >= 2); ``ModelParams``, ``build_bands`` and ``integrate`` check
+the rest.  Reports are JSON (CSV for trajectories and cutoff samples),
+written atomically (temp file + rename).  Exit codes: 0 all requested checks
+pass, 1 a verification failed (the report is still written), 2 invalid
+configuration (an argparse error, or a library ValueError or StepSizeError).
+The environment variable STRATAKIT_REPORT_DIR redirects relative output
+paths.
 """
 
 from __future__ import annotations
@@ -101,45 +107,59 @@ def _emit(report: dict, output: str | None) -> None:
         _write_atomic(path, text)
 
 
-def _parse_number(text: str):
-    """Exact Fraction when the literal allows it, float otherwise."""
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _number(text: str):
+    """Exact Fraction when the literal allows it, otherwise a float; finite either way."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)  # an exact literal beyond the float range, such as 1e400, overflows
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"division by zero in {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
     except ValueError:
-        return float(text)
+        return _finite_float(text)
+    return value
 
 
-def _parse_k_list(text: str) -> list[int]:
-    try:
-        ks = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        msg = f"expected a comma list of integers, got {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
+def _pair(item):
+    """Argparse type for 'a,b', each part read by ``item``."""
+
+    def pair(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
+        return tuple(item(p.strip()) for p in parts)
+
+    return pair
+
+
+def _degree(text: str) -> int:
+    """Model degree k: an integer >= 2."""
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError("k must be >= 2")
+    return k
+
+
+def _degree_list(text: str) -> list[int]:
+    ks = [_degree(v) for v in text.split(",") if v.strip()]
     if not ks:
         raise argparse.ArgumentTypeError("expected at least one model degree")
     return ks
 
 
-def _parse_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    return tuple(_parse_number(p.strip()) for p in parts)
-
-
-def _parse_float_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
 # -- section runners -----------------------------------------------------------
 
 
-def run_coeffs(jmax: int, table_out: str | None = None) -> dict:
+def run_coeffs(args) -> dict:
+    jmax = args.jmax
     recurrence = exactalg.a_table_recurrence(jmax)
     generating = exactalg.a_table_generating(jmax)
     agree = all(
@@ -152,7 +172,7 @@ def run_coeffs(jmax: int, table_out: str | None = None) -> dict:
     bern = exactalg.bernoulli_generator(m)
     inverse = exactalg.matrix_inverse_coeffs(m)
     bern_match = list(bern.coefficients) == inverse
-    scan = localize.bound_scan_a(max(jmax, 2), table=recurrence)
+    scan = localize.bound_scan_a(jmax, table=recurrence)
     report = {
         "suite": "coefficient-tables",
         "jmax": jmax,
@@ -162,15 +182,16 @@ def run_coeffs(jmax: int, table_out: str | None = None) -> dict:
         "growth_scan": scan,
         "pass": agree and bern_match and scan["pass"],
     }
-    if table_out:
+    if args.table_out:
         _write_atomic(
-            _resolve_output(table_out), exactalg.coeff_table_to_json(recurrence) + "\n"
+            _resolve_output(args.table_out), exactalg.coeff_table_to_json(recurrence) + "\n"
         )
-        report["table_file"] = table_out
+        report["table_file"] = args.table_out
     return report
 
 
-def run_verify(k: int, jmax: int, pmax: int, delta_convention_check: str = "none") -> dict:
+def run_verify(args) -> dict:
+    k, jmax, pmax = args.k, args.jmax, args.pmax
     table = exactalg.a_table_recurrence(max(jmax, pmax, 2))
     checks = [
         localize.verify_localizer_bracket(jmax, k, table),
@@ -190,22 +211,22 @@ def run_verify(k: int, jmax: int, pmax: int, delta_convention_check: str = "none
         "reversed_bracket": "[M, X2] = +t^k R = -[X2, M]",
         "pass": ok,
     }
-    if delta_convention_check != "none":
-        delta_report = checks[2]
-        matched = delta_report["convention_comparison"][delta_convention_check]["matches"]
-        report["delta_convention_check"] = {
-            "convention": delta_convention_check,
-            "matches": matched,
-        }
+    convention = args.delta_convention_check
+    if convention != "none":
+        matched = checks[2]["convention_comparison"][convention]["matches"]
+        report["delta_convention_check"] = {"convention": convention, "matches": matched}
         report["pass"] = ok and matched
     return report
 
 
-def run_classify(args) -> tuple[dict, geometry.StratumLabel]:
-    params = _model_params(args)
+def run_classify(args) -> dict:
+    if args.variant == "spiral":
+        params = geometry.ModelParams(variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b)
+    else:
+        params = geometry.ModelParams(variant="closed", k=args.k)
     cov = geometry.Covector(t=args.t, x=args.x, tau=args.tau, xi=args.xi)
     label, flags = geometry.classify_detailed(cov, params, tol=args.tol)
-    report = {
+    return {
         "suite": "classification",
         "variant": params.variant,
         "k": params.k,
@@ -219,7 +240,15 @@ def run_classify(args) -> tuple[dict, geometry.StratumLabel]:
         "flags": flags,
         "pass": True,
     }
-    return report, label
+
+
+def _rank_verdict(stratum: geometry.StratumLabel, point, params) -> bool | None:
+    """``degenerate`` of the rank test; None when the point is off its stratum,
+    which fails the check rather than marking bad configuration."""
+    try:
+        return geometry.symplectic_rank(stratum, point, params)["degenerate"]
+    except ValueError:
+        return None
 
 
 def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
@@ -228,12 +257,10 @@ def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
     sigma1_ok = sigma2_ok = 0
     for _ in range(samples):
         p1 = geometry.sample_sigma1(rng, closed)
-        if not geometry.symplectic_rank(geometry.StratumLabel.SIGMA1, p1, closed)["degenerate"]:
-            sigma1_ok += 1
+        sigma1_ok += _rank_verdict(geometry.StratumLabel.SIGMA1, p1, closed) is False
         p2 = geometry.sample_sigma2(rng, closed)
-        if geometry.symplectic_rank(geometry.StratumLabel.SIGMA2, p2, closed)["degenerate"]:
-            sigma2_ok += 1
-    report = {
+        sigma2_ok += _rank_verdict(geometry.StratumLabel.SIGMA2, p2, closed) is True
+    return {
         "suite": "symplectic-dichotomy",
         "k": k,
         "seed": seed,
@@ -243,21 +270,22 @@ def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
         "arithmetic": "exact-rational",
         "pass": sigma1_ok == samples and sigma2_ok == samples,
     }
-    return report
 
 
-def run_flow(params: geometry.ModelParams, x0, xi0, t_end, h, richardson_tol,
-             drift_tol: float, closed_form_tol: float, csv_out: str | None) -> dict:
-    s0 = geometry.make_flow_state(x0, xi0, params)
-    traj = geometry.integrate(s0, params, t_end=t_end, h=h, richardson_tol=richardson_tol)
+def run_flow(args) -> dict:
+    params = geometry.ModelParams(variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b)
+    s0 = geometry.make_flow_state(args.x0, args.xi0, params)
+    traj = geometry.integrate(
+        s0, params, t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol
+    )
     try:
         fit = geometry.log_spiral_fit(traj)
     except ValueError:
         fit = None
     ok = (
-        traj.drift_x_xi <= drift_tol
-        and traj.drift_x_A_xi <= drift_tol
-        and traj.xi_closed_form_max_rel_dev <= closed_form_tol
+        traj.drift_x_xi <= args.drift_tol
+        and traj.drift_x_A_xi <= args.drift_tol
+        and traj.xi_closed_form_max_rel_dev <= args.closed_form_tol
         and traj.norm_x_monotone
         and traj.max_norm_x <= params.b + 1e-9
     )
@@ -266,8 +294,8 @@ def run_flow(params: geometry.ModelParams, x0, xi0, t_end, h, richardson_tol,
         "params": {"k": params.k, "mu": float(params.mu), "a": params.a, "b": params.b},
         "x0": list(s0.x),
         "xi0": list(s0.xi),
-        "t_end": t_end,
-        "h": h,
+        "t_end": args.t_end,
+        "h": args.h,
         "initial_monitors": s0.monitors,
         "drift_x_xi": traj.drift_x_xi,
         "drift_x_A_xi": traj.drift_x_A_xi,
@@ -276,20 +304,23 @@ def run_flow(params: geometry.ModelParams, x0, xi0, t_end, h, richardson_tol,
         "max_norm_x": traj.max_norm_x,
         "state_frozen_from": traj.state_frozen_from,
         "log_spiral_fit": fit,
-        "thresholds": {"drift": drift_tol, "closed_form_rel": closed_form_tol},
+        "thresholds": {"drift": args.drift_tol, "closed_form_rel": args.closed_form_tol},
         "pass": ok,
     }
-    if csv_out:
+    if args.csv_out:
         buf = io.StringIO()
         geometry.write_trajectory_csv(traj, buf)
-        _write_atomic(_resolve_output(csv_out), buf.getvalue())
-        report["trajectory_file"] = csv_out
+        _write_atomic(_resolve_output(args.csv_out), buf.getvalue())
+        report["trajectory_file"] = args.csv_out
     return report
 
 
-def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -> dict:
+def run_cutoff(args) -> dict:
+    r1, r2, n, kmax = args.r1, args.r2, args.N, args.kmax
     family = cutoff_mod.build_bands(r1, r2, n)
-    if grid:
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if args.grid:
         n_values = [4]
         while n_values[-1] < n:
             n_values.append(n_values[-1] * 4)
@@ -300,10 +331,9 @@ def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -
             cutoff_mod.derivative_bound_check(cutoff_mod.build_cutoff(family, k))
             for k in range(1, min(kmax, family.levels) + 1)
         ]
-        cs = [c["C_measured"] for c in checks]
         body = {
             "bands": checks,
-            "C_uniform": max(cs),
+            "C_uniform": max(c["C_measured"] for c in checks),
             "pass": all(c["pass"] for c in checks),
         }
     c_measured = body["C_uniform"]
@@ -325,23 +355,53 @@ def run_cutoff(r1, r2, n: int, kmax: int, grid: bool, samples_out: str | None) -
         },
         "pass": body["pass"] and cauchy_gap <= 1e-3,
     }
-    if samples_out:
+    if args.samples_out:
         buf = io.StringIO()
         cutoff_mod.write_cutoff_samples_csv(cutoff_mod.build_cutoff(family, 1), buf)
-        _write_atomic(_resolve_output(samples_out), buf.getvalue())
-        report["samples_file"] = samples_out
+        _write_atomic(_resolve_output(args.samples_out), buf.getvalue())
+        report["samples_file"] = args.samples_out
     return report
 
 
-# -- argument plumbing -----------------------------------------------------------
+def run_report_all(args) -> dict:
+    """Every suite; each section is its subcommand's runner on that subcommand's argv."""
+    outdir = Path(args.outdir)
+    _check_writable_dir(_resolve_output(args.outdir))
+    parser = _build_parser()
 
+    def section(*argv, quick=()):
+        return _run(parser.parse_args([*argv, *(quick if args.quick else ())]))
 
-def _model_params(args) -> geometry.ModelParams:
-    if args.variant == "spiral":
-        return geometry.ModelParams(
-            variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b
+    sections = {"coeffs": section("coeffs", quick=("--jmax", "12"))}
+    for k in args.k:
+        sections[f"verify_k{k}"] = section(
+            "verify", "--k", str(k), quick=("--jmax", "6", "--pmax", "5")
         )
-    return geometry.ModelParams(variant="closed", k=args.k)
+    sections["geometry"] = run_geometry_suite(
+        args.k[0], args.seed, samples=20 if args.quick else 100
+    )
+    sections["flow"] = section(
+        "flow", "--k", str(args.k[0]), "--csv-out", str(outdir / "trajectory.csv"),
+        quick=("--t-end", "5"),
+    )
+    sections["cutoff"] = section(
+        "cutoff", "--samples-out", str(outdir / "cutoff_samples.csv"), quick=("--N", "16")
+    )
+    summary = {"sections": {}, "pass": True}
+    for name, report in sections.items():
+        _emit(report, str(outdir / f"{name}.json"))
+        summary["sections"][name] = report["pass"]
+        summary["pass"] = summary["pass"] and report["pass"]
+    _emit(summary, str(outdir / "summary.json"))
+    return summary
+
+
+def _run(args) -> dict:
+    """The report of ``args.command``'s runner, looked up by name at call time."""
+    return globals()["run_" + args.command.replace("-", "_")](args)
+
+
+# -- argument plumbing -----------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="report file (stdout when omitted)")
 
     p = sub.add_parser("verify", help="operator-identity verification suite")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_degree, default=2)
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--pmax", type=int, default=8)
     p.add_argument(
@@ -370,179 +430,64 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stratum label for one covector")
     p.add_argument("--variant", choices=["closed", "spiral"], default="closed")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=_parse_number, required=True)
-    p.add_argument("--x", type=_parse_pair, required=True, metavar="X1,X2")
-    p.add_argument("--tau", type=_parse_number, required=True)
-    p.add_argument("--xi", type=_parse_pair, required=True, metavar="XI1,XI2")
-    p.add_argument("--mu", type=_parse_number)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--k", type=_degree, required=True)
+    p.add_argument("--t", type=_number, required=True)
+    p.add_argument("--x", type=_pair(_number), required=True, metavar="X1,X2")
+    p.add_argument("--tau", type=_number, required=True)
+    p.add_argument("--xi", type=_pair(_number), required=True, metavar="XI1,XI2")
+    p.add_argument("--mu", type=_number)
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--b", type=_finite_float)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("flow", help="integrate the spiral Hamilton system")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mu", type=_parse_number, default=Fraction(1, 2))
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--x0", type=_parse_float_pair, default=(1.2, 0.0), metavar="X1,X2")
-    p.add_argument("--xi0", type=_parse_float_pair, default=(-0.96, 0.48), metavar="XI1,XI2")
-    p.add_argument("--t-end", type=float, default=50.0)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--richardson-tol", type=float)
-    p.add_argument("--drift-tol", type=float, default=1e-8)
-    p.add_argument("--closed-form-tol", type=float, default=1e-6)
+    p.add_argument("--k", type=_degree, default=2)
+    p.add_argument("--mu", type=_number, default=Fraction(1, 2))
+    p.add_argument("--a", type=_finite_float, default=1.0)
+    p.add_argument("--b", type=_finite_float, default=2.0)
+    p.add_argument("--x0", type=_pair(_finite_float), default=(1.2, 0.0), metavar="X1,X2")
+    p.add_argument("--xi0", type=_pair(_finite_float), default=(-0.96, 0.48), metavar="XI1,XI2")
+    p.add_argument("--t-end", type=_finite_float, default=50.0)
+    p.add_argument("--h", type=_finite_float, default=1e-3)
+    p.add_argument("--richardson-tol", type=_finite_float)
+    p.add_argument("--drift-tol", type=_finite_float, default=1e-8)
+    p.add_argument("--closed-form-tol", type=_finite_float, default=1e-6)
     p.add_argument("--csv-out", help="trajectory table destination")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="csv sends the trajectory to --output instead of the JSON summary")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("cutoff", help="band-family derivative bound checks")
-    p.add_argument("--r1", type=_parse_number, default=Fraction(1))
-    p.add_argument("--r2", type=_parse_number, default=Fraction(2))
+    p.add_argument("--r1", type=_number, default=Fraction(1))
+    p.add_argument("--r2", type=_number, default=Fraction(2))
     p.add_argument("--N", type=int, default=64)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--grid", action="store_true",
                    help="check a grid of family sizes up to N for uniformity")
     p.add_argument("--samples-out", help="sampled cutoff profile CSV destination")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="csv sends the sampled profile to --output instead of the report")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("report-all", help="run every suite with defaults")
-    p.add_argument("--k", type=_parse_k_list, default="2,3", help="comma list of model degrees")
+    p.add_argument("--k", type=_degree_list, default="2,3", help="comma list of model degrees")
     p.add_argument("--outdir", default="stratakit-reports")
     p.add_argument("--seed", type=int, default=20260401)
     p.add_argument("--quick", action="store_true", help="smaller depths everywhere")
+    p.set_defaults(output=None)  # the summary goes to stdout
 
     return parser
-
-
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    for name, value in vars(args).items():
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            parser.error(f"--{name.replace('_', '-')} must be a finite number")
-    if getattr(args, "k", None) is not None and isinstance(args.k, int) and args.k < 2:
-        parser.error("k must be >= 2")
-    if args.command == "verify":
-        if args.jmax < 1 or args.pmax < 1:
-            parser.error("jmax and pmax must be >= 1")
-    if args.command == "coeffs" and args.jmax < 2:
-        parser.error("jmax must be >= 2")
-    if args.command == "cutoff":
-        if args.N < 4 or args.N & (args.N - 1):
-            parser.error("N must be a power of 2, N >= 4")
-        if not args.r1 < args.r2:
-            parser.error("need r1 < r2")
-        if args.kmax < 1:
-            parser.error("kmax must be >= 1")
-    if args.command == "flow":
-        if not 0 < args.a < args.b:
-            parser.error("need 0 < a < b")
-        if args.mu < 0:
-            parser.error("mu must be >= 0")
-        if args.h <= 0 or args.t_end <= 0:
-            parser.error("need h > 0 and t-end > 0")
-        if args.richardson_tol is not None and args.richardson_tol <= 0:
-            parser.error("--richardson-tol must be > 0")
-        steps = args.t_end / args.h
-        if not (math.isfinite(steps) and round(steps) >= 1
-                and abs(steps - round(steps)) <= 1e-9 * steps):
-            parser.error("--h must divide --t-end into a whole number of steps")
-    if args.command == "classify" and args.variant == "spiral":
-        if args.mu is None or args.a is None or args.b is None:
-            parser.error("spiral classification needs --mu, --a, --b")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
-
-    if args.command == "coeffs":
-        report = run_coeffs(args.jmax, args.table_out)
+    try:
+        report = _run(args)
+    except (ValueError, geometry.StepSizeError) as exc:  # the library refused the input
+        parser.error(str(exc))
+    if args.command != "classify" or args.output:
         _emit(report, args.output)
-        return 0 if report["pass"] else 1
-
-    if args.command == "verify":
-        report = run_verify(args.k, args.jmax, args.pmax, args.delta_convention_check)
-        _emit(report, args.output)
-        return 0 if report["pass"] else 1
-
     if args.command == "classify":
-        try:
-            report, label = run_classify(args)
-        except ValueError as exc:  # zero covector, negative tolerance, bad spiral model
-            parser.error(str(exc))
-        if args.output:
-            _emit(report, args.output)
-        print(label.value)
-        return 0
-
-    if args.command == "flow":
-        params = geometry.ModelParams(
-            variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b
-        )
-        csv_out = args.csv_out
-        json_out = args.output
-        if args.format == "csv" and args.output:
-            csv_out, json_out = args.output, None
-        try:
-            report = run_flow(
-                params, args.x0, args.xi0, args.t_end, args.h, args.richardson_tol,
-                args.drift_tol, args.closed_form_tol, csv_out,
-            )
-        except (geometry.StepSizeError, ValueError) as exc:  # unmet tolerance, divergence
-            parser.error(str(exc))
-        _emit(report, json_out)
-        return 0 if report["pass"] else 1
-
-    if args.command == "cutoff":
-        samples_out = args.samples_out
-        json_out = args.output
-        if args.format == "csv" and args.output:
-            samples_out, json_out = args.output, None
-        report = run_cutoff(args.r1, args.r2, args.N, args.kmax, args.grid, samples_out)
-        _emit(report, json_out)
-        return 0 if report["pass"] else 1
-
-    if args.command == "report-all":
-        ks = args.k
-        if any(k < 2 for k in ks):
-            parser.error("k must be >= 2")
-        outdir = args.outdir
-        _check_writable_dir(_resolve_output(outdir))
-        depth = {"jmax": 6, "pmax": 5} if args.quick else {"jmax": 10, "pmax": 8}
-        coeffs_jmax = 12 if args.quick else 40
-        cutoff_n = 16 if args.quick else 64
-        sections = {"coeffs": run_coeffs(coeffs_jmax)}
-        for k in ks:
-            sections[f"verify_k{k}"] = run_verify(k, depth["jmax"], depth["pmax"])
-        sections["geometry"] = run_geometry_suite(ks[0], args.seed,
-                                                  samples=20 if args.quick else 100)
-        sections["flow"] = run_flow(
-            geometry.ModelParams(variant="spiral", k=ks[0], mu=0.5, a=1.0, b=2.0),
-            (1.2, 0.0), (-0.96, 0.48),
-            5.0 if args.quick else 50.0, 1e-3, None, 1e-8, 1e-6,
-            str(Path(outdir) / "trajectory.csv"),
-        )
-        sections["cutoff"] = run_cutoff(
-            Fraction(1), Fraction(2), cutoff_n, 8, False,
-            str(Path(outdir) / "cutoff_samples.csv"),
-        )
-        summary = {"sections": {}, "pass": True}
-        for name, report in sections.items():
-            _emit(report, str(Path(outdir) / f"{name}.json"))
-            summary["sections"][name] = report["pass"]
-            summary["pass"] = summary["pass"] and report["pass"]
-        _emit(summary, str(Path(outdir) / "summary.json"))
-        print(json.dumps(summary, indent=2))
-        return 0 if summary["pass"] else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        print(report["label"])
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -167,9 +167,9 @@ class ModelParams:
             raise ValueError("k must be >= 2")
         if self.variant == "spiral":
             if self.mu is None or self.mu < 0:
-                raise ValueError("spiral variant requires mu >= 0")
+                raise ValueError(f"spiral variant requires mu >= 0, got mu = {self.mu}")
             if self.a is None or self.b is None or not 0 < self.a < self.b:
-                raise ValueError("spiral variant requires 0 < a < b")
+                raise ValueError(f"spiral variant requires 0 < a < b, got {self.a}, {self.b}")
 
 
 @dataclass(frozen=True)
@@ -288,47 +288,26 @@ def _exact_rank(matrix: list[list[Fraction]]) -> int:
     return rank
 
 
-def _float_rank(matrix: list[list[float]], tol: float) -> int:
-    m = [list(map(float, row)) for row in matrix]
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        pivot = max(range(rank, n), key=lambda r: abs(m[r][col]), default=None)
-        if pivot is None or abs(m[pivot][col]) <= tol:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(n):
-            if r != rank:
-                factor = m[r][col] / m[rank][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def symplectic_rank(
-    stratum: StratumLabel, point: Covector, params: ModelParams, tol: float = 1e-12
-) -> dict:
+def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams) -> dict:
     """Bracket matrix of the stratum's defining functions at a point on it.
 
     Returns the matrix {F_i, F_j}(point), its rank, and ``degenerate`` (true
     iff the matrix is singular, i.e. the stratum fails the symplectic
-    codimension test there).  Exact covectors make the whole computation
-    exact; the rank of an odd-size antisymmetric matrix is necessarily
-    deficient, which is how the codimension-3 stratum always reports
-    degenerate.
+    codimension test there).  The point must be exact (rational), which
+    makes the whole computation exact; the rank of an odd-size antisymmetric
+    matrix is necessarily deficient, which is how the codimension-3 stratum
+    always reports degenerate.
     """
-    observed = classify(point, params, tol)
+    if not point.is_exact():
+        raise ValueError("the rank test needs an exact (rational) point")
+    observed = classify(point, params)
     if observed is not stratum:
         raise ValueError(f"point classifies as {observed.value}, not {stratum.value}")
     funcs = stratum_defining_functions(stratum, params)
     comps = point.components()
     size = len(funcs)
     matrix = [[poisson_bracket(fi, fj).eval(comps) for fj in funcs] for fi in funcs]
-    if point.is_exact():
-        rank = _exact_rank([[Fraction(v) for v in row] for row in matrix])
-    else:
-        scale = max((abs(float(v)) for row in matrix for v in row), default=0.0)
-        rank = _float_rank(matrix, tol * max(scale, 1.0))
+    rank = _exact_rank(matrix)
     return {
         "bracket_matrix": matrix,
         "rank": rank,
@@ -461,22 +440,29 @@ def integrate(
     fix x.  ``state_frozen_from`` is the time of the last step that changed
     the state, None if the final step did.  With ``richardson_tol`` set, each
     step is compared against two half steps and a deviation beyond the
-    tolerance raises StepSizeError.  A diverging flow raises ValueError.
+    tolerance raises StepSizeError.  An ``h`` that does not divide ``t_end``
+    into a whole number of steps, a zero xi0 and a diverging flow raise
+    ValueError.
     """
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
+    if richardson_tol is not None and not richardson_tol > 0:
+        raise ValueError("richardson_tol must be > 0")
+    steps = t_end / h
+    n_steps = round(steps) if math.isfinite(steps) else 0
+    if not (n_steps >= 1 and abs(steps - n_steps) <= 1e-9 * steps):
+        raise ValueError(f"h must divide t_end into a whole number of steps, not {steps:.6g}")
     # squares by multiplication: a huge value gives inf here, not OverflowError
     a2, b2 = params.a * params.a, params.b * params.b
     s_start = s0.x[0] * s0.x[0] + s0.x[1] * s0.x[1]
     if not a2 < s_start < b2:
         raise ValueError(f"x0 must lie in the open ring a < |x0| < b, but |x0|^2 = {s_start!r}"
                          f" with a^2 = {a2!r}, b^2 = {b2!r}")
+    if s0.xi[0] == 0 and s0.xi[1] == 0:
+        raise ValueError("xi0 = 0 gives a constant flow: every monitor passes vacuously")
     mu = float(params.mu)
-    n_steps = int(round(t_end / h))
-    if n_steps < 1:
-        raise ValueError(f"t_end / h = {t_end / h:.3g} rounds to zero steps")
 
     y = (*s0.x, *s0.xi)
     states = [make_flow_state(s0.x, s0.xi, params, time=s0.time)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import cli
+from stratakit import cli, geometry
 from stratakit.exactalg import coeff_table_from_json
 
 
@@ -112,7 +112,7 @@ class TestFlowCommand:
 
     def test_csv_format_routes_to_output(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
-        code = cli.main(["flow", "--t-end", "0.1", "--format", "csv", "-o", str(out)])
+        code = cli.main(["flow", "--t-end", "0.1", "--csv-out", str(out)])
         assert code == 0
         assert out.read_text().startswith("time,x1")
         summary = json.loads(capsys.readouterr().out)
@@ -180,6 +180,31 @@ def test_report_all_quick(tmp_path, capsys):
     assert geom["sigma2_degenerate"] == geom["samples"]
 
 
+def test_report_all_sections_equal_their_subcommands(tmp_path, capsys):
+    outdir = tmp_path / "reports"
+    assert cli.main(["report-all", "--quick", "--k", "2", "--outdir", str(outdir)]) == 0
+    subcommands = {
+        "coeffs": ["coeffs", "--jmax", "12"],
+        "verify_k2": ["verify", "--k", "2", "--jmax", "6", "--pmax", "5"],
+        "flow": ["flow", "--k", "2", "--t-end", "5",
+                 "--csv-out", str(outdir / "trajectory.csv")],
+        "cutoff": ["cutoff", "--N", "16", "--samples-out", str(outdir / "cutoff_samples.csv")],
+    }
+    for name, argv in subcommands.items():
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == (outdir / f"{name}.json").read_bytes(), name
+
+
+def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "sample_sigma1", geometry.sample_sigma2)
+    outdir = tmp_path / "reports"
+    assert cli.main(["report-all", "--quick", "--outdir", str(outdir)]) == 1
+    summary = read_json(outdir / "summary.json")
+    assert summary["sections"]["geometry"] is False
+    assert read_json(outdir / "geometry.json")["sigma1_nondegenerate"] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -209,6 +234,9 @@ def test_report_all_quick(tmp_path, capsys):
         ["flow", "--x0", "0,0"],
         ["flow", "--mu", "-1/2"],
         ["flow", "--a", "1e200", "--b", "1e201", "--x0", "2e200,0", "--t-end", "0.01"],
+        ["flow", "--mu", "1e400", "--t-end", "0.01"],
+        ["cutoff", "--N", "4", "--kmax", "1", "--r2", "1e400"],
+        ["flow", "--xi0", "0,0", "--t-end", "0.01"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
@@ -239,7 +267,7 @@ def test_unwritable_outdir_fails_before_any_section(monkeypatch, tmp_path, capsy
 
 
 # values that have each broken some argument parser at least once
-FUZZ_POOL = ["1/0", "nan", "inf", "-1", "0", "1/3", "2,x", ""]
+FUZZ_POOL = ["1/0", "nan", "inf", "1e400", "-1", "0", "1/3", "2,x", ""]
 
 # per subcommand: the flags drawn (each with a few valid values besides the
 # pool), and the ones always given, which keep every run small

@@ -234,6 +234,11 @@ class TestSymplecticRank:
         with pytest.raises(ValueError):
             symplectic_rank(StratumLabel.SIGMA2, point, CLOSED)
 
+    def test_float_point_rejected(self):
+        point = Covector(t=1.0, x=(1.0, 0.0), tau=0.0, xi=(1.0, -1.0))
+        with pytest.raises(ValueError, match="exact"):
+            symplectic_rank(StratumLabel.SIGMA1, point, CLOSED)
+
     @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
     def test_exact_dichotomy_on_random_samples(self, params):
         rng = random.Random(23)
@@ -370,6 +375,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="open ring"):
             integrate(s0, SPIRAL, t_end=0.01, h=1e-3)
 
+    def test_zero_xi0_rejected(self):
+        s0 = make_flow_state((1.2, 0.0), (0.0, 0.0), SPIRAL)
+        with pytest.raises(ValueError, match="xi0"):
+            integrate(s0, SPIRAL, t_end=0.01, h=1e-3)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             integrate(initial_leaf_state(), SPIRAL, t_end=0.0, h=1e-3)
@@ -379,6 +389,10 @@ class TestIntegrate:
             integrate(initial_leaf_state(), CLOSED, t_end=1.0, h=1e-3)
         with pytest.raises(ValueError):
             integrate(initial_leaf_state(), SPIRAL, t_end=0.1, h=0.3)  # rounds to zero steps
+        with pytest.raises(ValueError, match="whole number"):
+            integrate(initial_leaf_state(), SPIRAL, t_end=0.0015, h=1e-3)
+        with pytest.raises(ValueError, match="richardson_tol"):
+            integrate(initial_leaf_state(), SPIRAL, t_end=0.01, h=1e-3, richardson_tol=0.0)
 
 
 def test_log_spiral_pitch_matches_mu():

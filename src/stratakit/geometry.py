@@ -15,8 +15,10 @@ Stratum membership, Poisson brackets, and the bracket-matrix rank test are
 all available in exact rational arithmetic (`fractions.Fraction` inputs stay
 exact end to end); classification of float covectors uses a relative
 tolerance.  The flow integrator is a fixed-step classical Runge-Kutta scheme
-with conserved-quantity monitors, a check of every step against the explicit
-leaf, and an optional Richardson step check.
+that keeps each state as a plain (x1, x2, xi1, xi2) tuple and, in the same
+pass, takes the conserved-quantity monitors, a check of every step against
+the explicit leaf, and an optional Richardson step check; it refuses runs of
+more than 10^6 steps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from enum import Enum
-from itertools import islice, pairwise
 
 from .exactalg import SparseTerms
 
@@ -44,7 +45,6 @@ __all__ = [
     "classify",
     "classify_detailed",
     "symplectic_rank",
-    "hamilton_rhs",
     "make_flow_state",
     "integrate",
     "write_trajectory_csv",
@@ -318,33 +318,39 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 # -- Hamilton flow ------------------------------------------------------------
 
 
+_MAX_STEPS = 10**6  # 20 times the default run; each state is a tuple kept in memory
+
+
 class StepSizeError(RuntimeError):
     """Raised when the Richardson half-step comparison rejects the step size."""
 
 
 @dataclass(frozen=True)
 class FlowState:
-    time: float
+    """The start of a flow: x and xi as floats, with their monitors."""
+
     x: tuple[float, float]
     xi: tuple[float, float]
     monitors: dict = field(compare=False)
 
 
-def _monitors(x, xi, mu) -> dict:
-    a_xi = (mu * xi[0] + xi[1], -xi[0] + mu * xi[1])
+def _monitors(u, mu) -> dict:
+    """Pairings and norms of the state u = (x1, x2, xi1, xi2)."""
+    x1, x2, xi1, xi2 = u
+    a_xi = (mu * xi1 + xi2, -xi1 + mu * xi2)
     return {
-        "x_dot_xi": x[0] * xi[0] + x[1] * xi[1],
-        "x_A_xi": x[0] * a_xi[0] + x[1] * a_xi[1],
-        "norm_x": math.hypot(x[0], x[1]),
-        "norm_xi": math.hypot(xi[0], xi[1]),
+        "x_dot_xi": x1 * xi1 + x2 * xi2,
+        "x_A_xi": x1 * a_xi[0] + x2 * a_xi[1],
+        "norm_x": math.hypot(x1, x2),
+        "norm_xi": math.hypot(xi1, xi2),
     }
 
 
-def make_flow_state(x, xi, params: ModelParams, time: float = 0.0) -> FlowState:
+def make_flow_state(x, xi, params: ModelParams) -> FlowState:
     if params.variant != "spiral":
         raise ValueError("flow states belong to the spiral variant")
     x, xi = (float(x[0]), float(x[1])), (float(xi[0]), float(xi[1]))
-    return FlowState(time=time, x=x, xi=xi, monitors=_monitors(x, xi, float(params.mu)))
+    return FlowState(x=x, xi=xi, monitors=_monitors((*x, *xi), float(params.mu)))
 
 
 def _leaf_rhs(u, mu, a2, b2):
@@ -360,20 +366,10 @@ def _leaf_rhs(u, mu, a2, b2):
     )
 
 
-def hamilton_rhs(state: FlowState, params: ModelParams) -> dict:
-    """Right side x' = g1 g2 A^T x, xi' = -g1 g2 A xi of the leaf flow."""
-    if params.variant != "spiral":
-        raise ValueError("the Hamilton system belongs to the spiral variant")
-    # squares by multiplication: a huge value gives inf here, not OverflowError
-    a2, b2 = params.a * params.a, params.b * params.b
-    rhs = _leaf_rhs((*state.x, *state.xi), float(params.mu), a2, b2)
-    if not all(math.isfinite(v) for v in rhs):
-        raise ValueError(f"the flow right side is not finite at x = {state.x!r}")
-    return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
-
-
 @dataclass
 class Trajectory:
+    """``states`` holds the n_steps + 1 tuples (x1, x2, xi1, xi2); row i is at time i h."""
+
     params: ModelParams
     h: float
     states: list
@@ -434,14 +430,17 @@ def integrate(
     """Fixed-step 4th-order integration of the spiral Hamilton system from a
     start in the open ring a < |x0| < b.
 
-    Every state is checked against the explicit leaf xi = e^(-mu tau) R(tau)
-    xi0 (R the counter-clockwise rotation, tau from ``_leaf_taus``, which never
-    reads the integrated state); xi and the gated pairings <x, xi>, <x, A xi>
-    fix x.  ``state_frozen_from`` is the time of the last step that changed
-    the state, None if the final step did.  With ``richardson_tol`` set, each
-    step is compared against two half steps and a deviation beyond the
-    tolerance raises StepSizeError.  An ``h`` that does not divide ``t_end``
-    into a whole number of steps, a zero xi0 and a diverging flow raise
+    One pass over the steps keeps each state as a plain tuple (x1, x2, xi1,
+    xi2) and updates the running drifts of <x, xi> and <x, A xi>, the
+    monotonicity and maximum of |x|, and the deviation of xi from the
+    explicit leaf xi = e^(-mu tau) R(tau) xi0 (R the counter-clockwise
+    rotation, tau from ``_leaf_taus``, which never reads the integrated
+    state); xi and the gated pairings fix x.  ``state_frozen_from`` is the
+    time of the last step that changed the state, None if the final step
+    did.  With ``richardson_tol`` set, each step is compared against two half
+    steps and a deviation beyond the tolerance raises StepSizeError.  An
+    ``h`` that does not divide ``t_end`` into a whole number of steps, more
+    than ``_MAX_STEPS`` steps, a zero xi0 and a diverging flow raise
     ValueError.
     """
     if params.variant != "spiral":
@@ -454,6 +453,8 @@ def integrate(
     n_steps = round(steps) if math.isfinite(steps) else 0
     if not (n_steps >= 1 and abs(steps - n_steps) <= 1e-9 * steps):
         raise ValueError(f"h must divide t_end into a whole number of steps, not {steps:.6g}")
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"t_end / h = {n_steps} steps exceeds the cap of {_MAX_STEPS}")
     # squares by multiplication: a huge value gives inf here, not OverflowError
     a2, b2 = params.a * params.a, params.b * params.b
     s_start = s0.x[0] * s0.x[0] + s0.x[1] * s0.x[1]
@@ -465,9 +466,15 @@ def integrate(
     mu = float(params.mu)
 
     y = (*s0.x, *s0.xi)
-    states = [make_flow_state(s0.x, s0.xi, params, time=s0.time)]
-    last_change = 0
-    for step in range(1, n_steps + 1):
+    states = [y]
+    first = _monitors(y, mu)
+    dot0, a_dot0 = first["x_dot_xi"], first["x_A_xi"]
+    # the start's own terms: 0.0, or nan for an overflowed monitor, as max() over every row gives
+    drift, a_drift = abs(dot0 - dot0), abs(a_dot0 - a_dot0)
+    norm_x = max_norm_x = first["norm_x"]
+    monotone, closed_dev, last_change = True, 0.0, 0
+    xi0 = s0.xi
+    for step, tau in enumerate(_leaf_taus(mu, s_start, a2, b2, h, n_steps), 1):
         y_next = _rk4_step(y, h, mu, a2, b2)
         if richardson_tol is not None:
             half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
@@ -479,68 +486,58 @@ def integrate(
         if y_next != y:
             last_change = step
         y = y_next
-        states.append(make_flow_state(y[:2], y[2:], params, time=s0.time + step * h))
-    # the right side has no division, so a state that went non-finite stays so
-    if not all(map(math.isfinite, y)):
-        raise ValueError(f"the flow diverged: the state at t_end is {y!r}")
-
-    xi0 = s0.xi
-    closed_dev = 0.0
-    taus = _leaf_taus(mu, s_start, a2, b2, h, n_steps)
-    for state, tau in zip(islice(states, 1, None), taus):
+        if not all(map(math.isfinite, y)):
+            raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
+        states.append(y)
+        # max(m, v) keeps m unless v > m, as max() over every row does
+        m = _monitors(y, mu)
+        drift = max(drift, abs(m["x_dot_xi"] - dot0))
+        a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
+        monotone = monotone and m["norm_x"] >= norm_x - 1e-12
+        norm_x = m["norm_x"]
+        max_norm_x = max(max_norm_x, norm_x)
         damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
-        off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - state.xi[0],
-                         damp * (s * xi0[0] + c * xi0[1]) - state.xi[1])
-        closed_dev = max(closed_dev, off / max(state.monitors["norm_xi"], 1e-300))
-    first = states[0].monitors
+        off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
+                         damp * (s * xi0[0] + c * xi0[1]) - y[3])
+        closed_dev = max(closed_dev, off / max(m["norm_xi"], 1e-300))
     return Trajectory(
         params=params,
         h=h,
         states=states,
-        drift_x_xi=max(abs(st.monitors["x_dot_xi"] - first["x_dot_xi"]) for st in states),
-        drift_x_A_xi=max(abs(st.monitors["x_A_xi"] - first["x_A_xi"]) for st in states),
+        drift_x_xi=drift,
+        drift_x_A_xi=a_drift,
         xi_closed_form_max_rel_dev=closed_dev,
-        norm_x_monotone=all(
-            q.monitors["norm_x"] >= p.monitors["norm_x"] - 1e-12 for p, q in pairwise(states)
-        ),
-        max_norm_x=max(st.monitors["norm_x"] for st in states),
-        state_frozen_from=None if last_change == n_steps else s0.time + last_change * h,
+        norm_x_monotone=monotone,
+        max_norm_x=max_norm_x,
+        state_frozen_from=None if last_change == n_steps else last_change * h,
     )
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """Trajectory table with a mandatory header and 17-significant-digit floats."""
+    mu = float(traj.params.mu)
     stream.write("time,x1,x2,xi1,xi2,dot_x_xi,x_A_xi,norm_x\n")
-    for s in traj.states:
-        row = (
-            s.time,
-            s.x[0],
-            s.x[1],
-            s.xi[0],
-            s.xi[1],
-            s.monitors["x_dot_xi"],
-            s.monitors["x_A_xi"],
-            s.monitors["norm_x"],
-        )
+    for i, y in enumerate(traj.states):
+        m = _monitors(y, mu)
+        row = (i * traj.h, *y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"])
         stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def log_spiral_fit(traj: Trajectory, inner_margin: float = 0.1) -> dict:
+def log_spiral_fit(traj: Trajectory) -> dict:
     """Least-squares fit of log |x| against the unwound winding angle.
 
-    Restricted to the mid-annulus segment (margin fraction away from both
-    circles); for the spiral model the pitch d log|x| / d theta equals mu
-    identically, so the fit slope approximates mu and the residual measures
-    integration error only.
+    Restricted to the mid-annulus segment (a tenth of the ring width away
+    from both circles); for the spiral model the pitch d log|x| / d theta
+    equals mu identically, so the fit slope approximates mu and the residual
+    measures integration error only.
     """
     a, b = traj.params.a, traj.params.b
-    lo = a + inner_margin * (b - a)
-    hi = b - inner_margin * (b - a)
+    lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
     theta = 0.0
-    prev_angle = math.atan2(traj.states[0].x[1], traj.states[0].x[0])
+    prev_angle = math.atan2(traj.states[0][1], traj.states[0][0])
     angles, logs = [], []
-    for s in traj.states:
-        angle = math.atan2(s.x[1], s.x[0])
+    for x1, x2, _, _ in traj.states:
+        angle = math.atan2(x2, x1)
         d = angle - prev_angle
         while d <= -math.pi:
             d += 2 * math.pi
@@ -548,7 +545,7 @@ def log_spiral_fit(traj: Trajectory, inner_margin: float = 0.1) -> dict:
             d -= 2 * math.pi
         theta += d
         prev_angle = angle
-        r = s.monitors["norm_x"]
+        r = math.hypot(x1, x2)
         if lo <= r <= hi:
             angles.append(theta)
             logs.append(math.log(r))

@@ -237,6 +237,7 @@ def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, 
         ["flow", "--mu", "1e400", "--t-end", "0.01"],
         ["cutoff", "--N", "4", "--kmax", "1", "--r2", "1e400"],
         ["flow", "--xi0", "0,0", "--t-end", "0.01"],
+        ["flow", "--t-end", "1000", "--h", "1e-6"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):

@@ -15,10 +15,11 @@ from stratakit.geometry import (
     PhasePoly,
     StepSizeError,
     StratumLabel,
+    _leaf_rhs,
+    _monitors,
     char_function,
     classify,
     classify_detailed,
-    hamilton_rhs,
     integrate,
     log_spiral_fit,
     make_flow_state,
@@ -252,21 +253,27 @@ class TestSymplecticRank:
 # -- Hamilton flow ---------------------------------------------------------------
 
 
+def leaf_rhs(s, params):
+    """The flow right side at a start state, split into its x and xi parts."""
+    rhs = _leaf_rhs((*s.x, *s.xi), float(params.mu), params.a * params.a, params.b * params.b)
+    return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
+
+
 class TestHamiltonRhs:
     def test_stationary_on_inner_circle(self):
         s = make_flow_state((1.0, 0.0), (0.5, 0.5), SPIRAL)
-        out = hamilton_rhs(s, SPIRAL)
+        out = leaf_rhs(s, SPIRAL)
         assert out["x_dot"] == (0.0, 0.0)
         assert out["xi_dot"] == (0.0, 0.0)
 
     def test_stationary_on_outer_circle(self):
         s = make_flow_state((0.0, 2.0), (0.5, 0.5), SPIRAL)
-        out = hamilton_rhs(s, SPIRAL)
+        out = leaf_rhs(s, SPIRAL)
         assert out["x_dot"] == (0.0, 0.0)
 
     def test_radius_grows_inside_annulus(self):
         s = make_flow_state((1.3, 0.2), (0.1, 0.7), SPIRAL)
-        out = hamilton_rhs(s, SPIRAL)
+        out = leaf_rhs(s, SPIRAL)
         x1, x2 = s.x
         d_r2 = 2 * (x1 * out["x_dot"][0] + x2 * out["x_dot"][1])
         r2 = x1 * x1 + x2 * x2
@@ -274,16 +281,11 @@ class TestHamiltonRhs:
         assert d_r2 == pytest.approx(2 * g * SPIRAL.mu * r2)
         assert d_r2 > 0
 
-    def test_needs_spiral_variant(self):
-        s = make_flow_state((1.2, 0.0), (0.0, 1.0), SPIRAL)
-        with pytest.raises(ValueError):
-            hamilton_rhs(s, CLOSED)
-
     def test_huge_ring_raises_value_error(self):
-        # squaring 1e200 overflows a float: the right side must refuse, not raise OverflowError
+        # squaring 1e200 overflows a float: the flow must refuse, not raise OverflowError
         params = ModelParams(variant="spiral", k=2, mu=0.5, a=1e200, b=1e201)
         with pytest.raises(ValueError):
-            hamilton_rhs(make_flow_state((2e200, 0), (1, 0), params), params)
+            integrate(make_flow_state((2e200, 0), (1, 0), params), params, t_end=0.01, h=1e-3)
 
 
 def initial_leaf_state():
@@ -318,7 +320,7 @@ class TestIntegrate:
         coarse = integrate(s0, SPIRAL, t_end=4.0, h=0.04)
         fine = integrate(s0, SPIRAL, t_end=4.0, h=0.0025)
         actual = max(
-            math.hypot(c.xi[0] - f.xi[0], c.xi[1] - f.xi[1]) / math.hypot(*f.xi)
+            math.hypot(c[2] - f[2], c[3] - f[3]) / math.hypot(f[2], f[3])
             for c, f in zip(coarse.states, fine.states[::16])
         )
         assert coarse.xi_closed_form_max_rel_dev == pytest.approx(actual, rel=0.05)
@@ -327,8 +329,8 @@ class TestIntegrate:
         # b^2 - |x|^2 reaches the float floor near t = 3.1; later steps repeat the state
         traj = integrate(initial_leaf_state(), SPIRAL, t_end=5.0, h=1e-3)
         assert traj.state_frozen_from == 3108 * 1e-3
-        assert traj.states[3108].x == traj.states[-1].x
-        assert traj.states[3107].x != traj.states[3108].x
+        assert traj.states[3108][:2] == traj.states[-1][:2]
+        assert traj.states[3107][:2] != traj.states[3108][:2]
         assert integrate(initial_leaf_state(), SPIRAL, t_end=2.0, h=1e-3).state_frozen_from is None
 
     def test_closed_leaf_at_mu_zero(self):
@@ -394,6 +396,31 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="richardson_tol"):
             integrate(initial_leaf_state(), SPIRAL, t_end=0.01, h=1e-3, richardson_tol=0.0)
 
+    def test_step_count_capped(self):
+        # 10^9 and 10^6 + 1 whole steps are refused before any state is built
+        with pytest.raises(ValueError, match="cap"):
+            integrate(initial_leaf_state(), SPIRAL, t_end=1000.0, h=1e-6)
+        with pytest.raises(ValueError, match="cap"):
+            integrate(initial_leaf_state(), SPIRAL, t_end=1.000001, h=1e-6)
+
+
+@pytest.mark.parametrize("mu, t_end", [(0.5, 5.0), (0, 6.0), (0.5, 1.0)])
+def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
+    # the running values taken in the step loop equal the ones recomputed from the stored rows
+    params = ModelParams(variant="spiral", k=2, mu=mu, a=1.0, b=2.0)
+    traj = integrate(make_flow_state((1.2, 0.0), (-0.96, 0.48), params), params, t_end, h=1e-3)
+    rows = [_monitors(y, float(mu)) for y in traj.states]
+    assert len(rows) == round(t_end / 1e-3) + 1
+    assert traj.drift_x_xi == max(abs(m["x_dot_xi"] - rows[0]["x_dot_xi"]) for m in rows)
+    assert traj.drift_x_A_xi == max(abs(m["x_A_xi"] - rows[0]["x_A_xi"]) for m in rows)
+    norms = [m["norm_x"] for m in rows]
+    assert traj.norm_x_monotone == all(q >= p - 1e-12 for p, q in zip(norms, norms[1:]))
+    assert traj.max_norm_x == max(norms)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    times = [float(line.split(",", 1)[0]) for line in buf.getvalue().splitlines()[1:]]
+    assert times == [i * 1e-3 for i in range(len(rows))]
+
 
 def test_log_spiral_pitch_matches_mu():
     traj = integrate(initial_leaf_state(), SPIRAL, t_end=20.0, h=1e-3)
@@ -411,8 +438,8 @@ def test_trajectory_csv_format():
     assert len(lines) == 1 + len(traj.states)
     # 17 significant digits reproduce the doubles bit-exactly
     cells = lines[2].split(",")
-    assert float(cells[1]) == traj.states[1].x[0]
-    assert float(cells[7]) == traj.states[1].monitors["norm_x"]
+    assert float(cells[1]) == traj.states[1][0]
+    assert float(cells[7]) == _monitors(traj.states[1], SPIRAL.mu)["norm_x"]
 
 
 def test_monitors_recomputed_from_state():

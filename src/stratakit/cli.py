@@ -27,7 +27,6 @@ paths.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -67,13 +66,14 @@ def _resolve_output(path: str | None) -> Path | None:
     return p
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it over ``path``."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -104,7 +104,7 @@ def _emit(report: dict, output: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(path, text)
+        _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _finite_float(text: str) -> float:
@@ -152,6 +152,8 @@ def _degree_list(text: str) -> list[int]:
     ks = [_degree(v) for v in text.split(",") if v.strip()]
     if not ks:
         raise argparse.ArgumentTypeError("expected at least one model degree")
+    if len(set(ks)) != len(ks):
+        raise argparse.ArgumentTypeError(f"repeated model degree in {text!r}")
     return ks
 
 
@@ -183,9 +185,8 @@ def run_coeffs(args) -> dict:
         "pass": agree and bern_match and scan["pass"],
     }
     if args.table_out:
-        _write_atomic(
-            _resolve_output(args.table_out), exactalg.coeff_table_to_json(recurrence) + "\n"
-        )
+        text = exactalg.coeff_table_to_json(recurrence) + "\n"
+        _write_atomic(_resolve_output(args.table_out), lambda fh: fh.write(text))
         report["table_file"] = args.table_out
     return report
 
@@ -308,9 +309,8 @@ def run_flow(args) -> dict:
         "pass": ok,
     }
     if args.csv_out:
-        buf = io.StringIO()
-        geometry.write_trajectory_csv(traj, buf)
-        _write_atomic(_resolve_output(args.csv_out), buf.getvalue())
+        path = _resolve_output(args.csv_out)
+        _write_atomic(path, lambda fh: geometry.write_trajectory_csv(traj, fh))
         report["trajectory_file"] = args.csv_out
     return report
 
@@ -356,9 +356,9 @@ def run_cutoff(args) -> dict:
         "pass": body["pass"] and cauchy_gap <= 1e-3,
     }
     if args.samples_out:
-        buf = io.StringIO()
-        cutoff_mod.write_cutoff_samples_csv(cutoff_mod.build_cutoff(family, 1), buf)
-        _write_atomic(_resolve_output(args.samples_out), buf.getvalue())
+        cut = cutoff_mod.build_cutoff(family, 1)
+        path = _resolve_output(args.samples_out)
+        _write_atomic(path, lambda fh: cutoff_mod.write_cutoff_samples_csv(cut, fh))
         report["samples_file"] = args.samples_out
     return report
 

@@ -44,7 +44,6 @@ __all__ = [
     "EhrenpreisCutoff",
     "build_bands",
     "build_cutoff",
-    "build_cutoff_pair",
     "bspline_derivative_sup",
     "derivative_bound_check",
     "bound_check_grid",
@@ -386,7 +385,6 @@ class EhrenpreisCutoff:
     plateau_hi: Fraction
     box_width: Fraction
     gap: Fraction
-    twin: bool = False
 
     @property
     def transition(self) -> Fraction:
@@ -449,38 +447,6 @@ def build_cutoff(family: BandFamily, k: int) -> EhrenpreisCutoff:
         box_width=band.d / band.budget,
         gap=band.d,
     )
-
-
-def build_cutoff_pair(family: BandFamily, k: int) -> tuple[EhrenpreisCutoff, EhrenpreisCutoff]:
-    """The doubled family (phi_k, twin): the gap d_k is split into half-gaps.
-
-    phi_k rises across the inner half-gap, the twin across the outer one, so
-    the twin is identically 1 on the support of phi_k while both stay
-    supported in band k-1 and obey the same derivative budget.
-    """
-    if not 1 <= k <= family.levels:
-        raise ValueError(f"band index {k} outside 1..{family.levels}")
-    band = family.band(k)
-    half = band.d / 2
-    w = half / band.budget
-    phi = EhrenpreisCutoff(
-        band_index=k,
-        budget=band.budget,
-        plateau_lo=band.lo,
-        plateau_hi=band.hi,
-        box_width=w,
-        gap=band.d,
-    )
-    twin = EhrenpreisCutoff(
-        band_index=k,
-        budget=band.budget,
-        plateau_lo=band.lo - half,
-        plateau_hi=band.hi + half,
-        box_width=w,
-        gap=band.d,
-        twin=True,
-    )
-    return phi, twin
 
 
 # -- derivative growth bounds -----------------------------------------------------
@@ -616,15 +582,15 @@ def recursion_product(n: int, c: float) -> dict:
     }
 
 
-def write_cutoff_samples_csv(cutoff: EhrenpreisCutoff, stream, n_samples: int = 200) -> None:
-    """Sampled profile (r, phi, phi', phi'') across the support, for plotting."""
+def write_cutoff_samples_csv(cutoff: EhrenpreisCutoff, stream) -> None:
+    """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting."""
     lo = float(cutoff.support_lo)
     hi = float(cutoff.support_hi)
     margin = 0.05 * (hi - lo)
     stream.write("r,phi,dphi,d2phi\n")
     top = min(2, cutoff.budget)
-    for i in range(n_samples + 1):
-        r = lo - margin + (hi - lo + 2 * margin) * i / n_samples
+    for i in range(201):
+        r = lo - margin + (hi - lo + 2 * margin) * i / 200
         phi_v = cutoff.value(r)
         d1 = cutoff.derivative_value(r, 1)
         d2 = cutoff.derivative_value(r, 2) if top >= 2 else 0.0

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "bernoulli_generator",
     "a_table_recurrence",
     "a_table_generating",
-    "a_entry_generating",
     "matrix_inverse_coeffs",
     "stirling_B",
     "delta_closed_form",
@@ -90,9 +88,6 @@ class SparseTerms:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -166,14 +161,6 @@ class Series:
                 f"series orders differ: {self.order} != {other.order}"
             )
 
-    def __add__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
     def __mul__(self, other: "Series") -> "Series":
         self._check_order(other)
         n = self.order
@@ -186,19 +173,6 @@ class Series:
                 if b:
                     out[i + j] += a * b
         return Series(tuple(out))
-
-    def __pow__(self, exponent: int) -> "Series":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined at fixed truncation")
-        result = Series.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -215,13 +189,6 @@ class Series:
                     acc += ci * inv[m - i]
             inv.append(-acc / c0)
         return Series(tuple(inv))
-
-    def __truediv__(self, other: "Series") -> "Series":
-        return self * other.reciprocal()
-
-    @staticmethod
-    def one(order: int) -> "Series":
-        return Series((Fraction(1),) + (Fraction(0),) * order)
 
 
 def bernoulli_generator(order: int) -> Series:
@@ -318,15 +285,6 @@ def a_table_generating(jmax: int) -> CoeffTable:
     return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_GENERATING)
 
 
-def a_entry_generating(j: int, jprime: int) -> Fraction:
-    """Single coefficient a[j][j'] via the generating-function route."""
-    if not 0 <= jprime <= j:
-        raise ValueError("need 0 <= j' <= j")
-    order = j - jprime
-    g = bernoulli_generator(order)
-    return (g ** (j + 1))[order]
-
-
 def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
     """First row (c_0..c_m_max) of the inverse factorial band matrix.
 
@@ -385,12 +343,6 @@ def delta_closed_form(ell: int, k: int, sign_convention: str) -> Fraction:
     return sum(
         (base ** h / factorial(h) for h in range(1, ell + 1)), Fraction(0)
     )
-
-
-@lru_cache(maxsize=None)
-def default_table(jmax: int = 40) -> CoeffTable:
-    """Shared recurrence-built table (immutable, safe to share across threads)."""
-    return a_table_recurrence(jmax)
 
 
 def coeff_table_to_json(table: CoeffTable) -> str:

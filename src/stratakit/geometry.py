@@ -145,7 +145,6 @@ class StratumLabel(Enum):
     NONCHARACTERISTIC = "Noncharacteristic"
     SIGMA1 = "Sigma1"
     SIGMA2 = "Sigma2"
-    SIGMA_TOP = "SigmaTop"
     ZERO_SECTION = "ZeroSection"
 
 
@@ -565,11 +564,11 @@ def log_spiral_fit(traj: Trajectory) -> dict:
 # -- exact stratum samplers ----------------------------------------------------
 
 
-def _nonzero_fraction(rng, span: int = 6) -> Fraction:
+def _nonzero_fraction(rng) -> Fraction:
     num = 0
     while num == 0:
-        num = rng.randint(-span, span)
-    return Fraction(num, rng.randint(1, span))
+        num = rng.randint(-6, 6)
+    return Fraction(num, rng.randint(1, 6))
 
 
 def sample_sigma1(rng, params: ModelParams) -> Covector:

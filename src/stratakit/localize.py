@@ -30,12 +30,11 @@ from fractions import Fraction
 from math import factorial
 
 from . import exactalg, opalg
-from .exactalg import CoeffTable, default_table, fmt_fraction
+from .exactalg import CoeffTable, fmt_fraction
 from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
     "LocalizerN",
-    "LocalizedPower",
     "build_N",
     "build_Rp_phi",
     "verify_localizer_bracket",
@@ -68,29 +67,14 @@ class LocalizerN:
     op: DiffOp
 
 
-@dataclass(frozen=True)
-class LocalizedPower:
-    """R^p_phi = sum_j phi^(j) N_j R^(p-j), optionally on a shifted phi family.
-
-    ``base_derivative`` m means the formal family phi^(m), whose j-th
-    derivative is phi^(m+j); the plain localized power has m = 0.
-    """
-
-    p: int
-    k: int
-    base_derivative: int
-    op: DiffOp
-
-
 _M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
 _N_OPS: dict[tuple, DiffOp] = {}  # (k, row j of the table) -> N_j
 
 
-def build_N(j: int, k: int, table: CoeffTable | None = None) -> LocalizerN:
+def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
     """Assemble the localizer N_j from a validated coefficient table."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    table = table if table is not None else default_table(max(j, 1))
     if table.jmax < j:
         raise ValueError(f"coefficient table too small: jmax={table.jmax} < j={j}")
     key = (k, table.row(j))
@@ -112,24 +96,17 @@ def _localized(parts: list[DiffOp], q: int, m: int) -> DiffOp:
     return DiffOp._of(terms)
 
 
-def build_Rp_phi(
-    p: int,
-    k: int,
-    table: CoeffTable | None = None,
-    base_derivative: int = 0,
-) -> LocalizedPower:
-    if p < 0 or base_derivative < 0:
-        raise ValueError("p and base_derivative must be >= 0")
-    table = table if table is not None else default_table(max(p, 1))
-    op = _localized([build_N(j, k, table).op for j in range(p + 1)], p, base_derivative)
-    return LocalizedPower(p=p, k=k, base_derivative=base_derivative, op=op)
+def build_Rp_phi(p: int, k: int, table: CoeffTable) -> DiffOp:
+    """R^p_phi = sum_j phi^(j) N_j R^(p-j)."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    return _localized([build_N(j, k, table).op for j in range(p + 1)], p, 0)
 
 
-def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable | None = None) -> dict:
+def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
     """Check [X2, N_j] + t^k N_{j-1} R == 0 exactly for 1 <= j <= jmax."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    table = table if table is not None else default_table(jmax)
     model = build_model(k)
     tk = opalg.tvar(k)
     cases = []
@@ -147,18 +124,17 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable | None = None)
     }
 
 
-def verify_x2_bracket(pmax: int, k: int, table: CoeffTable | None = None) -> dict:
+def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
     """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax."""
     if pmax < 0:
         raise ValueError("pmax must be >= 0")
-    table = table if table is not None else default_table(max(pmax, 1))
     model = build_model(k)
     tk = opalg.tvar(k)
     cases = []
     for p in range(pmax + 1):
         rp = build_Rp_phi(p, k, table)
-        np_op = build_N(p, k, table)
-        residual = commutator(model.X2, rp.op) - tk * opalg.phi(p + 1) * np_op.op
+        np_op = build_N(p, k, table).op
+        residual = commutator(model.X2, rp) - tk * opalg.phi(p + 1) * np_op
         cases.append({"p": p, **_residual_case(residual)})
     return {
         "identity": "x2-localized-power-bracket",
@@ -194,7 +170,7 @@ def _compare_candidate(extracted: list[Fraction], candidate: list[Fraction]) -> 
     }
 
 
-def extract_delta(pmax: int, k: int, table: CoeffTable | None = None) -> dict:
+def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     """Solve [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1) for delta.
 
     The basis operators X1 R^(p-l-1)_phi^(l+1) hit the pivot monomials
@@ -208,14 +184,13 @@ def extract_delta(pmax: int, k: int, table: CoeffTable | None = None) -> dict:
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
-    table = table if table is not None else default_table(max(pmax, 1))
     model = build_model(k)
     cases = []
     deltas_by_p: dict[int, list[Fraction]] = {}
     # X1 = Dt commutes with phi and R: X1 R^q_phi^(m) is built from the X1 N_j
     x1_localizers = [model.X1 * build_N(j, k, table).op for j in range(pmax)]
     for p in range(1, pmax + 1):
-        residual = commutator(model.X1, build_Rp_phi(p, k, table).op)
+        residual = commutator(model.X1, build_Rp_phi(p, k, table))
         deltas: list[Fraction] = []
         for ell in range(p):
             pivot = (0, (ell + 1,), 1, p - ell - 1, 0)
@@ -265,7 +240,7 @@ def _x1_bracket_poly(j: int, k: int, table: CoeffTable) -> list[Fraction]:
     return coeffs
 
 
-def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable | None = None) -> dict:
+def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     """Expand the scalar X1-bracket polynomial over the localizer basis.
 
     For each j the degree-(j-1) polynomial sum a[j][j'] (-1/k)^l M^(j'-l)/..
@@ -277,7 +252,6 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable | None = None) -
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    table = table if table is not None else default_table(jmax)
     gamma_by_j: dict[int, list[Fraction]] = {}
     cases = []
     for j in range(1, jmax + 1):
@@ -361,7 +335,7 @@ def verify_stirling_identity(jmax: int) -> dict:
     }
 
 
-def bound_scan_a(jmax: int, table: CoeffTable | None = None) -> dict:
+def bound_scan_a(jmax: int, table: CoeffTable) -> dict:
     """Empirical exponential-growth scan of the coefficient table.
 
     Returns the least c with max_l |a[j][l]| <= c^j over 2 <= j <= jmax,
@@ -370,7 +344,6 @@ def bound_scan_a(jmax: int, table: CoeffTable | None = None) -> dict:
     """
     if jmax < 2:
         raise ValueError("jmax must be >= 2")
-    table = table if table is not None else default_table(jmax)
     per_j = []
     c_min = 0.0
     for j in range(jmax + 1):

@@ -33,15 +33,12 @@ __all__ = [
     "ModelOps",
     "zero",
     "one",
-    "scalar",
     "tvar",
     "dt",
     "rr",
     "dtheta",
     "phi",
     "commutator",
-    "ad_power",
-    "binomial_ad_expand",
     "build_model",
     "render",
 ]
@@ -152,10 +149,6 @@ def one() -> DiffOp:
     return DiffOp({_ZERO_KEY: Fraction(1)})
 
 
-def scalar(c) -> DiffOp:
-    return DiffOp({_ZERO_KEY: c})
-
-
 def tvar(power: int = 1) -> DiffOp:
     if power < 0:
         raise ValueError("t powers must be >= 0")
@@ -185,31 +178,6 @@ def phi(j: int) -> DiffOp:
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return a * b - b * a
-
-
-def ad_power(z: DiffOp, w: DiffOp, ell: int) -> DiffOp:
-    """Iterated bracket ad_z^ell(w); ad^0 is the identity."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    out = w
-    for _ in range(ell):
-        out = commutator(z, out)
-    return out
-
-
-def binomial_ad_expand(z: DiffOp, w: DiffOp, j: int) -> DiffOp:
-    """Expansion of [z^j, w] as sum_k C(j,k) ad_z^k(w) z^(j-k), k >= 1."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    acc = zero()
-    ad_k = w
-    z_pows = [one()]
-    for _ in range(j):
-        z_pows.append(z_pows[-1] * z)
-    for k in range(1, j + 1):
-        ad_k = commutator(z, ad_k)
-        acc = acc + comb(j, k) * (ad_k * z_pows[j - k])
-    return acc
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,22 @@ class TestFlowCommand:
             cli.main(["flow", "--a", "2", "--b", "1"])
         assert exc.value.code == 2
 
+    def test_csv_is_streamed_not_buffered(self, tmp_path):
+        # the rows go straight to the file: --csv-out may not hold the CSV text in memory
+        def traced_peak(*extra):
+            args = cli._build_parser().parse_args(["flow", "--t-end", "10", *extra])
+            tracemalloc.start()
+            try:
+                cli.run_flow(args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        csv = tmp_path / "traj.csv"
+        without = traced_peak()
+        with_csv = traced_peak("--csv-out", str(csv))
+        assert with_csv - without < csv.stat().st_size / 10
+
 
 class TestCutoffCommand:
     def test_small_family(self, tmp_path):
@@ -238,6 +255,7 @@ def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, 
         ["cutoff", "--N", "4", "--kmax", "1", "--r2", "1e400"],
         ["flow", "--xi0", "0,0", "--t-end", "0.01"],
         ["flow", "--t-end", "1000", "--h", "1e-6"],
+        ["report-all", "--quick", "--k", "2,2", "--outdir", "{tmp}/r"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
@@ -250,6 +268,20 @@ def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def test_failed_write_leaves_target_and_no_temporary_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old bytes\n")
+
+    def write(fh):
+        fh.write("partial")
+        raise RuntimeError("stopped partway")
+
+    with pytest.raises(RuntimeError):
+        cli._write_atomic(target, write)
+    assert target.read_text() == "old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_unwritable_outdir_fails_before_any_section(monkeypatch, tmp_path, capsys):

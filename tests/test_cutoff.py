@@ -9,7 +9,6 @@ import pytest
 from stratakit.cutoff import (
     build_bands,
     build_cutoff,
-    build_cutoff_pair,
     bound_check_grid,
     bspline_derivative_sup,
     derivative_bound_check,
@@ -106,18 +105,10 @@ class TestCutoffShape:
         assert isinstance(cut.value(0.5), float)
         assert isinstance(cut.value(Fraction(1, 2)), Fraction)
 
-    def test_twin_is_one_on_support_of_base(self):
-        fam = build_bands(0, 1, 16)
-        phi, twin = build_cutoff_pair(fam, 2)
-        assert twin.value(phi.support_lo) == 1
-        assert twin.value(phi.support_hi) == 1
-        band1 = fam.band(1)
-        assert (twin.support_lo, twin.support_hi) == (band1.lo, band1.hi)
-
     def test_base_is_one_on_support_of_next_level(self):
         fam = build_bands(0, 1, 16)
-        phi1, _ = build_cutoff_pair(fam, 1)
-        phi2, _ = build_cutoff_pair(fam, 2)
+        phi1 = build_cutoff(fam, 1)
+        phi2 = build_cutoff(fam, 2)
         assert phi1.plateau_lo <= phi2.support_lo
         assert phi2.support_hi <= phi1.plateau_hi
         assert phi1.value(phi2.support_lo) == 1
@@ -384,9 +375,9 @@ class TestRecursionProduct:
 def test_samples_csv_shape():
     cut = build_cutoff(build_bands(0, 1, 8), 1)
     buf = io.StringIO()
-    write_cutoff_samples_csv(cut, buf, n_samples=40)
+    write_cutoff_samples_csv(cut, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "r,phi,dphi,d2phi"
-    assert len(lines) == 42
-    values = [float(c) for c in lines[20].split(",")]
+    assert len(lines) == 202
+    values = [float(c) for c in lines[100].split(",")]
     assert 0.0 <= values[1] <= 1.0

@@ -18,6 +18,8 @@ from stratakit.localize import (
 )
 from stratakit.opalg import build_model, commutator, one, phi, rr
 
+TABLE = exactalg.a_table_recurrence(40)
+
 
 def _direct_N(j, k, table):
     """N_j = sum a[j][j'] M^j'/j'! built from opalg products, with no memo."""
@@ -30,16 +32,16 @@ def _direct_N(j, k, table):
 
 class TestLocalizerConstruction:
     def test_n0_is_identity(self):
-        assert build_N(0, 2).op == one()
+        assert build_N(0, 2, TABLE).op == one()
 
     def test_n1(self):
         m = build_model(2).M
-        assert build_N(1, 2).op == m - one()
+        assert build_N(1, 2, TABLE).op == m - one()
 
     def test_n2(self):
         m = build_model(3).M
         expected = one() - Fraction(3, 2) * m + Fraction(1, 2) * (m * m)
-        assert build_N(2, 3).op == expected
+        assert build_N(2, 3, TABLE).op == expected
 
     def test_table_too_small_rejected(self):
         small = exactalg.a_table_recurrence(2)
@@ -54,64 +56,62 @@ class TestLocalizerConstruction:
         changed = build_N(3, 2, perturbed).op
         assert changed == _direct_N(3, 2, perturbed)
         assert changed != _direct_N(3, 2, base)
-        assert build_N(3, 2).op == _direct_N(3, 2, base)
+        assert build_N(3, 2, TABLE).op == _direct_N(3, 2, base)
 
     def test_adding_to_a_returned_localizer_leaves_the_next_one_intact(self):
-        expected = _direct_N(4, 3, exactalg.default_table(4))
-        op = build_N(4, 3).op
+        expected = _direct_N(4, 3, TABLE)
+        op = build_N(4, 3, TABLE).op
         op += opalg.tvar()
         assert op != expected
-        assert build_N(4, 3).op == expected
+        assert build_N(4, 3, TABLE).op == expected
 
 
 class TestLocalizedPower:
     def test_p0_is_phi(self):
-        assert build_Rp_phi(0, 2).op == phi(0)
+        assert build_Rp_phi(0, 2, TABLE) == phi(0)
 
     def test_p1_expansion(self):
         m = build_model(2).M
         expected = phi(0) * rr() + phi(1) * (m - one())
-        assert build_Rp_phi(1, 2).op == expected
+        assert build_Rp_phi(1, 2, TABLE) == expected
 
     @pytest.mark.parametrize("p", [0, 1, 3, 6])
     def test_collapses_to_plain_power_where_cutoff_is_one(self, p):
-        op = build_Rp_phi(p, 2).op.substitute_phi_unit()
+        op = build_Rp_phi(p, 2, TABLE).substitute_phi_unit()
         assert op == rr() ** p
 
     def test_shifted_family(self):
-        shifted = build_Rp_phi(1, 2, base_derivative=3).op
+        shifted = localize._localized([build_N(j, 2, TABLE).op for j in range(2)], 1, 3)
         m = build_model(2).M
         assert shifted == phi(3) * rr() + phi(4) * (m - one())
 
-    def test_negative_base_derivative_rejected(self):
-        with pytest.raises(ValueError):
-            build_Rp_phi(2, 2, base_derivative=-1)
-
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_direct_product_sum(self, k):
-        table = exactalg.default_table(6)
+        table = exactalg.a_table_recurrence(6)
         for p in range(7):
+            parts = [build_N(j, k, table).op for j in range(p + 1)]
             for m in range(4):
                 expected = opalg.zero()
                 for j in range(p + 1):
                     expected = expected + phi(j + m) * _direct_N(j, k, table) * rr() ** (p - j)
-                assert build_Rp_phi(p, k, table, base_derivative=m).op == expected
+                assert localize._localized(parts, p, m) == expected
+            assert build_Rp_phi(p, k, table) == localize._localized(parts, p, 0)
 
 
 class TestX2LocalizerBracket:
     def test_j1_by_hand(self):
         m = build_model(2)
-        n1 = build_N(1, 2).op
+        n1 = build_N(1, 2, TABLE).op
         assert commutator(m.X2, n1) == -(opalg.tvar(2) * rr())
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_zero_residual_through_j10(self, k):
-        report = verify_localizer_bracket(10, k)
+        report = verify_localizer_bracket(10, k, TABLE)
         assert report["pass"]
         assert all(c["residual_terms"] == 0 for c in report["cases"])
 
     def test_report_shape(self):
-        report = verify_localizer_bracket(3, 2)
+        report = verify_localizer_bracket(3, 2, TABLE)
         assert report["identity"] == "x2-localizer-bracket"
         assert [c["j"] for c in report["cases"]] == [1, 2, 3]
 
@@ -124,7 +124,7 @@ class TestX2LocalizedPowerBracket:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_zero_residual_through_p10(self, k):
-        report = verify_x2_bracket(10, k)
+        report = verify_x2_bracket(10, k, TABLE)
         assert report["pass"]
 
     def test_bracket_is_single_phi_term(self):
@@ -132,7 +132,7 @@ class TestX2LocalizedPowerBracket:
         # bracket contains a phi derivative of order <= p
         k, p = 2, 5
         m = build_model(k)
-        bracket = commutator(m.X2, build_Rp_phi(p, k).op)
+        bracket = commutator(m.X2, build_Rp_phi(p, k, TABLE))
         for (_, phis, _, _, _) in bracket.terms:
             assert phis == (p + 1,)
 
@@ -140,17 +140,17 @@ class TestX2LocalizedPowerBracket:
 class TestDeltaExtraction:
     def test_p1_bracket_by_hand(self):
         m = build_model(2)
-        bracket = commutator(m.X1, build_Rp_phi(1, 2).op)
+        bracket = commutator(m.X1, build_Rp_phi(1, 2, TABLE))
         assert bracket == Fraction(1, 2) * (phi(1) * opalg.dt())
 
     def test_leading_delta_is_minus_one_over_k(self):
         for k in (2, 3, 5):
-            report = extract_delta(3, k)
+            report = extract_delta(3, k, TABLE)
             assert report["delta_values"][0] == Fraction(-1, k)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_structural_pass_and_p_independence(self, k):
-        report = extract_delta(8, k)
+        report = extract_delta(8, k, TABLE)
         assert report["pass"]
         assert report["delta_p_independent"]
         assert all(c["residual_terms"] == 0 for c in report["cases"])
@@ -160,7 +160,7 @@ class TestDeltaExtraction:
         # delta_2 = -1/(3k) - 1/(2k^2) - 1/(6k^3), derived by expanding the
         # bracket polynomials over the localizer basis by hand
         for k in (2, 3, 4):
-            got = extract_delta(4, k)["delta_values"]
+            got = extract_delta(4, k, TABLE)["delta_values"]
             assert got[0] == Fraction(-1, k)
             assert got[1] == Fraction(1, 2 * k) + Fraction(1, 2 * k * k)
             assert got[2] == (
@@ -168,10 +168,10 @@ class TestDeltaExtraction:
             )
 
     def test_bounded_by_one(self):
-        assert extract_delta(8, 2)["delta_abs_le_1"]
+        assert extract_delta(8, 2, TABLE)["delta_abs_le_1"]
 
     def test_neither_printed_convention_matches(self):
-        report = extract_delta(6, 2)
+        report = extract_delta(6, 2, TABLE)
         comparison = report["convention_comparison"]
         assert not comparison["positive"]["matches"]
         assert not comparison["alternating"]["matches"]
@@ -183,7 +183,7 @@ class TestDeltaExtraction:
         # ratios: |delta_l| = C(2l+2, l+1)/4^(l+1)
         from math import comb
 
-        got = extract_delta(6, 2)["delta_values"]
+        got = extract_delta(6, 2, TABLE)["delta_values"]
         for ell, value in enumerate(got):
             expected = Fraction(comb(2 * ell + 2, ell + 1), 4 ** (ell + 1))
             assert abs(value) == expected
@@ -193,19 +193,19 @@ class TestDeltaExtraction:
 class TestGammaExpansion:
     def test_j1_single_term(self):
         for k in (2, 3):
-            report = verify_gamma_expansion(1, k)
+            report = verify_gamma_expansion(1, k, TABLE)
             assert report["gamma_values"] == [Fraction(-1, k)]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_exact_expansion_through_j8(self, k):
-        report = verify_gamma_expansion(8, k)
+        report = verify_gamma_expansion(8, k, TABLE)
         assert report["pass"]
         assert report["gamma_j_independent"]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gamma_reproduces_operator_delta(self, k):
-        gamma = verify_gamma_expansion(7, k)["gamma_values"]
-        delta = extract_delta(7, k)["delta_values"]
+        gamma = verify_gamma_expansion(7, k, TABLE)["gamma_values"]
+        delta = extract_delta(7, k, TABLE)["delta_values"]
         assert gamma == delta
 
 
@@ -232,21 +232,21 @@ class TestStirlingIdentity:
 
 class TestBoundScan:
     def test_row_two_max(self):
-        scan = bound_scan_a(4)
+        scan = bound_scan_a(4, TABLE)
         row2 = next(e for e in scan["per_j_max"] if e["j"] == 2)
         assert row2["max_abs"] == "3/2"
 
     def test_row_zero(self):
-        scan = bound_scan_a(2)
+        scan = bound_scan_a(2, TABLE)
         assert scan["per_j_max"][0]["max_abs"] == "1/1"
 
     def test_rate_bounded_by_four_through_40(self):
-        scan = bound_scan_a(40)
+        scan = bound_scan_a(40, TABLE)
         assert 0 < scan["c_min_empirical"] <= 4.0
 
     def test_rejects_tiny_jmax(self):
         with pytest.raises(ValueError):
-            bound_scan_a(1)
+            bound_scan_a(1, TABLE)
 
     def test_fails_on_fast_growth(self):
         entries = dict(exactalg.a_table_recurrence(2).entries)
@@ -262,8 +262,8 @@ def test_phi_unit_collapse_is_consistent_on_both_sides(k):
     # substituting phi == 1 must collapse the verified identities coherently
     m = build_model(k)
     p = 4
-    lhs = commutator(m.X2, build_Rp_phi(p, k).op).substitute_phi_unit()
-    rhs = (opalg.tvar(k) * phi(p + 1) * build_N(p, k).op).substitute_phi_unit()
+    lhs = commutator(m.X2, build_Rp_phi(p, k, TABLE)).substitute_phi_unit()
+    rhs = (opalg.tvar(k) * phi(p + 1) * build_N(p, k, TABLE).op).substitute_phi_unit()
     assert lhs.is_zero and rhs.is_zero
-    lhs1 = commutator(m.X1, build_Rp_phi(p, k).op).substitute_phi_unit()
+    lhs1 = commutator(m.X1, build_Rp_phi(p, k, TABLE)).substitute_phi_unit()
     assert lhs1.is_zero

@@ -17,16 +17,17 @@ computed from the truncated-power representation
 
     B_n^(j)(y) = (1/(n-j-1)!) sum_s (-1)^s C(n, s) (y - s)_+^(n-j-1),
 
-whose numerator is a pure integer for rational y — evaluation and sign
-queries are exact at any size.  One search, ``_sup_batch``, serves every
-order.  By total positivity B_n^(j+1) has exactly j+1 sign changes, one at
-each local maximum of |B_n^(j)|.  The search counts the sign changes of its
-integer knot values (from Eulerian numbers); when there are j+1, every
-local maximum lies in a unit bracket the search sees, and the count is kept
-as that certificate.  Brackets are visited by decreasing tangent-line
-estimate, with a Newton search inside each.  The reported "sup" is the
-exact spline value at the rational abscissa where the search ended, so it
-is a lower bound on the true supremum, not an enclosure.
+whose numerator is an integer for rational y, so evaluation is exact at any
+size.  The suprema need no search.  B_n^(j) is the j-th backward difference
+of B_(n-j),
+
+    B_n^(j)(y) = sum_i (-1)^i C(j, i) B_(n-j)(y - i),
+
+and the translates B_(n-j)(y - i) are non-negative with sum 1, so
+|B_n^(j)| <= C(j, floor(j/2)).  The bound is attained at j = n-1, where
+B_n^(n-1) is piecewise constant with values +-C(n-1, i).  Every per-order
+value reported is this certified upper bound; only the top order's is
+attained.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .exactalg import fmt_fraction
 
@@ -44,7 +45,6 @@ __all__ = [
     "EhrenpreisCutoff",
     "build_bands",
     "build_cutoff",
-    "bspline_derivative_sup",
     "derivative_bound_check",
     "bound_check_grid",
     "recursion_product",
@@ -61,8 +61,6 @@ def _log_frac(q: Fraction) -> float:
 
 
 def _sci_from_log(log_value: float) -> str:
-    if log_value == float("-inf"):
-        return "0"
     log10 = log_value / math.log(10.0)
     exp = math.floor(log10)
     mant = 10.0 ** (log10 - exp)
@@ -125,42 +123,6 @@ def build_bands(r1, r2, n: int) -> BandFamily:
 # -- cardinal B-spline engine ----------------------------------------------------
 
 
-def _next_eulerian_row(prev: list[int], m: int) -> list[int]:
-    """Row m of the Eulerian triangle from row m-1 (row m has m entries)."""
-    width = max(m, 1)
-    row = [0] * width
-    # A(m, k) = A(m, m-1-k): compute the left half, mirror the rest
-    for j in range((width + 1) // 2):
-        left = prev[j] if j < len(prev) else 0
-        diag = prev[j - 1] if 0 <= j - 1 < len(prev) else 0
-        row[j] = row[width - 1 - j] = (j + 1) * left + (m - j) * diag
-    return row
-
-
-def _knot_differences(n: int, j: int, eulerian_row: list[int]) -> list[int]:
-    """Knot values h(i), 0 <= i <= n//2 + 1, of the j-fold backward difference of B_(q-1).
-
-    With q = n - j >= 2, h is scaled by (q-2)!; ``eulerian_row`` must be row
-    q-2 of the triangle, so (q-2)! B_(q-1)(i) = A(q-2, i-1).  h gives the
-    integer knot values of both g = B_n^(j+1) and f = B_n^(j):
-
-        (q-2)! g(i) = h(i) - h(i-1),    (q-1)! f(i) = i (q-2)! g(i) + n h(i-1),
-
-    the second from the recurrence (q-1) B_q(x) = x B_(q-1)(x) +
-    (q-x) B_(q-1)(x-1) differenced j times.  B_n^(j)(n - y) = (-1)^j B_n^(j)(y)
-    gives the knots past n//2 + 1.  At q = 2, g is piecewise constant and
-    h(i) - h(i-1) is its value on [i, i+1), for i >= 1.
-    """
-    size = n // 2 + 2
-    # B_1 is the unit box: its one knot value is 1 at the left end
-    h = ([0] + eulerian_row if n - j > 2 else [1]) + [0] * size
-    del h[size:]
-    for _ in range(j):  # a backward difference at i reads only i - 1
-        for i in range(size - 1, 0, -1):
-            h[i] -= h[i - 1]
-    return h
-
-
 _COMB_ROWS: dict = {}
 
 
@@ -173,198 +135,26 @@ def _comb_row(n: int) -> list[int]:
     return _COMB_ROWS[n]
 
 
-def _deriv_numerators(n: int, j: int, p: int, q_den: int, orders: int = 1) -> list[int]:
-    """Integer numerators of B_n^(j), ..., B_n^(j+orders-1) at p/q_den.
-
-    Order j+m has its numerator over (n-j-m-1)! * q_den^(n-j-m-1); one pass
-    of the truncated-power sum gives all of them.
-    """
-    low = n - j - orders  # degree of the highest order asked for
-    acc = [0] * orders
-    if p <= 0:
-        return acc
-    binom = _comb_row(n)
-    for s in range(min(p // q_den, n) + 1):
-        base = p - s * q_den
-        c = -binom[s] if s % 2 else binom[s]
-        if base == 0:  # (y - s)_+^0 is 1 at y = s; higher powers vanish
-            if low == 0:
-                acc[-1] += c
-            continue
-        term = c * base ** low
-        acc[-1] += term
-        for m in range(orders - 2, -1, -1):
-            term *= base  # a short factor: far cheaper than a second c * power
-            acc[m] += term
-    return acc
-
-
 def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
-    """Exact value of B_n^(j) at a rational point (unit knots on [0, n])."""
+    """Exact value of B_n^(j) at a rational point (unit knots on [0, n]).
+
+    At y = p/q the truncated-power sum has an integer numerator over
+    (n-j-1)! q^(n-j-1); 0 ** 0 == 1 gives (y - s)_+^0 = 1 at the knot y = s.
+    """
     if y <= 0 or y >= n:
         return Fraction(0)
     deg = n - j - 1
-    [num] = _deriv_numerators(n, j, y.numerator, y.denominator)
-    return Fraction(num, factorial(deg) * y.denominator ** deg)
+    p, q = y.numerator, y.denominator
+    binom = _comb_row(n)
+    num = 0
+    for s in range(min(p // q, n) + 1):
+        num += (-binom[s] if s % 2 else binom[s]) * (p - s * q) ** deg
+    return Fraction(num, factorial(deg) * q ** deg)
 
 
 def _cdf(n: int, y: Fraction) -> Fraction:
     """Transition ramp B_n^(-1) = integral of B_n: the smoothed unit step, at knot scale."""
     return Fraction(1) if y >= n else _eval_deriv(n, -1, y)
-
-
-def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational of least denominator in [lo, hi], lo <= hi (continued fractions)."""
-    whole = lo.numerator // lo.denominator
-    if whole == lo:
-        return lo
-    if whole + 1 <= hi:
-        return Fraction(whole + 1)
-    return whole + 1 / _simplest_in(1 / (hi - whole), 1 / (lo - whole))
-
-
-def _sup_search(n: int, j: int, h: list[int]):
-    """Largest |f|, f = B_n^(j), from the knot values h of ``_knot_differences``.
-
-    For q = n - j <= 2, f is piecewise linear or constant (its knot values
-    are g of order n-2), so the largest knot value is the sup.  Otherwise,
-    by total positivity g has exactly j+1 sign changes in (0, n), so the
-    local maxima of |f| are the zeros of g; the sign changes of g's knot
-    values bracket them.  By symmetry only the left half is searched.
-    Brackets are visited by decreasing tangent-line estimate, and a Newton
-    iteration on g inside each one stops once its quadratic model predicts
-    a relative rise of at most ``tol``.  Each iterate is the simplest
-    rational within the distance over which |f| drops by at most ``tol``
-    from its peak, so its exact evaluation stays cheap; floats only choose
-    abscissae.  Returns (sup, argmax, sign changes of g's knot values),
-    with a knot as argmax and None as the count where q <= 2.
-    """
-    q = n - j
-
-    def g_num(i: int) -> int:  # (q-2)! g(i)
-        return h[i] - h[i - 1] if i else h[0]
-
-    def f_num(i: int) -> int:  # (q-1)! f(i)
-        return i * g_num(i) + n * h[i - 1] if i else 0
-
-    if q <= 2:
-        nums = f_num if q == 2 else g_num  # both scaled by 0! = 1! = 1
-        top = max(range(1, n // 2 + 1), key=lambda i: abs(nums(i)))
-        return Fraction(abs(nums(top))), Fraction(top), None
-    # relative; far below the double rounding of the reported log, so a
-    # log_sup differs from that of the true sup by at most that rounding
-    tol = 1e-20
-    scale = factorial(q - 1)
-    # the right half mirrors the left, with one more change at the centre
-    # when g is odd about n/2 (j even)
-    signs = [v > 0 for v in map(g_num, range(n // 2 + 1)) if v]
-    sign_changes = 2 * sum(a != b for a, b in zip(signs, signs[1:])) + (j % 2 == 0)
-    best, best_x = Fraction(0), Fraction(0)
-    for i in range(1, n // 2 + 1):  # a zero of g at a knot is a critical point there
-        if g_num(i) == 0 and abs(f_num(i)) > best * scale:
-            best, best_x = Fraction(abs(f_num(i)), scale), Fraction(i)
-    brackets = []
-    for i in range((n + 1) // 2):
-        fa, fb = f_num(i), f_num(i + 1)
-        ga, gb = (q - 1) * g_num(i), (q - 1) * g_num(i + 1)  # f' on f's scale
-        if (ga > 0 > gb) or (ga < 0 < gb):
-            # the tangents at i and i+1 meet at height peak / |ga - gb|
-            peak = abs(ga * fb - gb * fa - ga * gb)
-            if peak:  # ranked by the log of the estimate; the stop test is exact
-                brackets.append((math.log(peak) - math.log(abs(ga - gb)), i, (fa, fb, ga, gb), peak))
-    brackets.sort(reverse=True)
-    for _, i, ends, peak in brackets:
-        if Fraction(peak, abs(ends[2] - ends[3]) * scale) <= best:
-            break
-        # start at the argmax of the cubic Hermite interpolant of the four knot data
-        fa, fb, ga, gb = (v / max(map(abs, ends)) for v in ends)
-        a, b = 6 * (fa - fb) + 3 * (ga + gb), 6 * (fb - fa) - 4 * ga - 2 * gb
-        t_lo, t_hi, t = 0.0, 1.0, 0.5
-        while t_lo < t < t_hi:
-            if ((a * t + b) * t + ga > 0) == (ga > 0):
-                t_lo = t
-            else:
-                t_hi = t
-            t = (t_lo + t_hi) / 2
-        lo, hi = Fraction(i), Fraction(i + 1)
-        # |f| drops by at most tol within reach = sqrt(2 tol |f / f''|) of its
-        # peak; the secant of f' over the bracket estimates f'' at the start
-        reach = Fraction(math.sqrt(2 * tol * (peak / (ends[2] - ends[3]) ** 2)))
-        target = lo + Fraction(t)
-        while True:
-            x = _simplest_in(target - reach, target + reach)
-            if not lo < x < hi:
-                x = (lo + hi) / 2
-            den = x.denominator
-            fx, gx, hx = _deriv_numerators(n, j, x.numerator, den, 3)
-            value = Fraction(abs(fx), scale * den ** (q - 1))
-            if value > best:
-                best, best_x = value, x
-            if gx == 0:
-                break
-            if (gx > 0) == (ends[2] > 0):
-                lo = x
-            else:
-                hi = x
-            if hi - lo <= reach:
-                break
-            curvature = hx * fx
-            if curvature >= 0:  # |f| is not concave here: bisect
-                target = (lo + hi) / 2
-                continue
-            rise = gx * gx * (q - 1) / (2 * (q - 2) * -curvature)
-            if rise <= tol or value * (1 + Fraction(rise)) <= best:
-                break
-            ratio = -fx / (hx * (q - 1) * (q - 2) * den * den)  # |f / f''|
-            reach = min(reach, Fraction(math.sqrt(2 * tol * ratio)))
-            target = x - Fraction(gx / (hx * (q - 2) * den))  # Newton step on g
-    return best, best_x, sign_changes
-
-
-_BSUP_CACHE: dict = {}
-
-
-def _sup_batch(n: int, j_values) -> None:
-    """Fill the sup cache for derivative orders of B_n: one search for every order.
-
-    Orders are served by decreasing j, so one upward walk of the Eulerian
-    recurrence, keeping a single row in memory, gives each order the row
-    its knot numerators come from; the entry keeps the sign-change count of
-    g = B_n^(j+1) beside the sup.
-    """
-    row = [1]
-    m = 0
-    for j in sorted({j for j in j_values if (n, j) not in _BSUP_CACHE}, reverse=True):
-        q = n - j
-        while m < q - 2:
-            m += 1
-            row = _next_eulerian_row(row, m)
-        sup, arg, sign_changes = _sup_search(n, j, _knot_differences(n, min(j, n - 2), row))
-        _BSUP_CACHE[(n, j)] = {
-            "n": n,
-            "j": j,
-            "sup": sup,
-            "argmax": arg,
-            "log_sup": _log_frac(sup) if sup else float("-inf"),
-            "sign_changes": sign_changes,
-        }
-
-
-def bspline_derivative_sup(n: int, j: int) -> dict:
-    """sup |B_n^(j)| for the cardinal B-spline of n >= 2 unit boxes, 0 <= j <= n-1.
-
-    Returns "sup", the exact Fraction value of |B_n^(j)| at the rational
-    abscissa "argmax" where the search ended; it is a lower bound on the
-    true supremum, not an enclosure.  Also returns its natural log and
-    "sign_changes", the number of sign changes of the knot values of
-    B_n^(j+1), which total positivity fixes at j+1 and which certifies that
-    every local maximum was bracketed; it is None for j >= n-2, where the
-    sup is a knot value.
-    """
-    if n < 2 or not 0 <= j <= n - 1:
-        raise ValueError("need n >= 2 and 0 <= j <= n-1")
-    _sup_batch(n, [j])
-    return _BSUP_CACHE[(n, j)]
 
 
 # -- cutoff functions -------------------------------------------------------------
@@ -452,78 +242,58 @@ def build_cutoff(family: BandFamily, k: int) -> EhrenpreisCutoff:
 # -- derivative growth bounds -----------------------------------------------------
 
 
-def _ell_ladder(budget: int) -> list[int]:
-    dense_cap = 64 if budget <= 256 else 32
-    if budget <= dense_cap:
-        return list(range(budget + 1))
-    ells = list(range(dense_cap + 1))
-    v = dense_cap
-    while v < budget:
-        v = min(budget, max(v + 1, v * 3 // 2))
-        ells.append(v)
-    return ells
-
-
 def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
-    """Least C with sup |phi^(l)| <= (C/d)^(l+1) N^l over the checked orders.
+    """Least C with sup |phi^(l)| <= (C/d)^(l+1) N^l at every order l = 0..N.
 
-    For budgets above the dense cap the order set is thinned to a geometric
-    ladder (always including the top order); the bound constant is extremely
-    insensitive to ladder gaps because C enters at the (l+1)-th root.
+    Order 0 has sup phi = 1; order l >= 1 takes the certified bound
+    sup |B_N^(l-1)| <= C(l-1, floor((l-1)/2)), so C_measured, the largest
+    per-order constant, is certified.  The top order's bound is attained,
+    and ``pass`` requires that value, evaluated from the spline at the
+    centre of a piece, to equal the binomial.  C_closed_form is the larger
+    of the order-0 and order-N constants, d and (d C(N-1, floor((N-1)/2)))^(1/(N+1)).
     """
     n = cutoff.budget
     d = cutoff.gap
     log_d = _log_frac(d)
     log_n = math.log(n)
     log_w = _log_frac(cutoff.box_width)
-    ells = _ell_ladder(n)
-    _sup_batch(n, [ell - 1 for ell in ells if ell >= 1])
     profile = []
     c_measured = 0.0
-    # |B_n^(j)| <= 2^j: B_n^(j) is the j-th backward difference of B_(n-j),
-    # which lies in [0, 1]
-    difference_bound_ok = True
-    # B_n^(l) has exactly l sign changes, so every local maximum of
-    # |B_n^(l-1)| was bracketed when its knot values show all l of them
-    counted_ok = True
-    for ell in ells:
-        if ell == 0:
-            log_sup = 0.0
-        else:
-            info = bspline_derivative_sup(n, ell - 1)
-            log_sup = info["log_sup"] - ell * log_w
-            difference_bound_ok = difference_bound_ok and info["sup"] <= 2 ** (ell - 1)
-            counted_ok = counted_ok and info["sign_changes"] in (None, ell)
+    for ell in range(n + 1):
+        log_sup = math.log(comb(ell - 1, (ell - 1) // 2)) - ell * log_w if ell else 0.0
         log_c = log_d + (log_sup - ell * log_n) / (ell + 1)
         c_ell = math.exp(log_c)
         c_measured = max(c_measured, c_ell)
         profile.append(
             {
                 "ell": ell,
-                "log_sup": log_sup,
-                "sup": _sci_from_log(log_sup),
+                "log_sup_bound": log_sup,
+                "sup_bound": _sci_from_log(log_sup),
                 "bound_c": c_ell,
             }
         )
+    mid = (n - 1) // 2
+    top = comb(n - 1, mid)
+    # B_N^(N-1) is +-C(N-1, i) on the piece (i, i+1)
+    top_ok = abs(_eval_deriv(n, n - 1, Fraction(2 * mid + 1, 2))) == top
     return {
         "band": cutoff.band_index,
         "budget": n,
         "gap": fmt_fraction(d),
-        "checked_orders": ells,
-        "order_policy": "full" if len(ells) == n + 1 else "thinned-ladder",
+        "checked_orders": list(range(n + 1)),
         "profile": profile,
         "C_measured": c_measured,
-        "pass": (math.isfinite(c_measured) and c_measured > 0 and difference_bound_ok
-                 and counted_ok),
+        "C_closed_form": max(float(d), math.exp(_log_frac(d * top) / (n + 1))),
+        "pass": math.isfinite(c_measured) and c_measured > 0 and top_ok,
     }
 
 
 def bound_check_grid(r1, r2, n_values, kmax: int = 8) -> dict:
     """Bound constants across a grid of (N, band) pairs for fixed (r1, r2).
 
-    Uniformity claim: a single constant works for every band — measuring the
-    largest-budget band alone calibrates it, in that no (N, k) pair on the
-    grid demands more than twice that single-band value.  (Small budgets
+    Uniformity claim: a single constant works for every band — the
+    largest-budget band's certified constant calibrates it, in that no (N, k)
+    pair on the grid needs more than twice that single-band value.  (Small budgets
     need much *less*, so the downward spread is wide by design; what must
     not happen is any band needing substantially more.)
     """

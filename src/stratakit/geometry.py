@@ -304,14 +304,9 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
         raise ValueError(f"point classifies as {observed.value}, not {stratum.value}")
     funcs = stratum_defining_functions(stratum, params)
     comps = point.components()
-    size = len(funcs)
     matrix = [[poisson_bracket(fi, fj).eval(comps) for fj in funcs] for fi in funcs]
     rank = _exact_rank(matrix)
-    return {
-        "bracket_matrix": matrix,
-        "rank": rank,
-        "degenerate": rank < size,
-    }
+    return {"bracket_matrix": matrix, "rank": rank, "degenerate": rank < len(funcs)}
 
 
 # -- Hamilton flow ------------------------------------------------------------
@@ -381,13 +376,18 @@ class Trajectory:
 
 
 def _rk4_step(y, h, mu, a2, b2):
-    k1 = _leaf_rhs(y, mu, a2, b2)
-    k2 = _leaf_rhs(tuple(y[i] + 0.5 * h * k1[i] for i in range(4)), mu, a2, b2)
-    k3 = _leaf_rhs(tuple(y[i] + 0.5 * h * k2[i] for i in range(4)), mu, a2, b2)
-    k4 = _leaf_rhs(tuple(y[i] + h * k3[i] for i in range(4)), mu, a2, b2)
-    return tuple(
-        y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(4)
-    )
+    """One classical Runge-Kutta step of the state y = (x1, x2, xi1, xi2)."""
+    x1, x2, z1, z2 = y
+    half, w = 0.5 * h, h / 6.0
+    p1, p2, p3, p4 = _leaf_rhs(y, mu, a2, b2)
+    u = (x1 + half * p1, x2 + half * p2, z1 + half * p3, z2 + half * p4)
+    q1, q2, q3, q4 = _leaf_rhs(u, mu, a2, b2)
+    u = (x1 + half * q1, x2 + half * q2, z1 + half * q3, z2 + half * q4)
+    r1, r2, r3, r4 = _leaf_rhs(u, mu, a2, b2)
+    u = (x1 + h * r1, x2 + h * r2, z1 + h * r3, z2 + h * r4)
+    s1, s2, s3, s4 = _leaf_rhs(u, mu, a2, b2)
+    return (x1 + w * (p1 + 2.0 * q1 + 2.0 * r1 + s1), x2 + w * (p2 + 2.0 * q2 + 2.0 * r2 + s2),
+            z1 + w * (p3 + 2.0 * q3 + 2.0 * r3 + s3), z2 + w * (p4 + 2.0 * q4 + 2.0 * r4 + s4))
 
 
 def _leaf_taus(mu, s0, a2, b2, h, n_steps):

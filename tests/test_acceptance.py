@@ -176,8 +176,8 @@ def test_criterion_10_cutoff_bounds(bound_grid):
     report(10, "cutoff derivative bounds uniform over N<=2^10, k<=8", ok, detail)
 
 
-# C_measured per (N, band) on the acceptance grid, recorded before the sup
-# search was routed through one dispatcher; every search change must keep them
+# C_measured per (N, band) on the acceptance grid, recorded from the earlier
+# sup searches; the certified per-order bounds reproduce every one of them
 PINNED_C = {
     (4, 1): 0.9440875112949019,
     (4, 2): 0.39685026299204984,
@@ -213,6 +213,13 @@ PINNED_C = {
 def test_grid_constants_pinned(bound_grid):
     measured = {(e["N"], e["k"]): e["C_measured"] for e in bound_grid["entries"]}
     assert measured == PINNED_C
+
+
+def test_closed_form_constant_matches_measured():
+    # max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))): orders 0 and N set every band's C
+    for n, k in PINNED_C:
+        check = co.derivative_bound_check(co.build_cutoff(co.build_bands(1, 2, n), k))
+        assert check["C_closed_form"] == pytest.approx(check["C_measured"], rel=1e-12, abs=0)
 
 
 def test_criterion_11_recursion_product_convergence(bound_grid):

@@ -10,7 +10,6 @@ from stratakit.cutoff import (
     build_bands,
     build_cutoff,
     bound_check_grid,
-    bspline_derivative_sup,
     derivative_bound_check,
     recursion_product,
     write_cutoff_samples_csv,
@@ -116,94 +115,35 @@ class TestCutoffShape:
 
 class TestBsplineSups:
     def test_hat_function(self):
-        info = bspline_derivative_sup(2, 0)
-        assert info["sup"] == 1 and info["argmax"] == 1
+        assert co._eval_deriv(2, 0, Fraction(1)) == 1 == math.comb(0, 0)
 
     def test_quadratic_peak(self):
-        info = bspline_derivative_sup(3, 0)
-        assert info["sup"] == Fraction(3, 4)
-        assert info["argmax"] == Fraction(3, 2)
+        assert co._eval_deriv(3, 0, Fraction(3, 2)) == Fraction(3, 4)
 
     def test_top_derivative_central_binomial(self):
         # piecewise-constant top derivative has values +-C(n-1, i)
-        info = bspline_derivative_sup(6, 5)
-        assert info["sup"] == 10  # C(5, 2)
+        assert abs(co._eval_deriv(6, 5, Fraction(5, 2))) == 10  # C(5, 2)
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_sup_dominates_exact_scan(self, monkeypatch, n):
-        # an exact reference: every 1/64 point of (0, n)
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+    def test_sup_dominates_exact_scan(self, n):
+        # C(j, floor(j/2)) against an exact reference: every 1/64 point of (0, n)
         for j in range(n):
-            info = bspline_derivative_sup(n, j)
             scan = max(abs(co._eval_deriv(n, j, Fraction(i, 64))) for i in range(1, 64 * n))
-            assert info["sup"] >= scan
-            assert abs(co._eval_deriv(n, j, info["argmax"])) == info["sup"]
-            assert info["sign_changes"] == (j + 1 if j <= n - 3 else None)
+            bound = math.comb(j, j // 2)
+            assert bound >= scan
+            assert (bound == scan) or j < n - 1
 
     def test_sup_is_attained_value(self):
-        info = bspline_derivative_sup(12, 4)
-        assert abs(co._eval_deriv(12, 4, info["argmax"])) == info["sup"]
+        # the bound is attained for j >= n - 2: at a knot where B_n^(n-2) is
+        # piecewise linear, inside a piece where B_n^(n-1) is constant
+        n = 12
+        assert abs(co._eval_deriv(n, n - 2, Fraction(6))) == math.comb(n - 2, 5)
+        assert abs(co._eval_deriv(n, n - 1, Fraction(11, 2))) == math.comb(n - 1, 5)
 
     def test_bad_order_rejected(self):
+        cut = build_cutoff(build_bands(0, 1, 8), 1)
         with pytest.raises(ValueError):
-            bspline_derivative_sup(4, 4)
-
-    def test_eulerian_rows_match_explicit_sum(self):
-        row = [1]
-        for m in range(1, 41):
-            row = co._next_eulerian_row(row, m)
-            assert row == [
-                sum((-1) ** i * math.comb(m + 1, i) * (k + 1 - i) ** m for i in range(k + 2))
-                for k in range(m)
-            ]
-
-    @pytest.mark.parametrize("n", [65, 128])
-    def test_knot_numerators_match_direct_evaluation(self, n):
-        # odd and even j on odd and even n, up to the piecewise-linear order n - 2
-        js = sorted({0, 1, 2, 3, 40, 41, n - 66, n - 65, n - 4, n - 3, n - 2} & set(range(n - 1)))
-        rows = {0: [1]}
-        for m in range(1, n):
-            rows[m] = co._next_eulerian_row(rows[m - 1], m)
-        for j in js:
-            h = co._knot_differences(n, j, rows[n - j - 2]) + [0]  # h[-1] reads as h(-1) = 0
-            g_nums = [h[i] - h[i - 1] for i in range(n // 2 + 2)]
-            f_nums = [i * g_nums[i] + n * h[i - 1] for i in range(n // 2 + 2)]
-            direct = [co._deriv_numerators(n, j, i, 1, 2) for i in range(n // 2 + 2)]
-            assert f_nums == [f for f, _ in direct]
-            # at j = n - 2, g is piecewise constant: h gives its values on [i, i+1)
-            knots = range(n // 2 + 2) if j < n - 2 else range(1, n // 2 + 2)
-            assert [g_nums[i] for i in knots] == [direct[i][1] for i in knots]
-
-    # argmax and log_sup of the bracketed search, keyed by (n, j)
-    SUP_PINS = {
-        (256, 1): (Fraction(5078196, 41161), -4.480381821948611),
-        (256, 150): (Fraction(128), 64.69193969978815),
-        (128, 40): (Fraction(64), 3.990050758828824),
-    }
-
-    @pytest.mark.parametrize(
-        "n, j, argmax, log_sup",
-        [  # where the earlier grid search ended, and the log it reported there
-            (256, 1, Fraction(64683229, 524288), -4.480381833738647),  # two-round polish
-            (256, 150, Fraction(128), 64.69193969978818),  # window sweep
-            (128, 40, Fraction(64), 3.990050758828829),
-        ],
-    )
-    def test_grid_sup_pinned(self, monkeypatch, n, j, argmax, log_sup):
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        info = bspline_derivative_sup(n, j)
-        assert abs(co._eval_deriv(n, j, argmax)) <= info["sup"]
-        assert math.isclose(info["log_sup"], log_sup, rel_tol=1e-8)
-        assert (info["argmax"], info["log_sup"]) == self.SUP_PINS[(n, j)]
-        assert abs(co._eval_deriv(n, j, info["argmax"])) == info["sup"]
-
-    def test_sup_beats_windowed_grid_at_512_363(self, monkeypatch):
-        # the earlier windowed sweep stopped at 66655313/262144, 1.18% below the peak
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        old = abs(co._eval_deriv(512, 363, Fraction(66655313, 262144)))
-        info = bspline_derivative_sup(512, 363)
-        assert info["sup"] >= Fraction(101, 100) * old
-        assert info["sign_changes"] == 364
+            cut.derivative_value(cut.plateau_lo - cut.gap / 2, cut.budget + 1)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_cdf_matches_direct_alternating_sum(self, n):
@@ -220,22 +160,16 @@ class TestBsplineSups:
         for y in points:
             assert co._cdf(n, y) == direct(y)
 
-    @pytest.mark.parametrize("n", [48, 80])
-    def test_batch_matches_single_order_calls(self, monkeypatch, n):
-        orders = [5, n - 1, 5, n // 2, 0, n - 1, n - 10]
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        co._sup_batch(n, orders)
-        batched = co._BSUP_CACHE
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        singles = {(n, j): bspline_derivative_sup(n, j) for j in orders}
-        assert batched == singles
+
+def _peak(cut):
+    """B_n at its argmax n/2 over the box width: the exact sup of phi'."""
+    return co._eval_deriv(cut.budget, 0, Fraction(cut.budget, 2)) / cut.box_width
 
 
 class TestDerivativeValues:
     def test_first_derivative_sup_at_most_budget_over_gap(self):
         cut = build_cutoff(build_bands(0, 1, 16), 1)
-        sup = bspline_derivative_sup(cut.budget, 0)["sup"] / cut.box_width
-        assert sup <= Fraction(cut.budget) / cut.gap
+        assert _peak(cut) <= Fraction(cut.budget) / cut.gap
 
     def test_derivative_antisymmetry_across_sides(self):
         cut = build_cutoff(build_bands(0, 1, 8), 1)
@@ -251,10 +185,9 @@ class TestDerivativeValues:
         assert cut.derivative_value(cut.support_lo - 1, 1) == 0
 
     def test_finite_differences_agree(self):
-        # FD probes of the exact evaluator around the reported argmax
+        # FD probes of the exact evaluator around the argmax of phi'
         cut = build_cutoff(build_bands(0, 1, 16), 2)  # budget 8
-        info = bspline_derivative_sup(cut.budget, 0)
-        center = float(cut.support_lo + info["argmax"] * cut.box_width)
+        center = float(cut.support_lo + cut.gap / 2)
         w = float(cut.box_width)
         delta = w / 2000.0
         worst = 0.0
@@ -263,13 +196,12 @@ class TestDerivativeValues:
             fd = (cut.value(r + delta) - cut.value(r - delta)) / (2 * delta)
             exact = cut.derivative_value(r, 1)
             worst = max(worst, abs(fd - exact))
-        assert worst / float(info["sup"] / cut.box_width) < 1e-6
+        assert worst / float(_peak(cut)) < 1e-6
 
     def test_fd_sup_estimate_matches_reported_sup(self):
         cut = build_cutoff(build_bands(0, 1, 16), 2)
-        info = bspline_derivative_sup(cut.budget, 0)
-        center = float(cut.support_lo + info["argmax"] * cut.box_width)
-        sup = float(info["sup"] / cut.box_width)
+        center = float(cut.support_lo + cut.gap / 2)
+        sup = float(_peak(cut))
         w = float(cut.box_width)
         delta = w / 4000.0
         fd_max = max(
@@ -284,8 +216,8 @@ class TestBoundCheck:
     def test_small_budget_full_policy(self):
         fam = build_bands(0, 1, 16)
         report = derivative_bound_check(build_cutoff(fam, 1))
-        assert report["order_policy"] == "full"
         assert report["checked_orders"] == list(range(17))
+        assert [e["ell"] for e in report["profile"]] == report["checked_orders"]
         assert report["pass"]
 
     def test_order_zero_forces_c_at_least_gap(self):
@@ -295,45 +227,35 @@ class TestBoundCheck:
         assert c0["bound_c"] == pytest.approx(0.25)
 
     def test_bound_holds_pointwise(self):
-        # (C/d)^(l+1) N^l with the measured C really dominates each sup
+        # (C/d)^(l+1) N^l with the certified C dominates exact values of phi^(l)
         fam = build_bands(0, 1, 32)
         cut = build_cutoff(fam, 1)
         report = derivative_bound_check(cut)
         c = report["C_measured"] * (1 + 1e-12)
         d = float(cut.gap)
+        points = [cut.support_lo + cut.gap * Fraction(i, 40) for i in range(1, 40)]
         for ell in report["checked_orders"]:
-            if ell == 0:
-                sup = 1.0
-                assert sup <= c / d
-            else:
-                log_sup = bspline_derivative_sup(cut.budget, ell - 1)["log_sup"] - ell * math.log(cut.box_width)
-                bound = (ell + 1) * (math.log(c) - math.log(d)) + ell * math.log(cut.budget)
-                assert log_sup <= bound + 1e-9
+            bound = (ell + 1) * (math.log(c) - math.log(d)) + ell * math.log(cut.budget)
+            for r in points:
+                value = abs(cut.derivative_value(r, ell))
+                assert not value or math.log(value) <= bound + 1e-9
 
-    def test_thinned_policy_large_budget(self):
+    def test_every_order_checked_large_budget(self):
         fam = build_bands(0, 1, 128)
         report = derivative_bound_check(build_cutoff(fam, 1))
-        assert report["order_policy"] == "thinned-ladder"
-        assert report["checked_orders"][-1] == 128
+        assert report["checked_orders"] == list(range(129))
         assert report["pass"]
 
-    def test_difference_bound_gates_pass(self, monkeypatch):
-        # |B_n^(j)| <= 2^j; a planted sup just above it must fail the check
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
+    def test_top_order_gate_fails_on_planted_value(self, monkeypatch):
+        # B_8^(7) is +-C(7, 3) = +-35 on (3, 4); a planted 36 there must fail the check
         cut = build_cutoff(build_bands(0, 1, 8), 1)
         assert derivative_bound_check(cut)["pass"]
-        entry = co._BSUP_CACHE[(8, 3)]
-        co._BSUP_CACHE[(8, 3)] = dict(entry, sup=Fraction(2 ** 3) + Fraction(1, 10 ** 9))
-        assert derivative_bound_check(cut)["pass"] is False
+        real = co._eval_deriv
 
-    def test_sign_count_gates_pass(self, monkeypatch):
-        # B_8^(4) has 4 sign changes; a count one short means a maximum may be missed
-        monkeypatch.setattr(co, "_BSUP_CACHE", {})
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
-        assert derivative_bound_check(cut)["pass"]
-        entry = co._BSUP_CACHE[(8, 3)]
-        assert entry["sign_changes"] == 4
-        co._BSUP_CACHE[(8, 3)] = dict(entry, sign_changes=3)
+        def planted(n, j, y):
+            return Fraction(36) if (n, j, y) == (8, 7, Fraction(7, 2)) else real(n, j, y)
+
+        monkeypatch.setattr(co, "_eval_deriv", planted)
         assert derivative_bound_check(cut)["pass"] is False
 
     def test_uniformity_grid_small(self):

@@ -11,8 +11,9 @@ operator P = X1^2 + X2^2 with X1 = d/dt and X2 = d/dtheta + t^k r d/dr:
 * :mod:`stratakit.cutoff`    — nested cutoff families and derivative bounds
 * :mod:`stratakit.cli`       — verification suites as a command line tool
 
-Everything symbolic is exact (arbitrary-precision rationals); floating point
-appears only in the flow integrator and in logarithmic bound bookkeeping.
+Everything symbolic is exact (arbitrary-precision rationals; a float given to
+an exact layer raises TypeError); floating point appears only in the flow
+integrator, in logarithmic bound bookkeeping and in rounded CSV samples.
 """
 
 __version__ = "0.1.0"

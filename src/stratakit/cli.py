@@ -6,7 +6,7 @@ coeffs      dual-route coefficient table checks (recurrence vs generating
             function), Bernoulli head identity, growth scan
 verify      operator-identity suite: localizer brackets, localized-power
             brackets, delta extraction, gamma expansion, Stirling identity
-classify    stratum label for one covector (exact for rational inputs)
+classify    stratum label for one covector, by exact zero tests
 flow        spiral Hamilton trajectory with conservation monitors
 cutoff      band-family derivative bound checks and the product-rate bound
 report-all  every suite, one JSON file per section; each section but the
@@ -14,9 +14,9 @@ report-all  every suite, one JSON file per section; each section but the
 
 One path takes argv to a report: ``main`` parses, ``run_<command>`` turns
 the namespace into a report, ``main`` writes it.  Argparse types check each
-outside input's syntax and range (finite numbers, exact where the literal
-allows; k >= 2); ``ModelParams``, ``build_bands`` and ``integrate`` check
-the rest.  Reports are JSON (CSV for trajectories and cutoff samples),
+outside input's syntax and range (finite numbers, exact rationals for the
+exact layers; k >= 2); ``ModelParams``, ``build_bands`` and ``integrate``
+check the rest.  Reports are JSON (CSV for trajectories and cutoff samples),
 written atomically (temp file + rename).  Exit codes: 0 all requested checks
 pass, 1 a verification failed (the report is still written), 2 invalid
 configuration (an argparse error, or a library ValueError or StepSizeError).
@@ -114,17 +114,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _number(text: str):
-    """Exact Fraction when the literal allows it, otherwise a float; finite either way."""
+def _number(text: str) -> Fraction:
+    """The exact Fraction a literal such as 1/3, 0.1 or 1e-3 denotes; finite."""
     try:
         value = Fraction(text)
         float(value)  # an exact literal beyond the float range, such as 1e400, overflows
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"division by zero in {text!r}") from None
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
-    except ValueError:
-        return _finite_float(text)
     return value
 
 
@@ -169,7 +167,8 @@ def run_coeffs(args) -> dict:
         for j in range(jmax + 1)
         for jp in range(j + 1)
     )
-    recurrence.check_recurrence()
+    # the relation is re-checked on the independent route's table
+    holds = generating.check_recurrence()
     m = min(jmax, 20)
     bern = exactalg.bernoulli_generator(m)
     inverse = exactalg.matrix_inverse_coeffs(m)
@@ -179,10 +178,11 @@ def run_coeffs(args) -> dict:
         "suite": "coefficient-tables",
         "jmax": jmax,
         "dual_route_agree": agree,
+        "recurrence_holds": holds,
         "bernoulli_head": [exactalg.fmt_fraction(c) for c in inverse[:4]],
         "bernoulli_identity": bern_match,
         "growth_scan": scan,
-        "pass": agree and bern_match and scan["pass"],
+        "pass": agree and holds and bern_match and scan["pass"],
     }
     if args.table_out:
         text = exactalg.coeff_table_to_json(recurrence) + "\n"
@@ -226,7 +226,7 @@ def run_classify(args) -> dict:
     else:
         params = geometry.ModelParams(variant="closed", k=args.k)
     cov = geometry.Covector(t=args.t, x=args.x, tau=args.tau, xi=args.xi)
-    label, flags = geometry.classify_detailed(cov, params, tol=args.tol)
+    label, flags = geometry.classify_detailed(cov, params)
     return {
         "suite": "classification",
         "variant": params.variant,
@@ -438,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_number)
     p.add_argument("--a", type=_finite_float)
     p.add_argument("--b", type=_finite_float)
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("flow", help="integrate the spiral Hamilton system")

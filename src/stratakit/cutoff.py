@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactalg import fmt_fraction
+from .exactalg import exact, fmt_fraction
 
 __all__ = [
     "Band",
@@ -189,20 +189,19 @@ class EhrenpreisCutoff:
         return self.plateau_hi + self.transition
 
     def _knot_coord(self, r) -> tuple[Fraction, int]:
-        """Map r to (ramp coordinate y in knot units, side sign)."""
-        fr = Fraction(r)
+        """Map an exact r to (ramp coordinate y in knot units, side sign)."""
+        fr = exact(r)
         mid = (self.plateau_lo + self.plateau_hi) / 2
         if fr <= mid:
             return (fr - self.support_lo) / self.box_width, +1
         return (self.support_hi - fr) / self.box_width, -1
 
-    def value(self, r):
-        """phi(r); exact Fraction for exact input, float passthrough otherwise."""
+    def value(self, r) -> Fraction:
+        """phi(r), exactly; a float r raises TypeError."""
         y, _side = self._knot_coord(r)
-        out = _cdf(self.budget, y)
-        return float(out) if isinstance(r, float) else out
+        return _cdf(self.budget, y)
 
-    def derivative_value(self, r, ell: int):
+    def derivative_value(self, r, ell: int) -> Fraction:
         """phi^(l)(r) evaluated exactly from the spline representation."""
         if ell < 0:
             raise ValueError("derivative order must be >= 0")
@@ -211,13 +210,8 @@ class EhrenpreisCutoff:
         if ell > self.budget:
             raise ValueError(f"derivative order {ell} exceeds budget {self.budget}")
         y, side = self._knot_coord(r)
-        if y <= 0 or y >= self.budget:
-            return 0.0 if isinstance(r, float) else Fraction(0)
-        base = _eval_deriv(self.budget, ell - 1, y)
-        scaled = base / self.box_width ** ell
-        if side < 0 and ell % 2 == 1:
-            scaled = -scaled
-        return float(scaled) if isinstance(r, float) else scaled
+        scaled = _eval_deriv(self.budget, ell - 1, y) / self.box_width ** ell
+        return -scaled if side < 0 and ell % 2 == 1 else scaled
 
 
 def build_cutoff(family: BandFamily, k: int) -> EhrenpreisCutoff:
@@ -353,15 +347,15 @@ def recursion_product(n: int, c: float) -> dict:
 
 
 def write_cutoff_samples_csv(cutoff: EhrenpreisCutoff, stream) -> None:
-    """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting."""
-    lo = float(cutoff.support_lo)
-    hi = float(cutoff.support_hi)
-    margin = 0.05 * (hi - lo)
+    """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting.
+
+    The points r_i = lo - m + (hi - lo + 2m) i/200, m = (hi - lo)/20, are
+    exact rationals; each exact value is rounded to a float once.
+    """
+    lo, hi = cutoff.support_lo, cutoff.support_hi
+    margin = (hi - lo) / 20
     stream.write("r,phi,dphi,d2phi\n")
-    top = min(2, cutoff.budget)
     for i in range(201):
-        r = lo - margin + (hi - lo + 2 * margin) * i / 200
-        phi_v = cutoff.value(r)
-        d1 = cutoff.derivative_value(r, 1)
-        d2 = cutoff.derivative_value(r, 2) if top >= 2 else 0.0
-        stream.write(f"{r:.17g},{phi_v:.17g},{d1:.17g},{d2:.17g}\n")
+        r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
+        row = (r, cutoff.value(r), cutoff.derivative_value(r, 1), cutoff.derivative_value(r, 2))
+        stream.write(",".join(f"{float(v):.17g}" for v in row) + "\n")

@@ -11,14 +11,14 @@ are supported:
   depth-two stratum has codimension 3 and its Hamilton leaves are
   logarithmic spirals between the circles |x| = a and |x| = b.
 
-Stratum membership, Poisson brackets, and the bracket-matrix rank test are
-all available in exact rational arithmetic (`fractions.Fraction` inputs stay
-exact end to end); classification of float covectors uses a relative
-tolerance.  The flow integrator is a fixed-step classical Runge-Kutta scheme
-that keeps each state as a plain (x1, x2, xi1, xi2) tuple and, in the same
-pass, takes the conserved-quantity monitors, a check of every step against
-the explicit leaf, and an optional Richardson step check; it refuses runs of
-more than 10^6 steps.
+Stratum membership, Poisson brackets, and the bracket-matrix rank test run
+in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
+component raises TypeError), so every zero test is exact.  The flow
+integrator is a fixed-step classical Runge-Kutta scheme that keeps each
+state as a plain (x1, x2, xi1, xi2) tuple and, in the same pass, takes the
+conserved-quantity monitors, a check of every step against the explicit
+leaf, and an optional Richardson step check; it refuses runs of more than
+10^6 steps.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from enum import Enum
 
-from .exactalg import SparseTerms
+from .exactalg import SparseTerms, exact
 
 __all__ = [
     "PhasePoly",
@@ -100,18 +100,16 @@ class PhasePoly(SparseTerms):
             out[down] = out.get(down, Fraction(0)) + coeff * e
         return self._of(out)
 
-    def eval(self, point) -> Fraction | float:
-        """Evaluate at (t, x1, x2, tau, xi1, xi2); exact for exact inputs."""
+    def eval(self, point) -> Fraction:
+        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2)."""
         values = tuple(point)
-        acc = None
+        acc = Fraction(0)
         for key, coeff in self.terms.items():
             term = coeff
             for v, e in zip(values, key):
                 if e:
                     term = term * v ** e
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Fraction(0) if not any(isinstance(v, float) for v in values) else 0.0
+            acc += term
         return acc
 
     def __repr__(self):
@@ -145,7 +143,6 @@ class StratumLabel(Enum):
     NONCHARACTERISTIC = "Noncharacteristic"
     SIGMA1 = "Sigma1"
     SIGMA2 = "Sigma2"
-    ZERO_SECTION = "ZeroSection"
 
 
 @dataclass(frozen=True)
@@ -173,21 +170,27 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Covector:
-    """A phase-space point (t, x; tau, xi) with x, xi in the plane."""
+    """A phase-space point (t, x; tau, xi) with x, xi in the plane.
 
-    t: float | Fraction
+    The strata are algebraic sets, so membership is a question of exact
+    zeros: every component is coerced by ``exact`` (a float raises TypeError).
+    """
+
+    t: Fraction
     x: tuple
-    tau: float | Fraction
+    tau: Fraction
     xi: tuple
+
+    def __post_init__(self):
+        x1, x2 = self.x
+        xi1, xi2 = self.xi
+        object.__setattr__(self, "t", exact(self.t))
+        object.__setattr__(self, "x", (exact(x1), exact(x2)))
+        object.__setattr__(self, "tau", exact(self.tau))
+        object.__setattr__(self, "xi", (exact(xi1), exact(xi2)))
 
     def components(self) -> tuple:
         return (self.t, self.x[0], self.x[1], self.tau, self.xi[0], self.xi[1])
-
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-            for v in self.components()
-        )
 
 
 def char_function(params: ModelParams) -> PhasePoly:
@@ -219,54 +222,35 @@ def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list
     raise ValueError(f"no defining-function system for {label}")
 
 
-def _is_zero(value, tol, scale) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    return abs(value) <= tol * max(1.0, scale)
+def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel, dict]:
+    """Classify a covector by exact zero tests and report classification metadata.
 
-
-def classify_detailed(
-    cov: Covector, params: ModelParams, tol: float = 1e-12
-) -> tuple[StratumLabel, dict]:
-    """Classify a covector and report classification metadata.
-
-    Exact (Fraction/int) inputs are classified with exact zero tests; float
-    inputs use ``tol`` relative to the covector magnitude.  The flag
-    ``ambiguous`` marks spiral points with tau = t = 0, <x, A xi> = 0 but
-    <x, xi> = 0 as well (possible only where x vanishes): they satisfy the
-    characteristic equations yet belong to no printed stratum, so they are
-    bucketed with the depth-two stratum and flagged.
+    The flag ``exact`` is always true; ``ambiguous`` marks spiral points with
+    tau = t = 0, <x, A xi> = 0 but <x, xi> = 0 as well (possible only where x
+    vanishes): they satisfy the characteristic equations yet belong to no
+    printed stratum, so they are bucketed with the depth-two stratum and
+    flagged.  At x = 0 with t != 0 (and tau = 0, xi != 0) the characteristic
+    function vanishes, so the point is labelled Sigma1, but its bracket
+    matrix is singular there: {tau, F} = k t^(k-1) <x, xi>, and with
+    T = t^k (+ mu) the identity |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2
+    shows that on F = 0 the bracket vanishes exactly when x = 0.  x = 0 lies
+    outside the ring the paper works in, so Sigma1's rank 2 is claimed for
+    x != 0 only.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    exact = cov.is_exact()
-    comps = cov.components()
-    cov_scale = 0.0 if exact else max(abs(float(cov.tau)), abs(float(cov.xi[0])), abs(float(cov.xi[1])))
-    if cov.tau == 0 and cov.xi[0] == 0 and cov.xi[1] == 0:
+    if cov.tau == 0 and cov.xi == (0, 0):
         raise ValueError("zero covector cannot be classified")
-    flags = {"exact": exact, "ambiguous": False}
-
-    if not _is_zero(cov.tau, tol, cov_scale):
+    flags = {"exact": True, "ambiguous": False}
+    if cov.tau != 0 or char_function(params).eval(cov.components()) != 0:
         return StratumLabel.NONCHARACTERISTIC, flags
-    if _is_zero(cov.xi[0], tol, cov_scale) and _is_zero(cov.xi[1], tol, cov_scale):
-        # covector degenerates to the zero section (deepest stratum)
-        return StratumLabel.ZERO_SECTION, flags
-
-    x_scale = 1.0 if exact else max(abs(float(cov.x[0])), abs(float(cov.x[1])), 1.0)
-    f2 = char_function(params).eval(comps)
-    if not _is_zero(f2, tol, cov_scale * x_scale):
-        return StratumLabel.NONCHARACTERISTIC, flags
-    if not _is_zero(cov.t, tol, 1.0):
+    if cov.t != 0:
         return StratumLabel.SIGMA1, flags
     if params.variant == "spiral":
-        radial = cov.x[0] * cov.xi[0] + cov.x[1] * cov.xi[1]
-        if _is_zero(radial, tol, cov_scale * x_scale):
-            flags["ambiguous"] = True
+        flags["ambiguous"] = cov.x[0] * cov.xi[0] + cov.x[1] * cov.xi[1] == 0
     return StratumLabel.SIGMA2, flags
 
 
-def classify(cov: Covector, params: ModelParams, tol: float = 1e-12) -> StratumLabel:
-    return classify_detailed(cov, params, tol)[0]
+def classify(cov: Covector, params: ModelParams) -> StratumLabel:
+    return classify_detailed(cov, params)[0]
 
 
 def _exact_rank(matrix: list[list[Fraction]]) -> int:
@@ -292,13 +276,11 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 
     Returns the matrix {F_i, F_j}(point), its rank, and ``degenerate`` (true
     iff the matrix is singular, i.e. the stratum fails the symplectic
-    codimension test there).  The point must be exact (rational), which
-    makes the whole computation exact; the rank of an odd-size antisymmetric
-    matrix is necessarily deficient, which is how the codimension-3 stratum
-    always reports degenerate.
+    codimension test there).  The point is rational, which makes the whole
+    computation exact; the rank of an odd-size antisymmetric matrix is
+    necessarily deficient, which is how the codimension-3 stratum always
+    reports degenerate.
     """
-    if not point.is_exact():
-        raise ValueError("the rank test needs an exact (rational) point")
     observed = classify(point, params)
     if observed is not stratum:
         raise ValueError(f"point classifies as {observed.value}, not {stratum.value}")

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report artifacts, atomic writes, env override."""
 
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import cli, geometry
+from stratakit import cli, exactalg, geometry
 from stratakit.exactalg import coeff_table_from_json
 
 
@@ -61,10 +62,29 @@ class TestCoeffsCommand:
         code = cli.main(["coeffs", "--jmax", "8", "--table-out", str(table_out), "-o", str(out)])
         assert code == 0
         report = read_json(out)
-        assert report["dual_route_agree"] and report["bernoulli_identity"]
+        assert report["dual_route_agree"] and report["recurrence_holds"]
+        assert report["bernoulli_identity"]
         assert report["bernoulli_head"][:2] == ["1/1", "-1/2"]
         table = coeff_table_from_json(table_out.read_text())
         assert table.jmax == 8
+
+    def test_planted_wrong_entry_fails_recurrence(self, tmp_path, monkeypatch):
+        # one wrong entry planted in both routes: they agree, the relation does not
+        def planted(build):
+            def wrong(jmax):
+                table = build(jmax)
+                entries = dict(table.entries)
+                entries[(jmax, 1)] += 1
+                return dataclasses.replace(table, entries=entries)
+            return wrong
+
+        for name in ("a_table_recurrence", "a_table_generating"):
+            monkeypatch.setattr(exactalg, name, planted(getattr(exactalg, name)))
+        out = tmp_path / "coeffs.json"
+        assert cli.main(["coeffs", "--jmax", "8", "-o", str(out)]) == 1
+        report = read_json(out)
+        assert report["dual_route_agree"] and report["recurrence_holds"] is False
+        assert report["pass"] is False
 
     def test_tiny_jmax_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -314,7 +334,7 @@ FUZZ_FLAGS = {
         {
             "--k": ["2", "3"], "--t": ["1", "1/2"], "--x": ["1,0", "0,1"], "--tau": ["1"],
             "--xi": ["1,0", "0,0", "1,-1"], "--variant": ["spiral"], "--mu": ["1/2"],
-            "--a": ["1"], "--b": ["2"], "--tol": ["1e-12"],
+            "--a": ["1"], "--b": ["2"],
         },
         ["--k", "--t", "--x", "--tau", "--xi"],
     ),

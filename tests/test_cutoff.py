@@ -99,9 +99,10 @@ class TestCutoffShape:
         mid = cut.plateau_lo - cut.gap / 2
         assert cut.value(mid) == Fraction(1, 2)  # symmetric ramp
 
-    def test_float_input_gives_float(self):
+    def test_float_input_rejected(self):
         cut = build_cutoff(build_bands(0, 1, 8), 1)
-        assert isinstance(cut.value(0.5), float)
+        with pytest.raises(TypeError):
+            cut.value(0.5)
         assert isinstance(cut.value(Fraction(1, 2)), Fraction)
 
     def test_base_is_one_on_support_of_next_level(self):
@@ -187,25 +188,25 @@ class TestDerivativeValues:
     def test_finite_differences_agree(self):
         # FD probes of the exact evaluator around the argmax of phi'
         cut = build_cutoff(build_bands(0, 1, 16), 2)  # budget 8
-        center = float(cut.support_lo + cut.gap / 2)
-        w = float(cut.box_width)
-        delta = w / 2000.0
-        worst = 0.0
+        center = cut.support_lo + cut.gap / 2
+        w = cut.box_width
+        delta = w / 2000
+        worst = 0
         for i in range(-500, 501):
-            r = center + i * (w / 2000.0)
+            r = center + i * (w / 2000)
             fd = (cut.value(r + delta) - cut.value(r - delta)) / (2 * delta)
             exact = cut.derivative_value(r, 1)
             worst = max(worst, abs(fd - exact))
-        assert worst / float(_peak(cut)) < 1e-6
+        assert worst / _peak(cut) < 1e-6
 
     def test_fd_sup_estimate_matches_reported_sup(self):
         cut = build_cutoff(build_bands(0, 1, 16), 2)
-        center = float(cut.support_lo + cut.gap / 2)
-        sup = float(_peak(cut))
-        w = float(cut.box_width)
-        delta = w / 4000.0
+        center = cut.support_lo + cut.gap / 2
+        sup = _peak(cut)
+        w = cut.box_width
+        delta = w / 4000
         fd_max = max(
-            abs(cut.value(center + i * (w / 1000.0) + delta) - cut.value(center + i * (w / 1000.0) - delta))
+            abs(cut.value(center + i * (w / 1000) + delta) - cut.value(center + i * (w / 1000) - delta))
             / (2 * delta)
             for i in range(-500, 501)
         )
@@ -292,6 +293,22 @@ class TestRecursionProduct:
             recursion_product(12, 1.0)
         with pytest.raises(ValueError):
             recursion_product(8, 0.0)
+
+
+def test_samples_csv_rows_round_exact_values():
+    # the band cutoff --N 64 writes: line 3 must read float(r_1) =
+    # 0.95550000000000002, where a float abscissa gives 0.9554999999999999
+    cut = build_cutoff(build_bands(1, 2, 64), 1)
+    buf = io.StringIO()
+    write_cutoff_samples_csv(cut, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    lo, hi = cut.support_lo, cut.support_hi
+    margin = (hi - lo) / 20
+    assert len(rows) == 201
+    for i, row in enumerate(rows):
+        r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
+        exact = (r, cut.value(r), cut.derivative_value(r, 1), cut.derivative_value(r, 2))
+        assert [float(c) for c in row.split(",")] == [float(v) for v in exact]
 
 
 def test_samples_csv_shape():

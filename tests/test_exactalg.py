@@ -88,7 +88,7 @@ class TestCoeffTable:
         assert t.entry(2, 2) == 1
 
     def test_defining_relation_recheck(self):
-        a_table_recurrence(12).check_recurrence()
+        assert a_table_recurrence(12).check_recurrence()
 
     def test_boundary_identities(self):
         t = a_table_recurrence(15)

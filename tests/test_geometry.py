@@ -116,16 +116,12 @@ class TestClassify:
 
     def test_nonzero_tau_is_noncharacteristic(self):
         for params in (CLOSED, SPIRAL):
-            c = Covector(t=0.0, x=(1.0, 0.0), tau=1.0, xi=(2.0, 0.0))
+            c = exact_cov(0, (1, 0), 1, (2, 0))
             assert classify(c, params) is StratumLabel.NONCHARACTERISTIC
 
     def test_zero_covector_rejected(self):
         with pytest.raises(ValueError):
             classify(exact_cov(0, (1, 1), 0, (0, 0)), CLOSED)
-
-    def test_near_zero_covector_is_zero_section(self):
-        c = Covector(t=0.0, x=(1.0, 0.0), tau=0.0, xi=(1e-30, 0.0))
-        assert classify(c, CLOSED, tol=1e-12) is StratumLabel.ZERO_SECTION
 
     def test_characteristic_but_off_strata(self):
         # tau = 0 but the characteristic polynomial does not vanish
@@ -236,9 +232,29 @@ class TestSymplecticRank:
             symplectic_rank(StratumLabel.SIGMA2, point, CLOSED)
 
     def test_float_point_rejected(self):
-        point = Covector(t=1.0, x=(1.0, 0.0), tau=0.0, xi=(1.0, -1.0))
-        with pytest.raises(ValueError, match="exact"):
-            symplectic_rank(StratumLabel.SIGMA1, point, CLOSED)
+        with pytest.raises(TypeError, match="exact"):
+            Covector(t=1.0, x=(1.0, 0.0), tau=0.0, xi=(1.0, -1.0))
+
+    @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
+    def test_sigma1_label_is_degenerate_at_x_zero(self, params):
+        # x = 0 lies outside the paper's ring: F vanishes there, so the point
+        # is labelled Sigma1, but the bracket matrix is singular
+        point = exact_cov(1, (0, 0), 0, (1, 0))
+        assert classify(point, params) is StratumLabel.SIGMA1
+        assert symplectic_rank(StratumLabel.SIGMA1, point, params)["degenerate"]
+
+    @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
+    def test_sigma1_rank_two_needs_x_nonzero(self, params):
+        # {tau, F} = k t^(k-1) <x, xi> and, with T = t^k (+ mu),
+        # |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2: on F = 0 with xi != 0
+        # the bracket vanishes exactly when x = 0
+        t, x1, x2, xi1, xi2 = (var(n) for n in ("t", "x1", "x2", "xi1", "xi2"))
+        f = char_function(params)
+        radial = x1 * xi1 + x2 * xi2
+        twist = t ** params.k + PhasePoly.const(Fraction(params.mu or 0))
+        assert poisson_bracket(var("tau"), f) == t ** (params.k - 1) * radial * params.k
+        norms = (x1 * x1 + x2 * x2) * (xi1 * xi1 + xi2 * xi2)
+        assert norms == radial * radial + (f - twist * radial) ** 2
 
     @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
     def test_exact_dichotomy_on_random_samples(self, params):

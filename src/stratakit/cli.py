@@ -275,9 +275,8 @@ def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
 
 def run_flow(args) -> dict:
     params = geometry.ModelParams(variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b)
-    s0 = geometry.make_flow_state(args.x0, args.xi0, params)
     traj = geometry.integrate(
-        s0, params, t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol
+        args.x0, args.xi0, params, t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol
     )
     try:
         fit = geometry.log_spiral_fit(traj)
@@ -293,11 +292,11 @@ def run_flow(args) -> dict:
     report = {
         "suite": "hamilton-flow",
         "params": {"k": params.k, "mu": float(params.mu), "a": params.a, "b": params.b},
-        "x0": list(s0.x),
-        "xi0": list(s0.xi),
+        "x0": list(traj.states[0][:2]),
+        "xi0": list(traj.states[0][2:]),
         "t_end": args.t_end,
         "h": args.h,
-        "initial_monitors": s0.monitors,
+        "initial_monitors": geometry._monitors(traj.states[0], float(params.mu)),
         "drift_x_xi": traj.drift_x_xi,
         "drift_x_A_xi": traj.drift_x_A_xi,
         "xi_closed_form_max_rel_dev": traj.xi_closed_form_max_rel_dev,

@@ -101,7 +101,7 @@ class BandFamily:
 
 def build_bands(r1, r2, n: int) -> BandFamily:
     """Band family with gaps d_k = (r2 - r1)/(4 k^2) and budgets N/2^(k-1)."""
-    lo, hi = Fraction(r1), Fraction(r2)  # a float enters as its exact binary value
+    lo, hi = exact(r1), exact(r2)
     if not lo < hi:
         raise ValueError("need r1 < r2")
     if n < 4 or n & (n - 1):

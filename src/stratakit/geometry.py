@@ -17,14 +17,16 @@ component raises TypeError), so every zero test is exact.  The flow
 integrator is a fixed-step classical Runge-Kutta scheme that keeps each
 state as a plain (x1, x2, xi1, xi2) tuple and, in the same pass, takes the
 conserved-quantity monitors, a check of every step against the explicit
-leaf, and an optional Richardson step check; it refuses runs of more than
-10^6 steps.
+leaf, and an optional Richardson step check.  It stops stepping once a step
+returns its state bit for bit (the orbit is frozen) and refuses runs of more
+than 10^6 steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 
@@ -35,7 +37,6 @@ __all__ = [
     "StratumLabel",
     "ModelParams",
     "Covector",
-    "FlowState",
     "Trajectory",
     "StepSizeError",
     "var",
@@ -45,7 +46,6 @@ __all__ = [
     "classify",
     "classify_detailed",
     "symplectic_rank",
-    "make_flow_state",
     "integrate",
     "write_trajectory_csv",
     "log_spiral_fit",
@@ -152,7 +152,7 @@ class ModelParams:
 
     variant: str
     k: int
-    mu: float | Fraction | None = None
+    mu: Fraction | None = None
     a: float | None = None
     b: float | None = None
 
@@ -162,6 +162,8 @@ class ModelParams:
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.variant == "spiral":
+            # mu enters the exact strata, so it is coerced by ``exact`` (a float raises TypeError)
+            object.__setattr__(self, "mu", None if self.mu is None else exact(self.mu))
             if self.mu is None or self.mu < 0:
                 raise ValueError(f"spiral variant requires mu >= 0, got mu = {self.mu}")
             if self.a is None or self.b is None or not 0 < self.a < self.b:
@@ -202,7 +204,7 @@ def char_function(params: ModelParams) -> PhasePoly:
     radial = x1 * xi1 + x2 * xi2
     twist = t ** params.k
     if params.variant == "spiral":
-        twist = twist + PhasePoly.const(Fraction(params.mu))
+        twist = twist + PhasePoly.const(params.mu)
     return angular + twist * radial
 
 
@@ -217,7 +219,7 @@ def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list
         if params.variant == "closed":
             third = x1 * xi2 - x2 * xi1
         else:
-            third = x1 * xi2 - x2 * xi1 + Fraction(params.mu) * (x1 * xi1 + x2 * xi2)
+            third = x1 * xi2 - x2 * xi1 + params.mu * (x1 * xi1 + x2 * xi2)
         return [tau, var("t"), third]
     raise ValueError(f"no defining-function system for {label}")
 
@@ -294,20 +296,11 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 # -- Hamilton flow ------------------------------------------------------------
 
 
-_MAX_STEPS = 10**6  # 20 times the default run; each state is a tuple kept in memory
+_MAX_STEPS = 10**6  # 20 times the default run; every row is kept, and a mu = 0 orbit never freezes
 
 
 class StepSizeError(RuntimeError):
     """Raised when the Richardson half-step comparison rejects the step size."""
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """The start of a flow: x and xi as floats, with their monitors."""
-
-    x: tuple[float, float]
-    xi: tuple[float, float]
-    monitors: dict = field(compare=False)
 
 
 def _monitors(u, mu) -> dict:
@@ -320,13 +313,6 @@ def _monitors(u, mu) -> dict:
         "norm_x": math.hypot(x1, x2),
         "norm_xi": math.hypot(xi1, xi2),
     }
-
-
-def make_flow_state(x, xi, params: ModelParams) -> FlowState:
-    if params.variant != "spiral":
-        raise ValueError("flow states belong to the spiral variant")
-    x, xi = (float(x[0]), float(x[1])), (float(xi[0]), float(xi[1]))
-    return FlowState(x=x, xi=xi, monitors=_monitors((*x, *xi), float(params.mu)))
 
 
 def _leaf_rhs(u, mu, a2, b2):
@@ -402,27 +388,31 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
 
 
 def integrate(
-    s0: FlowState,
+    x0,
+    xi0,
     params: ModelParams,
     t_end: float,
     h: float,
     richardson_tol: float | None = None,
 ) -> Trajectory:
-    """Fixed-step 4th-order integration of the spiral Hamilton system from a
-    start in the open ring a < |x0| < b.
+    """Fixed-step 4th-order integration of the spiral Hamilton system from
+    (x0, xi0), taken as floats, with x0 in the open ring a < |x0| < b.
 
     One pass over the steps keeps each state as a plain tuple (x1, x2, xi1,
     xi2) and updates the running drifts of <x, xi> and <x, A xi>, the
     monotonicity and maximum of |x|, and the deviation of xi from the
     explicit leaf xi = e^(-mu tau) R(tau) xi0 (R the counter-clockwise
     rotation, tau from ``_leaf_taus``, which never reads the integrated
-    state); xi and the gated pairings fix x.  ``state_frozen_from`` is the
-    time of the last step that changed the state, None if the final step
-    did.  With ``richardson_tol`` set, each step is compared against two half
-    steps and a deviation beyond the tolerance raises StepSizeError.  An
-    ``h`` that does not divide ``t_end`` into a whole number of steps, more
-    than ``_MAX_STEPS`` steps, a zero xi0 and a diverging flow raise
-    ValueError.
+    state); xi and the gated pairings fix x.  A step is a function of the
+    state alone, so once one returns its input bit for bit the orbit is
+    frozen: later steps are not computed, every later row is that same
+    tuple, and only the leaf deviation is still updated.  ``state_frozen_from``
+    is the time of the last step that changed the state (by float !=), None
+    if the final step did.  With ``richardson_tol`` set, each step is
+    compared against two half steps and a deviation beyond the tolerance
+    raises StepSizeError.  An ``h`` that does not divide ``t_end`` into a
+    whole number of steps, more than ``_MAX_STEPS`` steps, a zero xi0 and a
+    diverging flow raise ValueError.
     """
     if params.variant != "spiral":
         raise ValueError("the Hamilton system belongs to the spiral variant")
@@ -436,47 +426,50 @@ def integrate(
         raise ValueError(f"h must divide t_end into a whole number of steps, not {steps:.6g}")
     if n_steps > _MAX_STEPS:
         raise ValueError(f"t_end / h = {n_steps} steps exceeds the cap of {_MAX_STEPS}")
+    y = (float(x0[0]), float(x0[1]), float(xi0[0]), float(xi0[1]))
     # squares by multiplication: a huge value gives inf here, not OverflowError
     a2, b2 = params.a * params.a, params.b * params.b
-    s_start = s0.x[0] * s0.x[0] + s0.x[1] * s0.x[1]
+    s_start = y[0] * y[0] + y[1] * y[1]
     if not a2 < s_start < b2:
         raise ValueError(f"x0 must lie in the open ring a < |x0| < b, but |x0|^2 = {s_start!r}"
                          f" with a^2 = {a2!r}, b^2 = {b2!r}")
-    if s0.xi[0] == 0 and s0.xi[1] == 0:
+    if y[2] == 0 and y[3] == 0:
         raise ValueError("xi0 = 0 gives a constant flow: every monitor passes vacuously")
     mu = float(params.mu)
 
-    y = (*s0.x, *s0.xi)
     states = [y]
-    first = _monitors(y, mu)
-    dot0, a_dot0 = first["x_dot_xi"], first["x_A_xi"]
+    m = _monitors(y, mu)
+    dot0, a_dot0 = m["x_dot_xi"], m["x_A_xi"]
     # the start's own terms: 0.0, or nan for an overflowed monitor, as max() over every row gives
     drift, a_drift = abs(dot0 - dot0), abs(a_dot0 - a_dot0)
-    norm_x = max_norm_x = first["norm_x"]
-    monotone, closed_dev, last_change = True, 0.0, 0
-    xi0 = s0.xi
+    norm_x = max_norm_x = m["norm_x"]
+    monotone, closed_dev, last_change, frozen = True, 0.0, 0, False
+    xi0 = y[2:]
     for step, tau in enumerate(_leaf_taus(mu, s_start, a2, b2, h, n_steps), 1):
-        y_next = _rk4_step(y, h, mu, a2, b2)
-        if richardson_tol is not None:
-            half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
-            err = max(abs(half[i] - y_next[i]) for i in range(4))
-            if err > richardson_tol:
-                raise StepSizeError(
-                    f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
-                )
-        if y_next != y:
-            last_change = step
-        y = y_next
-        if not all(map(math.isfinite, y)):
-            raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
+        if not frozen:
+            y_next = _rk4_step(y, h, mu, a2, b2)
+            if richardson_tol is not None:
+                half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
+                err = max(abs(half[i] - y_next[i]) for i in range(4))
+                if err > richardson_tol:
+                    raise StepSizeError(
+                        f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
+                    )
+            if y_next != y:
+                last_change = step
+            # bits, not ==, since -0.0 == 0.0: a step that flips a zero's sign is not a fixed point
+            frozen = y_next == y and struct.pack("4d", *y_next) == struct.pack("4d", *y)
+            y = y_next
+            if not all(map(math.isfinite, y)):
+                raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
+            # max(m, v) keeps m unless v > m, as max() over every row does
+            m = _monitors(y, mu)
+            drift = max(drift, abs(m["x_dot_xi"] - dot0))
+            a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
+            monotone = monotone and m["norm_x"] >= norm_x - 1e-12
+            norm_x = m["norm_x"]
+            max_norm_x = max(max_norm_x, norm_x)
         states.append(y)
-        # max(m, v) keeps m unless v > m, as max() over every row does
-        m = _monitors(y, mu)
-        drift = max(drift, abs(m["x_dot_xi"] - dot0))
-        a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
-        monotone = monotone and m["norm_x"] >= norm_x - 1e-12
-        norm_x = m["norm_x"]
-        max_norm_x = max(max_norm_x, norm_x)
         damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
         off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
                          damp * (s * xi0[0] + c * xi0[1]) - y[3])
@@ -564,7 +557,7 @@ def sample_sigma1(rng, params: ModelParams) -> Covector:
     alpha = _nonzero_fraction(rng)
     twist = t ** params.k
     if params.variant == "spiral":
-        twist += Fraction(params.mu)
+        twist += params.mu
     beta = -twist * alpha
     x_perp = (-x[1], x[0])
     xi = (alpha * x[0] + beta * x_perp[0], alpha * x[1] + beta * x_perp[1])
@@ -578,7 +571,7 @@ def sample_sigma2(rng, params: ModelParams) -> Covector:
     if params.variant == "closed":
         xi = (alpha * x[0], alpha * x[1])
     else:
-        mu = Fraction(params.mu)
+        mu = params.mu
         det = mu * mu + 1
         x_perp = (-x[1], x[0])
         # xi = A^(-1) (beta x_perp) makes <x, A xi> = 0 with <x, xi> != 0

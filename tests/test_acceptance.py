@@ -117,15 +117,15 @@ def test_criterion_08_symplectic_dichotomy():
 
 
 def test_criterion_09_flow_conservation():
-    params = geometry.ModelParams(variant="spiral", k=2, mu=0.5, a=1.0, b=2.0)
-    s0 = geometry.make_flow_state((1.2, 0.0), (-0.96, 0.48), params)
-    assert abs(s0.monitors["x_A_xi"]) < 1e-15
+    params = geometry.ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1.0, b=2.0)
+    x0, xi0 = (1.2, 0.0), (-0.96, 0.48)
 
     start = time.perf_counter()
-    traj = geometry.integrate(s0, params, t_end=50.0, h=1e-3)
+    traj = geometry.integrate(x0, xi0, params, t_end=50.0, h=1e-3)
     run_one = time.perf_counter() - start
+    assert abs(geometry._monitors(traj.states[0], float(params.mu))["x_A_xi"]) < 1e-15
     start = time.perf_counter()
-    traj_half = geometry.integrate(s0, params, t_end=50.0, h=5e-4)
+    traj_half = geometry.integrate(x0, xi0, params, t_end=50.0, h=5e-4)
     run_two = time.perf_counter() - start
 
     ratio_xi = traj.drift_x_xi / max(traj_half.drift_x_xi, 1e-300)

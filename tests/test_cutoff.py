@@ -66,6 +66,11 @@ class TestBandGeometry:
         with pytest.raises(ValueError):
             build_bands(1, 1, 8)
 
+    def test_rejects_float_endpoints(self):
+        # 0.1 would enter as its binary value, not 1/10
+        with pytest.raises(TypeError):
+            build_bands(0.1, 2, 4)
+
 
 class TestCutoffShape:
     def test_plateau_is_band_support_is_outer_band(self):

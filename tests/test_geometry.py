@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratakit import geometry
 from stratakit.geometry import (
     Covector,
     ModelParams,
@@ -17,12 +18,12 @@ from stratakit.geometry import (
     StratumLabel,
     _leaf_rhs,
     _monitors,
+    _rk4_step,
     char_function,
     classify,
     classify_detailed,
     integrate,
     log_spiral_fit,
-    make_flow_state,
     poisson_bracket,
     sample_sigma1,
     sample_sigma2,
@@ -32,7 +33,7 @@ from stratakit.geometry import (
 )
 
 CLOSED = ModelParams(variant="closed", k=2)
-SPIRAL = ModelParams(variant="spiral", k=2, mu=0.5, a=1.0, b=2.0)
+SPIRAL = ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1.0, b=2.0)
 
 
 def exact_cov(t, x, tau, xi):
@@ -189,10 +190,16 @@ class TestModelParams:
 
     def test_spiral_needs_annulus(self):
         with pytest.raises(ValueError):
-            ModelParams(variant="spiral", k=2, mu=1.0, a=2.0, b=1.0)
+            ModelParams(variant="spiral", k=2, mu=1, a=2.0, b=1.0)
         with pytest.raises(ValueError):
-            ModelParams(variant="spiral", k=2, mu=-1.0, a=1.0, b=2.0)
+            ModelParams(variant="spiral", k=2, mu=-1, a=1.0, b=2.0)
         assert ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0).mu == 0
+
+    def test_float_mu_rejected(self):
+        # mu enters the exact strata: 0.1 would be its binary value, not 1/10
+        with pytest.raises(TypeError):
+            ModelParams(variant="spiral", k=2, mu=0.1, a=1.0, b=2.0)
+        assert ModelParams(variant="spiral", k=2, mu=1, a=1.0, b=2.0).mu == Fraction(1)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -269,28 +276,25 @@ class TestSymplecticRank:
 # -- Hamilton flow ---------------------------------------------------------------
 
 
-def leaf_rhs(s, params):
-    """The flow right side at a start state, split into its x and xi parts."""
-    rhs = _leaf_rhs((*s.x, *s.xi), float(params.mu), params.a * params.a, params.b * params.b)
+def leaf_rhs(x, xi, params):
+    """The flow right side at (x, xi), split into its x and xi parts."""
+    rhs = _leaf_rhs((*x, *xi), float(params.mu), params.a * params.a, params.b * params.b)
     return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
 
 
 class TestHamiltonRhs:
     def test_stationary_on_inner_circle(self):
-        s = make_flow_state((1.0, 0.0), (0.5, 0.5), SPIRAL)
-        out = leaf_rhs(s, SPIRAL)
+        out = leaf_rhs((1.0, 0.0), (0.5, 0.5), SPIRAL)
         assert out["x_dot"] == (0.0, 0.0)
         assert out["xi_dot"] == (0.0, 0.0)
 
     def test_stationary_on_outer_circle(self):
-        s = make_flow_state((0.0, 2.0), (0.5, 0.5), SPIRAL)
-        out = leaf_rhs(s, SPIRAL)
+        out = leaf_rhs((0.0, 2.0), (0.5, 0.5), SPIRAL)
         assert out["x_dot"] == (0.0, 0.0)
 
     def test_radius_grows_inside_annulus(self):
-        s = make_flow_state((1.3, 0.2), (0.1, 0.7), SPIRAL)
-        out = leaf_rhs(s, SPIRAL)
-        x1, x2 = s.x
+        x1, x2 = 1.3, 0.2
+        out = leaf_rhs((x1, x2), (0.1, 0.7), SPIRAL)
         d_r2 = 2 * (x1 * out["x_dot"][0] + x2 * out["x_dot"][1])
         r2 = x1 * x1 + x2 * x2
         g = (r2 - SPIRAL.a ** 2) * (SPIRAL.b ** 2 - r2)
@@ -299,42 +303,37 @@ class TestHamiltonRhs:
 
     def test_huge_ring_raises_value_error(self):
         # squaring 1e200 overflows a float: the flow must refuse, not raise OverflowError
-        params = ModelParams(variant="spiral", k=2, mu=0.5, a=1e200, b=1e201)
+        params = ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1e200, b=1e201)
         with pytest.raises(ValueError):
-            integrate(make_flow_state((2e200, 0), (1, 0), params), params, t_end=0.01, h=1e-3)
+            integrate((2e200, 0), (1, 0), params, t_end=0.01, h=1e-3)
 
 
-def initial_leaf_state():
-    # <x0, A xi0> = 0 with <x0, xi0> != 0: a genuine depth-two leaf projection
-    x0 = (1.2, 0.0)
-    xi0 = (-0.96, 0.48)
-    s0 = make_flow_state(x0, xi0, SPIRAL)
-    assert abs(s0.monitors["x_A_xi"]) < 1e-15
-    return s0
+# <x0, A xi0> = 0 with <x0, xi0> != 0: a genuine depth-two leaf projection
+X0, XI0 = (1.2, 0.0), (-0.96, 0.48)
 
 
 class TestIntegrate:
     def test_conservation_short_run(self):
-        traj = integrate(initial_leaf_state(), SPIRAL, t_end=5.0, h=1e-3)
+        traj = integrate(X0, XI0, SPIRAL, t_end=5.0, h=1e-3)
+        assert traj.states[0] == (*X0, *XI0)
+        assert abs(_monitors(traj.states[0], float(SPIRAL.mu))["x_A_xi"]) < 1e-15
         assert traj.drift_x_xi < 1e-9
         assert traj.drift_x_A_xi < 1e-9
 
     def test_halving_step_reduces_drift_fourth_order(self):
-        s0 = initial_leaf_state()
-        coarse = integrate(s0, SPIRAL, t_end=5.0, h=4e-3)
-        fine = integrate(s0, SPIRAL, t_end=5.0, h=2e-3)
+        coarse = integrate(X0, XI0, SPIRAL, t_end=5.0, h=4e-3)
+        fine = integrate(X0, XI0, SPIRAL, t_end=5.0, h=2e-3)
         assert coarse.drift_x_xi / fine.drift_x_xi > 12.0
 
     def test_closed_form_xi_agrees(self):
-        traj = integrate(initial_leaf_state(), SPIRAL, t_end=10.0, h=1e-3)
+        traj = integrate(X0, XI0, SPIRAL, t_end=10.0, h=1e-3)
         assert traj.xi_closed_form_max_rel_dev < 1e-8
 
     def test_closed_form_deviation_is_the_actual_error(self):
         # the reference must not share the integrator's error: the reported
         # deviation at a coarse step matches the difference from a 16x finer run
-        s0 = initial_leaf_state()
-        coarse = integrate(s0, SPIRAL, t_end=4.0, h=0.04)
-        fine = integrate(s0, SPIRAL, t_end=4.0, h=0.0025)
+        coarse = integrate(X0, XI0, SPIRAL, t_end=4.0, h=0.04)
+        fine = integrate(X0, XI0, SPIRAL, t_end=4.0, h=0.0025)
         actual = max(
             math.hypot(c[2] - f[2], c[3] - f[3]) / math.hypot(f[2], f[3])
             for c, f in zip(coarse.states, fine.states[::16])
@@ -343,18 +342,33 @@ class TestIntegrate:
 
     def test_state_frozen_from(self):
         # b^2 - |x|^2 reaches the float floor near t = 3.1; later steps repeat the state
-        traj = integrate(initial_leaf_state(), SPIRAL, t_end=5.0, h=1e-3)
+        traj = integrate(X0, XI0, SPIRAL, t_end=5.0, h=1e-3)
         assert traj.state_frozen_from == 3108 * 1e-3
         assert traj.states[3108][:2] == traj.states[-1][:2]
         assert traj.states[3107][:2] != traj.states[3108][:2]
-        assert integrate(initial_leaf_state(), SPIRAL, t_end=2.0, h=1e-3).state_frozen_from is None
+        assert integrate(X0, XI0, SPIRAL, t_end=2.0, h=1e-3).state_frozen_from is None
+
+    @pytest.mark.parametrize("richardson_tol, calls_per_step", [(None, 1), (1e-6, 3)])
+    def test_no_step_after_the_freeze(self, monkeypatch, richardson_tol, calls_per_step):
+        # the default orbit: step 3109 returns its input bit for bit, so no later step is taken
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _rk4_step(*args)
+
+        monkeypatch.setattr(geometry, "_rk4_step", counted)
+        traj = integrate(X0, XI0, SPIRAL, t_end=50.0, h=1e-3, richardson_tol=richardson_tol)
+        assert len(calls) == calls_per_step * 3109
+        assert len(traj.states) == 50001
+        assert traj.state_frozen_from == 3108 * 1e-3
+        assert all(row is traj.states[3109] for row in traj.states[3109:])
 
     def test_closed_leaf_at_mu_zero(self):
         # t_end = 6 exceeds one period 2 pi / (g1 g2)(|x0|^2) = 5.578 of the circle
         params = ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0)
-        s0 = make_flow_state((1.2, 0.0), (-0.96, 0.48), params)
-        coarse = integrate(s0, params, t_end=6.0, h=0.02)
-        fine = integrate(s0, params, t_end=6.0, h=0.01)
+        coarse = integrate(X0, XI0, params, t_end=6.0, h=0.02)
+        fine = integrate(X0, XI0, params, t_end=6.0, h=0.01)
         assert coarse.xi_closed_form_max_rel_dev / fine.xi_closed_form_max_rel_dev > 12.0
         for traj in (coarse, fine):
             assert traj.drift_x_xi <= 1e-8
@@ -363,16 +377,16 @@ class TestIntegrate:
             assert traj.state_frozen_from is None
 
     def test_radius_monotone_and_confined(self):
-        traj = integrate(initial_leaf_state(), SPIRAL, t_end=20.0, h=1e-3)
+        traj = integrate(X0, XI0, SPIRAL, t_end=20.0, h=1e-3)
         assert traj.norm_x_monotone
         assert traj.max_norm_x <= SPIRAL.b + 1e-9
 
     def test_richardson_rejects_coarse_step(self):
         with pytest.raises(StepSizeError):
-            integrate(initial_leaf_state(), SPIRAL, t_end=2.0, h=0.5, richardson_tol=1e-12)
+            integrate(X0, XI0, SPIRAL, t_end=2.0, h=0.5, richardson_tol=1e-12)
 
     def test_richardson_accepts_fine_step(self):
-        traj = integrate(initial_leaf_state(), SPIRAL, t_end=0.5, h=1e-3, richardson_tol=1e-9)
+        traj = integrate(X0, XI0, SPIRAL, t_end=0.5, h=1e-3, richardson_tol=1e-9)
         assert len(traj.states) == 501
 
     @pytest.mark.parametrize(
@@ -383,48 +397,45 @@ class TestIntegrate:
     )
     def test_diverging_flow_raises(self, x0, mu, t_end, h):
         params = ModelParams(variant="spiral", k=2, mu=mu, a=1.0, b=2.0)
-        s0 = make_flow_state(x0, (-0.96, 0.48), params)
         with pytest.raises(ValueError, match="diverged"):
-            integrate(s0, params, t_end=t_end, h=h)
+            integrate(x0, XI0, params, t_end=t_end, h=h)
 
     @pytest.mark.parametrize("x0", [(1e200, 0.0), (3.0, 0.0), (1.0, 0.0), (0.0, 2.0), (0.0, 0.0)])
     def test_start_outside_open_ring_rejected(self, x0):
-        s0 = make_flow_state(x0, (-0.96, 0.48), SPIRAL)
         with pytest.raises(ValueError, match="open ring"):
-            integrate(s0, SPIRAL, t_end=0.01, h=1e-3)
+            integrate(x0, XI0, SPIRAL, t_end=0.01, h=1e-3)
 
     def test_zero_xi0_rejected(self):
-        s0 = make_flow_state((1.2, 0.0), (0.0, 0.0), SPIRAL)
         with pytest.raises(ValueError, match="xi0"):
-            integrate(s0, SPIRAL, t_end=0.01, h=1e-3)
+            integrate(X0, (0.0, 0.0), SPIRAL, t_end=0.01, h=1e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            integrate(initial_leaf_state(), SPIRAL, t_end=0.0, h=1e-3)
+            integrate(X0, XI0, SPIRAL, t_end=0.0, h=1e-3)
         with pytest.raises(ValueError):
-            integrate(initial_leaf_state(), SPIRAL, t_end=1.0, h=-1e-3)
+            integrate(X0, XI0, SPIRAL, t_end=1.0, h=-1e-3)
         with pytest.raises(ValueError):
-            integrate(initial_leaf_state(), CLOSED, t_end=1.0, h=1e-3)
+            integrate(X0, XI0, CLOSED, t_end=1.0, h=1e-3)
         with pytest.raises(ValueError):
-            integrate(initial_leaf_state(), SPIRAL, t_end=0.1, h=0.3)  # rounds to zero steps
+            integrate(X0, XI0, SPIRAL, t_end=0.1, h=0.3)  # rounds to zero steps
         with pytest.raises(ValueError, match="whole number"):
-            integrate(initial_leaf_state(), SPIRAL, t_end=0.0015, h=1e-3)
+            integrate(X0, XI0, SPIRAL, t_end=0.0015, h=1e-3)
         with pytest.raises(ValueError, match="richardson_tol"):
-            integrate(initial_leaf_state(), SPIRAL, t_end=0.01, h=1e-3, richardson_tol=0.0)
+            integrate(X0, XI0, SPIRAL, t_end=0.01, h=1e-3, richardson_tol=0.0)
 
     def test_step_count_capped(self):
         # 10^9 and 10^6 + 1 whole steps are refused before any state is built
         with pytest.raises(ValueError, match="cap"):
-            integrate(initial_leaf_state(), SPIRAL, t_end=1000.0, h=1e-6)
+            integrate(X0, XI0, SPIRAL, t_end=1000.0, h=1e-6)
         with pytest.raises(ValueError, match="cap"):
-            integrate(initial_leaf_state(), SPIRAL, t_end=1.000001, h=1e-6)
+            integrate(X0, XI0, SPIRAL, t_end=1.000001, h=1e-6)
 
 
 @pytest.mark.parametrize("mu, t_end", [(0.5, 5.0), (0, 6.0), (0.5, 1.0)])
 def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
     # the running values taken in the step loop equal the ones recomputed from the stored rows
-    params = ModelParams(variant="spiral", k=2, mu=mu, a=1.0, b=2.0)
-    traj = integrate(make_flow_state((1.2, 0.0), (-0.96, 0.48), params), params, t_end, h=1e-3)
+    params = ModelParams(variant="spiral", k=2, mu=Fraction(mu), a=1.0, b=2.0)
+    traj = integrate(X0, XI0, params, t_end, h=1e-3)
     rows = [_monitors(y, float(mu)) for y in traj.states]
     assert len(rows) == round(t_end / 1e-3) + 1
     assert traj.drift_x_xi == max(abs(m["x_dot_xi"] - rows[0]["x_dot_xi"]) for m in rows)
@@ -439,14 +450,14 @@ def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
 
 
 def test_log_spiral_pitch_matches_mu():
-    traj = integrate(initial_leaf_state(), SPIRAL, t_end=20.0, h=1e-3)
+    traj = integrate(X0, XI0, SPIRAL, t_end=20.0, h=1e-3)
     fit = log_spiral_fit(traj)
     assert fit["slope"] == pytest.approx(SPIRAL.mu, abs=1e-6)
     assert fit["max_residual"] < 1e-3
 
 
 def test_trajectory_csv_format():
-    traj = integrate(initial_leaf_state(), SPIRAL, t_end=0.01, h=1e-3)
+    traj = integrate(X0, XI0, SPIRAL, t_end=0.01, h=1e-3)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -459,9 +470,11 @@ def test_trajectory_csv_format():
 
 
 def test_monitors_recomputed_from_state():
-    s = make_flow_state((0.6, 0.8), (1.0, 2.0), SPIRAL)
-    assert s.monitors["norm_x"] == pytest.approx(1.0)
-    assert s.monitors["x_dot_xi"] == pytest.approx(0.6 + 1.6)
+    traj = integrate((0.9, 1.2), (1, 2), SPIRAL, t_end=1e-3, h=1e-3)
+    assert traj.states[0] == (0.9, 1.2, 1.0, 2.0)
+    monitors = _monitors(traj.states[0], float(SPIRAL.mu))
+    assert monitors["norm_x"] == pytest.approx(1.5)
+    assert monitors["x_dot_xi"] == pytest.approx(0.9 + 2.4)
     mu = SPIRAL.mu
     a_xi = (mu * 1.0 + 2.0, -1.0 + mu * 2.0)
-    assert s.monitors["x_A_xi"] == pytest.approx(0.6 * a_xi[0] + 0.8 * a_xi[1])
+    assert monitors["x_A_xi"] == pytest.approx(0.9 * a_xi[0] + 1.2 * a_xi[1])

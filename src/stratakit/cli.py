@@ -40,13 +40,15 @@ from . import cutoff as cutoff_mod
 from . import exactalg, geometry, localize
 
 REPORT_DIR_ENV = "STRATAKIT_REPORT_DIR"
+# the flow's pass thresholds: the largest drift of <x, xi> and <x, A xi>, and
+# the largest relative deviation of |xi| from its closed form
+FLOW_DRIFT_TOL = 1e-8
+FLOW_CLOSED_FORM_TOL = 1e-6
 
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return exactalg.fmt_fraction(obj)
-    if isinstance(obj, geometry.StratumLabel):
-        return obj.value
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -283,9 +285,9 @@ def run_flow(args) -> dict:
     except ValueError:
         fit = None
     ok = (
-        traj.drift_x_xi <= args.drift_tol
-        and traj.drift_x_A_xi <= args.drift_tol
-        and traj.xi_closed_form_max_rel_dev <= args.closed_form_tol
+        traj.drift_x_xi <= FLOW_DRIFT_TOL
+        and traj.drift_x_A_xi <= FLOW_DRIFT_TOL
+        and traj.xi_closed_form_max_rel_dev <= FLOW_CLOSED_FORM_TOL
         and traj.norm_x_monotone
         and traj.max_norm_x <= params.b + 1e-9
     )
@@ -304,7 +306,7 @@ def run_flow(args) -> dict:
         "max_norm_x": traj.max_norm_x,
         "state_frozen_from": traj.state_frozen_from,
         "log_spiral_fit": fit,
-        "thresholds": {"drift": args.drift_tol, "closed_form_rel": args.closed_form_tol},
+        "thresholds": {"drift": FLOW_DRIFT_TOL, "closed_form_rel": FLOW_CLOSED_FORM_TOL},
         "pass": ok,
     }
     if args.csv_out:
@@ -316,7 +318,7 @@ def run_flow(args) -> dict:
 
 def run_cutoff(args) -> dict:
     r1, r2, n, kmax = args.r1, args.r2, args.N, args.kmax
-    family = cutoff_mod.build_bands(r1, r2, n)
+    bands = cutoff_mod.build_bands(r1, r2, n)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if args.grid:
@@ -326,10 +328,7 @@ def run_cutoff(args) -> dict:
         n_values[-1] = min(n_values[-1], n)
         body = cutoff_mod.bound_check_grid(r1, r2, n_values, kmax=kmax)
     else:
-        checks = [
-            cutoff_mod.derivative_bound_check(cutoff_mod.build_cutoff(family, k))
-            for k in range(1, min(kmax, family.levels) + 1)
-        ]
+        checks = [cutoff_mod.derivative_bound_check(band) for band in bands[:kmax]]
         body = {
             "bands": checks,
             "C_uniform": max(c["C_measured"] for c in checks),
@@ -344,8 +343,8 @@ def run_cutoff(args) -> dict:
     report = {
         "suite": "cutoff-bounds",
         "N": n,
-        "band_gaps": [exactalg.fmt_fraction(b.d) for b in family.bands],
-        "budgets": [b.budget for b in family.bands],
+        "band_gaps": [exactalg.fmt_fraction(b.d) for b in bands],
+        "budgets": [b.budget for b in bands],
         "bound_check": body,
         "recursion_rate": {
             "C": c_measured,
@@ -355,9 +354,8 @@ def run_cutoff(args) -> dict:
         "pass": body["pass"] and cauchy_gap <= 1e-3,
     }
     if args.samples_out:
-        cut = cutoff_mod.build_cutoff(family, 1)
         path = _resolve_output(args.samples_out)
-        _write_atomic(path, lambda fh: cutoff_mod.write_cutoff_samples_csv(cut, fh))
+        _write_atomic(path, lambda fh: cutoff_mod.write_cutoff_samples_csv(bands[0], fh))
         report["samples_file"] = args.samples_out
     return report
 
@@ -449,8 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_finite_float, default=50.0)
     p.add_argument("--h", type=_finite_float, default=1e-3)
     p.add_argument("--richardson-tol", type=_finite_float)
-    p.add_argument("--drift-tol", type=_finite_float, default=1e-8)
-    p.add_argument("--closed-form-tol", type=_finite_float, default=1e-6)
     p.add_argument("--csv-out", help="trajectory table destination")
     p.add_argument("-o", "--output")
 

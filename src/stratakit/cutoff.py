@@ -1,11 +1,11 @@
 """Nested band geometry and iterated-box-convolution cutoff functions.
 
-A band family shrinks the master interval (r1, r2) by the gap schedule
+The bands shrink the interval (r1, r2) by the gap schedule
 d_k = (r2 - r1)/(4 k^2), one gap per side per level, leaving log2(N) nested
 bands with derivative budgets N_k = N / 2^(k-1).  The level-k cutoff is the
-indicator of a band convolved with N_k box kernels of equal width: it is 1
-on band k, supported in band k-1 (the gap d_k hosts the transition), and its
-derivatives up to order N_k are exactly evaluable.
+indicator of band k convolved with N_k box kernels of width d_k / N_k: it is
+1 on band k, supported in band k-1 (the gap d_k hosts the transition), and
+its derivatives up to order N_k are exactly evaluable.
 
 All transition analysis reduces to cardinal B-splines on unit knots: a
 transition ramp of n equal boxes of width w satisfies
@@ -25,9 +25,9 @@ of B_(n-j),
 
 and the translates B_(n-j)(y - i) are non-negative with sum 1, so
 |B_n^(j)| <= C(j, floor(j/2)).  The bound is attained at j = n-1, where
-B_n^(n-1) is piecewise constant with values +-C(n-1, i).  Every per-order
-value reported is this certified upper bound; only the top order's is
-attained.
+B_n^(n-1) is piecewise constant with values +-C(n-1, i).  Orders 0 and N
+set every band's constant (README has the proof), so the bound check
+reports those two orders: order 0 exactly, order N at its attained bound.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from .exactalg import exact, fmt_fraction
 
 __all__ = [
     "Band",
-    "BandFamily",
-    "EhrenpreisCutoff",
     "build_bands",
-    "build_cutoff",
     "derivative_bound_check",
     "bound_check_grid",
     "recursion_product",
@@ -65,59 +62,6 @@ def _sci_from_log(log_value: float) -> str:
     exp = math.floor(log10)
     mant = 10.0 ** (log10 - exp)
     return f"{mant:.6f}e{exp:+d}"
-
-
-# -- band geometry --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Band:
-    k: int
-    lo: Fraction
-    hi: Fraction
-    d: Fraction
-    budget: int
-
-
-@dataclass(frozen=True)
-class BandFamily:
-    r1: Fraction
-    r2: Fraction
-    n: int
-    bands: tuple
-
-    def band(self, k: int) -> Band:
-        """Band k for 1 <= k <= levels; k = 0 is the master interval."""
-        if k == 0:
-            return Band(k=0, lo=self.r1, hi=self.r2, d=Fraction(0), budget=self.n)
-        if not 1 <= k <= len(self.bands):
-            raise ValueError(f"band index {k} outside 1..{len(self.bands)}")
-        return self.bands[k - 1]
-
-    @property
-    def levels(self) -> int:
-        return len(self.bands)
-
-
-def build_bands(r1, r2, n: int) -> BandFamily:
-    """Band family with gaps d_k = (r2 - r1)/(4 k^2) and budgets N/2^(k-1)."""
-    lo, hi = exact(r1), exact(r2)
-    if not lo < hi:
-        raise ValueError("need r1 < r2")
-    if n < 4 or n & (n - 1):
-        raise ValueError("N must be a power of 2, N >= 4")
-    levels = n.bit_length() - 1
-    span = hi - lo
-    bands = []
-    cur_lo, cur_hi = lo, hi
-    for k in range(1, levels + 1):
-        d = span / (4 * k * k)
-        cur_lo = cur_lo + d
-        cur_hi = cur_hi - d
-        if not cur_lo < cur_hi:
-            raise ValueError("band family collapsed (should be impossible)")
-        bands.append(Band(k=k, lo=cur_lo, hi=cur_hi, d=d, budget=n >> (k - 1)))
-    return BandFamily(r1=lo, r2=hi, n=n, bands=tuple(bands))
 
 
 # -- cardinal B-spline engine ----------------------------------------------------
@@ -152,54 +96,53 @@ def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
     return Fraction(num, factorial(deg) * q ** deg)
 
 
-def _cdf(n: int, y: Fraction) -> Fraction:
-    """Transition ramp B_n^(-1) = integral of B_n: the smoothed unit step, at knot scale."""
-    return Fraction(1) if y >= n else _eval_deriv(n, -1, y)
-
-
-# -- cutoff functions -------------------------------------------------------------
+# -- bands and their cutoffs ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class EhrenpreisCutoff:
-    """Indicator smoothed by its budget's worth of equal box kernels.
+class Band:
+    """Band k = [lo, hi] with gap d and budget N_k, and its cutoff phi_k.
 
-    Identically 1 on [plateau_lo, plateau_hi], supported in
-    [support_lo, support_hi], with transition width budget * box_width on
-    each side.  Derivatives up to the budget exist and evaluate exactly.
+    phi_k is the indicator of [lo, hi] smoothed by ``budget`` boxes of width
+    ``box_width``: identically 1 on the band, supported in
+    [support_lo, support_hi] (band k-1), with a transition of width d on each
+    side.  Derivatives up to the budget exist and evaluate exactly.
     """
 
-    band_index: int
+    k: int
+    lo: Fraction
+    hi: Fraction
+    d: Fraction
     budget: int
-    plateau_lo: Fraction
-    plateau_hi: Fraction
-    box_width: Fraction
-    gap: Fraction
 
     @property
-    def transition(self) -> Fraction:
-        return self.budget * self.box_width
+    def box_width(self) -> Fraction:
+        return self.d / self.budget
 
     @property
     def support_lo(self) -> Fraction:
-        return self.plateau_lo - self.transition
+        return self.lo - self.d
 
     @property
     def support_hi(self) -> Fraction:
-        return self.plateau_hi + self.transition
+        return self.hi + self.d
 
     def _knot_coord(self, r) -> tuple[Fraction, int]:
         """Map an exact r to (ramp coordinate y in knot units, side sign)."""
         fr = exact(r)
-        mid = (self.plateau_lo + self.plateau_hi) / 2
+        mid = (self.lo + self.hi) / 2
         if fr <= mid:
             return (fr - self.support_lo) / self.box_width, +1
         return (self.support_hi - fr) / self.box_width, -1
 
     def value(self, r) -> Fraction:
-        """phi(r), exactly; a float r raises TypeError."""
+        """phi(r), exactly; a float r raises TypeError.
+
+        The ramp is B_N^(-1), the integral of B_N: the smoothed unit step at
+        knot scale.
+        """
         y, _side = self._knot_coord(r)
-        return _cdf(self.budget, y)
+        return Fraction(1) if y >= self.budget else _eval_deriv(self.budget, -1, y)
 
     def derivative_value(self, r, ell: int) -> Fraction:
         """phi^(l)(r) evaluated exactly from the spline representation."""
@@ -214,70 +157,63 @@ class EhrenpreisCutoff:
         return -scaled if side < 0 and ell % 2 == 1 else scaled
 
 
-def build_cutoff(family: BandFamily, k: int) -> EhrenpreisCutoff:
-    """Level-k cutoff: 1 on band k, supported in band k-1, transition d_k.
-
-    The budget N_k box kernels have width d_k / N_k so the transition fills
-    the gap between consecutive bands exactly.
-    """
-    if not 1 <= k <= family.levels:
-        raise ValueError(f"band index {k} outside 1..{family.levels}")
-    band = family.band(k)
-    return EhrenpreisCutoff(
-        band_index=k,
-        budget=band.budget,
-        plateau_lo=band.lo,
-        plateau_hi=band.hi,
-        box_width=band.d / band.budget,
-        gap=band.d,
-    )
+def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
+    """Bands k = 1..log2(N) with gaps d_k = (r2 - r1)/(4 k^2) and budgets N/2^(k-1)."""
+    lo, hi = exact(r1), exact(r2)
+    if not lo < hi:
+        raise ValueError("need r1 < r2")
+    if n < 4 or n & (n - 1):
+        raise ValueError("N must be a power of 2, N >= 4")
+    span = hi - lo
+    bands = []
+    for k in range(1, n.bit_length()):
+        d = span / (4 * k * k)
+        # each side moves in by sum d_k < (pi^2/24) span < span/2, so lo < hi
+        lo, hi = lo + d, hi - d
+        bands.append(Band(k=k, lo=lo, hi=hi, d=d, budget=n >> (k - 1)))
+    return tuple(bands)
 
 
 # -- derivative growth bounds -----------------------------------------------------
 
 
-def derivative_bound_check(cutoff: EhrenpreisCutoff) -> dict:
+def derivative_bound_check(band: Band) -> dict:
     """Least C with sup |phi^(l)| <= (C/d)^(l+1) N^l at every order l = 0..N.
 
-    Order 0 has sup phi = 1; order l >= 1 takes the certified bound
-    sup |B_N^(l-1)| <= C(l-1, floor((l-1)/2)), so C_measured, the largest
-    per-order constant, is certified.  The top order's bound is attained,
-    and ``pass`` requires that value, evaluated from the spline at the
-    centre of a piece, to equal the binomial.  C_closed_form is the larger
-    of the order-0 and order-N constants, d and (d C(N-1, floor((N-1)/2)))^(1/(N+1)).
+    Order 0 has sup phi = 1; order l >= 1 has the certified bound
+    sup |B_N^(l-1)| <= C(l-1, floor((l-1)/2)).  Orders 0 and N set the
+    constant (README has the proof), so C_measured is the larger of theirs,
+    max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))), and is certified.  The top
+    order's bound is attained, and ``pass`` requires that value, evaluated
+    from the spline at the centre of a piece, to equal the binomial.
     """
-    n = cutoff.budget
-    d = cutoff.gap
-    log_d = _log_frac(d)
+    n = band.budget
+    log_d = _log_frac(band.d)
     log_n = math.log(n)
-    log_w = _log_frac(cutoff.box_width)
+    log_w = _log_frac(band.box_width)
     profile = []
-    c_measured = 0.0
-    for ell in range(n + 1):
+    for ell in (0, n):
         log_sup = math.log(comb(ell - 1, (ell - 1) // 2)) - ell * log_w if ell else 0.0
         log_c = log_d + (log_sup - ell * log_n) / (ell + 1)
-        c_ell = math.exp(log_c)
-        c_measured = max(c_measured, c_ell)
         profile.append(
             {
                 "ell": ell,
                 "log_sup_bound": log_sup,
                 "sup_bound": _sci_from_log(log_sup),
-                "bound_c": c_ell,
+                "bound_c": math.exp(log_c),
             }
         )
+    c_measured = max(e["bound_c"] for e in profile)
     mid = (n - 1) // 2
-    top = comb(n - 1, mid)
     # B_N^(N-1) is +-C(N-1, i) on the piece (i, i+1)
-    top_ok = abs(_eval_deriv(n, n - 1, Fraction(2 * mid + 1, 2))) == top
+    top_ok = abs(_eval_deriv(n, n - 1, Fraction(2 * mid + 1, 2))) == comb(n - 1, mid)
     return {
-        "band": cutoff.band_index,
+        "band": band.k,
         "budget": n,
-        "gap": fmt_fraction(d),
-        "checked_orders": list(range(n + 1)),
+        "gap": fmt_fraction(band.d),
+        "checked_orders": [0, n],
         "profile": profile,
         "C_measured": c_measured,
-        "C_closed_form": max(float(d), math.exp(_log_frac(d * top) / (n + 1))),
         "pass": math.isfinite(c_measured) and c_measured > 0 and top_ok,
     }
 
@@ -291,16 +227,17 @@ def bound_check_grid(r1, r2, n_values, kmax: int = 8) -> dict:
     need much *less*, so the downward spread is wide by design; what must
     not happen is any band needing substantially more.)
     """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     entries = []
     reference = None
     for n in sorted(n_values):
-        family = build_bands(r1, r2, n)
-        for k in range(1, min(kmax, family.levels) + 1):
-            check = derivative_bound_check(build_cutoff(family, k))
+        for band in build_bands(r1, r2, n)[:kmax]:
+            check = derivative_bound_check(band)
             entries.append(
-                {"N": n, "k": k, "budget": check["budget"], "C_measured": check["C_measured"]}
+                {"N": n, "k": band.k, "budget": band.budget, "C_measured": check["C_measured"]}
             )
-            if n == max(n_values) and k == 1:
+            if n == max(n_values) and band.k == 1:
                 reference = check["C_measured"]
     cs = [e["C_measured"] for e in entries]
     uniform_ok = max(cs) <= 2.0 * reference
@@ -346,16 +283,16 @@ def recursion_product(n: int, c: float) -> dict:
     }
 
 
-def write_cutoff_samples_csv(cutoff: EhrenpreisCutoff, stream) -> None:
+def write_cutoff_samples_csv(band: Band, stream) -> None:
     """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting.
 
     The points r_i = lo - m + (hi - lo + 2m) i/200, m = (hi - lo)/20, are
     exact rationals; each exact value is rounded to a float once.
     """
-    lo, hi = cutoff.support_lo, cutoff.support_hi
+    lo, hi = band.support_lo, band.support_hi
     margin = (hi - lo) / 20
     stream.write("r,phi,dphi,d2phi\n")
     for i in range(201):
         r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        row = (r, cutoff.value(r), cutoff.derivative_value(r, 1), cutoff.derivative_value(r, 2))
+        row = (r, band.value(r), band.derivative_value(r, 1), band.derivative_value(r, 2))
         stream.write(",".join(f"{float(v):.17g}" for v in row) + "\n")

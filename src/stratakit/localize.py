@@ -218,7 +218,6 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         "pmax": pmax,
         "cases": cases,
         "delta": [fmt_fraction(d) for d in reference],
-        "delta_values": reference,
         "delta_p_independent": p_independent,
         "delta_abs_le_1": bounded,
         "convention_comparison": comparison,
@@ -295,7 +294,6 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
         "jmax": jmax,
         "cases": cases,
         "gamma": [fmt_fraction(g) for g in reference],
-        "gamma_values": reference,
         "gamma_j_independent": j_independent,
         "pass": j_independent and all(c["pass"] for c in cases),
     }

@@ -155,18 +155,17 @@ def bound_grid():
 
 
 def test_criterion_10_cutoff_bounds(bound_grid):
-    family = co.build_bands(1, 2, 1024)
     geometry_ok = True
-    prev = family.band(0)
-    for band in family.bands:
+    prev_lo, prev_hi = Fraction(1), Fraction(2)
+    for band in co.build_bands(1, 2, 1024):
         geometry_ok = (
             geometry_ok
             and band.d == Fraction(1, 4 * band.k * band.k)
-            and band.lo == prev.lo + band.d
-            and band.hi == prev.hi - band.d
-            and prev.lo < band.lo < band.hi < prev.hi
+            and band.lo == prev_lo + band.d
+            and band.hi == prev_hi - band.d
+            and prev_lo < band.lo < band.hi < prev_hi
         )
-        prev = band
+        prev_lo, prev_hi = band.lo, band.hi
 
     ok = geometry_ok and bound_grid["pass"] and math.isfinite(bound_grid["C_uniform"])
     detail = (
@@ -215,11 +214,24 @@ def test_grid_constants_pinned(bound_grid):
     assert measured == PINNED_C
 
 
-def test_closed_form_constant_matches_measured():
-    # max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))): orders 0 and N set every band's C
-    for n, k in PINNED_C:
-        check = co.derivative_bound_check(co.build_cutoff(co.build_bands(1, 2, n), k))
-        assert check["C_closed_form"] == pytest.approx(check["C_measured"], rel=1e-12, abs=0)
+def _every_order_constant(band):
+    """The largest per-order constant over every order l = 0..N, one order at a time."""
+    n = band.budget
+    log_d, log_n, log_w = co._log_frac(band.d), math.log(n), co._log_frac(band.box_width)
+    c = 0.0
+    for ell in range(n + 1):
+        log_sup = math.log(math.comb(ell - 1, (ell - 1) // 2)) - ell * log_w if ell else 0.0
+        c = max(c, math.exp(log_d + (log_sup - ell * log_n) / (ell + 1)))
+    return c
+
+
+def test_two_orders_give_the_every_order_constant():
+    # orders 0 and N set every band's C (README has the proof): the loop over
+    # all N + 1 orders reproduces C_measured bit for bit
+    bands = [co.build_bands(1, 2, n)[k - 1] for n, k in PINNED_C]
+    bands += [b for e in range(2, 11) for b in co.build_bands(0, 1, 1 << e)[:8]]
+    for band in bands:
+        assert co.derivative_bound_check(band)["C_measured"] == _every_order_constant(band)
 
 
 def test_criterion_11_recursion_product_convergence(bound_grid):

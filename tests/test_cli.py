@@ -276,6 +276,7 @@ def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, 
         ["flow", "--xi0", "0,0", "--t-end", "0.01"],
         ["flow", "--t-end", "1000", "--h", "1e-6"],
         ["report-all", "--quick", "--k", "2,2", "--outdir", "{tmp}/r"],
+        ["flow", "--drift-tol", "1"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from stratakit.cutoff import (
+    Band,
     build_bands,
-    build_cutoff,
     bound_check_grid,
     derivative_bound_check,
     recursion_product,
@@ -19,8 +19,8 @@ from stratakit import cutoff as co
 
 class TestBandGeometry:
     def test_gap_schedule_exact(self):
-        fam = build_bands(0, 1, 16)
-        assert [b.d for b in fam.bands] == [
+        bands = build_bands(0, 1, 16)
+        assert [b.d for b in bands] == [
             Fraction(1, 4),
             Fraction(1, 16),
             Fraction(1, 36),
@@ -28,35 +28,34 @@ class TestBandGeometry:
         ]
 
     def test_gap_scales_with_span(self):
-        fam = build_bands(1, 3, 8)
-        assert fam.bands[0].d == Fraction(1, 2)
-        assert fam.bands[1].d == Fraction(1, 8)
+        bands = build_bands(1, 3, 8)
+        assert bands[0].d == Fraction(1, 2)
+        assert bands[1].d == Fraction(1, 8)
 
     def test_n4_two_bands_budgets(self):
-        fam = build_bands(1, 2, 4)
-        assert fam.levels == 2
-        assert [b.budget for b in fam.bands] == [4, 2]
+        bands = build_bands(1, 2, 4)
+        assert len(bands) == 2
+        assert [b.budget for b in bands] == [4, 2]
 
     def test_budgets_halve(self):
-        fam = build_bands(0, 1, 64)
-        assert [b.budget for b in fam.bands] == [64, 32, 16, 8, 4, 2]
+        bands = build_bands(0, 1, 64)
+        assert [b.budget for b in bands] == [64, 32, 16, 8, 4, 2]
 
     def test_nesting_strict(self):
-        fam = build_bands(0, 1, 32)
-        prev = fam.band(0)
-        for b in fam.bands:
-            assert prev.lo < b.lo < b.hi < prev.hi
-            assert b.lo == prev.lo + b.d and b.hi == prev.hi - b.d
-            prev = b
+        prev_lo, prev_hi = Fraction(0), Fraction(1)
+        for b in build_bands(0, 1, 32):
+            assert prev_lo < b.lo < b.hi < prev_hi
+            assert b.lo == prev_lo + b.d and b.hi == prev_hi - b.d
+            prev_lo, prev_hi = b.lo, b.hi
 
     def test_total_shrinkage_partial_sums(self):
         # sum d_k -> (pi^2/24)(r2 - r1), always below the span; the tail
         # beyond K bands is under 1/(4K)
-        fam = build_bands(0, 1, 1024)
-        total = sum((b.d for b in fam.bands), Fraction(0))
+        bands = build_bands(0, 1, 1024)
+        total = sum((b.d for b in bands), Fraction(0))
         assert total < Fraction(1)
         gap_to_limit = math.pi ** 2 / 24 - float(total)
-        assert 0 < gap_to_limit < 1 / (4 * fam.levels)
+        assert 0 < gap_to_limit < 1 / (4 * len(bands))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -74,48 +73,45 @@ class TestBandGeometry:
 
 class TestCutoffShape:
     def test_plateau_is_band_support_is_outer_band(self):
-        fam = build_bands(0, 1, 16)
-        for k in (1, 2):
-            cut = build_cutoff(fam, k)
-            band, outer = fam.band(k), fam.band(k - 1)
-            assert (cut.plateau_lo, cut.plateau_hi) == (band.lo, band.hi)
-            assert (cut.support_lo, cut.support_hi) == (outer.lo, outer.hi)
-            assert cut.box_width * cut.budget == band.d
+        outer = (Fraction(0), Fraction(1))
+        for band in build_bands(0, 1, 16)[:2]:
+            assert band.value(band.lo) == band.value(band.hi) == 1
+            assert (band.support_lo, band.support_hi) == outer
+            assert band.box_width * band.budget == band.d
+            outer = (band.lo, band.hi)
 
     def test_plateau_value_one(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
-        for r in (cut.plateau_lo, (cut.plateau_lo + cut.plateau_hi) / 2, cut.plateau_hi):
+        cut = build_bands(0, 1, 8)[0]
+        for r in (cut.lo, (cut.lo + cut.hi) / 2, cut.hi):
             assert cut.value(r) == 1
 
     def test_vanishes_outside_support(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        cut = build_bands(0, 1, 8)[0]
         assert cut.value(cut.support_lo) == 0
         assert cut.value(cut.support_hi) == 0
         assert cut.value(cut.support_lo - Fraction(1, 100)) == 0
 
     def test_bounded_by_one(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 2)
+        cut = build_bands(0, 1, 8)[1]
         for i in range(301):
             r = Fraction(i, 300)
             assert 0 <= cut.value(r) <= 1
 
     def test_mid_transition_value(self):
-        cut = build_cutoff(build_bands(0, 1, 16), 1)
-        mid = cut.plateau_lo - cut.gap / 2
+        cut = build_bands(0, 1, 16)[0]
+        mid = cut.lo - cut.d / 2
         assert cut.value(mid) == Fraction(1, 2)  # symmetric ramp
 
     def test_float_input_rejected(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        cut = build_bands(0, 1, 8)[0]
         with pytest.raises(TypeError):
             cut.value(0.5)
         assert isinstance(cut.value(Fraction(1, 2)), Fraction)
 
     def test_base_is_one_on_support_of_next_level(self):
-        fam = build_bands(0, 1, 16)
-        phi1 = build_cutoff(fam, 1)
-        phi2 = build_cutoff(fam, 2)
-        assert phi1.plateau_lo <= phi2.support_lo
-        assert phi2.support_hi <= phi1.plateau_hi
+        phi1, phi2 = build_bands(0, 1, 16)[:2]
+        assert phi1.lo <= phi2.support_lo
+        assert phi2.support_hi <= phi1.hi
         assert phi1.value(phi2.support_lo) == 1
 
 
@@ -147,9 +143,9 @@ class TestBsplineSups:
         assert abs(co._eval_deriv(n, n - 1, Fraction(11, 2))) == math.comb(n - 1, 5)
 
     def test_bad_order_rejected(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        cut = build_bands(0, 1, 8)[0]
         with pytest.raises(ValueError):
-            cut.derivative_value(cut.plateau_lo - cut.gap / 2, cut.budget + 1)
+            cut.derivative_value(cut.lo - cut.d / 2, cut.budget + 1)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_cdf_matches_direct_alternating_sum(self, n):
@@ -161,10 +157,12 @@ class TestBsplineSups:
             acc = sum((-1) ** s * math.comb(n, s) * (y - s) ** n for s in range(n + 1) if y > s)
             return acc / math.factorial(n)
 
+        # unit boxes, support from 0: value(y) is the ramp at knot coordinate y
+        ramp = Band(k=1, lo=Fraction(n), hi=Fraction(4 * n), d=Fraction(n), budget=n)
         points = [Fraction(-3, 2), Fraction(0), Fraction(n), Fraction(2 * n + 1, 2)]
         points += [Fraction(i, 7) for i in range(1, 7 * n)]
         for y in points:
-            assert co._cdf(n, y) == direct(y)
+            assert ramp.value(y) == direct(y)
 
 
 def _peak(cut):
@@ -174,26 +172,26 @@ def _peak(cut):
 
 class TestDerivativeValues:
     def test_first_derivative_sup_at_most_budget_over_gap(self):
-        cut = build_cutoff(build_bands(0, 1, 16), 1)
-        assert _peak(cut) <= Fraction(cut.budget) / cut.gap
+        cut = build_bands(0, 1, 16)[0]
+        assert _peak(cut) <= Fraction(cut.budget) / cut.d
 
     def test_derivative_antisymmetry_across_sides(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
-        left = cut.plateau_lo - cut.gap / 2
-        right = cut.plateau_hi + cut.gap / 2
+        cut = build_bands(0, 1, 8)[0]
+        left = cut.lo - cut.d / 2
+        right = cut.hi + cut.d / 2
         assert cut.derivative_value(left, 1) == -cut.derivative_value(right, 1)
         assert cut.derivative_value(left, 2) == cut.derivative_value(right, 2)
 
     def test_derivative_zero_on_plateau_and_outside(self):
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
-        mid = (cut.plateau_lo + cut.plateau_hi) / 2
+        cut = build_bands(0, 1, 8)[0]
+        mid = (cut.lo + cut.hi) / 2
         assert cut.derivative_value(mid, 1) == 0
         assert cut.derivative_value(cut.support_lo - 1, 1) == 0
 
     def test_finite_differences_agree(self):
         # FD probes of the exact evaluator around the argmax of phi'
-        cut = build_cutoff(build_bands(0, 1, 16), 2)  # budget 8
-        center = cut.support_lo + cut.gap / 2
+        cut = build_bands(0, 1, 16)[1]  # budget 8
+        center = cut.support_lo + cut.d / 2
         w = cut.box_width
         delta = w / 2000
         worst = 0
@@ -205,8 +203,8 @@ class TestDerivativeValues:
         assert worst / _peak(cut) < 1e-6
 
     def test_fd_sup_estimate_matches_reported_sup(self):
-        cut = build_cutoff(build_bands(0, 1, 16), 2)
-        center = cut.support_lo + cut.gap / 2
+        cut = build_bands(0, 1, 16)[1]
+        center = cut.support_lo + cut.d / 2
         sup = _peak(cut)
         w = cut.box_width
         delta = w / 4000
@@ -220,41 +218,37 @@ class TestDerivativeValues:
 
 class TestBoundCheck:
     def test_small_budget_full_policy(self):
-        fam = build_bands(0, 1, 16)
-        report = derivative_bound_check(build_cutoff(fam, 1))
-        assert report["checked_orders"] == list(range(17))
+        report = derivative_bound_check(build_bands(0, 1, 16)[0])
+        assert report["checked_orders"] == [0, 16]
         assert [e["ell"] for e in report["profile"]] == report["checked_orders"]
         assert report["pass"]
 
     def test_order_zero_forces_c_at_least_gap(self):
-        fam = build_bands(0, 1, 16)
-        report = derivative_bound_check(build_cutoff(fam, 1))
+        report = derivative_bound_check(build_bands(0, 1, 16)[0])
         c0 = next(e for e in report["profile"] if e["ell"] == 0)
         assert c0["bound_c"] == pytest.approx(0.25)
 
     def test_bound_holds_pointwise(self):
         # (C/d)^(l+1) N^l with the certified C dominates exact values of phi^(l)
-        fam = build_bands(0, 1, 32)
-        cut = build_cutoff(fam, 1)
+        cut = build_bands(0, 1, 32)[0]
         report = derivative_bound_check(cut)
         c = report["C_measured"] * (1 + 1e-12)
-        d = float(cut.gap)
-        points = [cut.support_lo + cut.gap * Fraction(i, 40) for i in range(1, 40)]
-        for ell in report["checked_orders"]:
+        d = float(cut.d)
+        points = [cut.support_lo + cut.d * Fraction(i, 40) for i in range(1, 40)]
+        for ell in range(cut.budget + 1):
             bound = (ell + 1) * (math.log(c) - math.log(d)) + ell * math.log(cut.budget)
             for r in points:
                 value = abs(cut.derivative_value(r, ell))
                 assert not value or math.log(value) <= bound + 1e-9
 
     def test_every_order_checked_large_budget(self):
-        fam = build_bands(0, 1, 128)
-        report = derivative_bound_check(build_cutoff(fam, 1))
-        assert report["checked_orders"] == list(range(129))
+        report = derivative_bound_check(build_bands(0, 1, 128)[0])
+        assert report["checked_orders"] == [0, 128]
         assert report["pass"]
 
     def test_top_order_gate_fails_on_planted_value(self, monkeypatch):
         # B_8^(7) is +-C(7, 3) = +-35 on (3, 4); a planted 36 there must fail the check
-        cut = build_cutoff(build_bands(0, 1, 8), 1)
+        cut = build_bands(0, 1, 8)[0]
         assert derivative_bound_check(cut)["pass"]
         real = co._eval_deriv
 
@@ -268,6 +262,12 @@ class TestBoundCheck:
         grid = bound_check_grid(0, 1, [4, 16, 64], kmax=8)
         assert grid["pass"]
         assert grid["C_uniform"] <= 2.0 * grid["single_band_reference"]
+
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_grid_rejects_nonpositive_kmax(self, kmax):
+        # bands[:-1] would silently drop the last band
+        with pytest.raises(ValueError):
+            bound_check_grid(0, 1, [16], kmax=kmax)
 
 
 class TestRecursionProduct:
@@ -303,7 +303,7 @@ class TestRecursionProduct:
 def test_samples_csv_rows_round_exact_values():
     # the band cutoff --N 64 writes: line 3 must read float(r_1) =
     # 0.95550000000000002, where a float abscissa gives 0.9554999999999999
-    cut = build_cutoff(build_bands(1, 2, 64), 1)
+    cut = build_bands(1, 2, 64)[0]
     buf = io.StringIO()
     write_cutoff_samples_csv(cut, buf)
     rows = buf.getvalue().splitlines()[1:]
@@ -317,7 +317,7 @@ def test_samples_csv_rows_round_exact_values():
 
 
 def test_samples_csv_shape():
-    cut = build_cutoff(build_bands(0, 1, 8), 1)
+    cut = build_bands(0, 1, 8)[0]
     buf = io.StringIO()
     write_cutoff_samples_csv(cut, buf)
     lines = buf.getvalue().strip().split("\n")

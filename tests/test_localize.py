@@ -146,7 +146,7 @@ class TestDeltaExtraction:
     def test_leading_delta_is_minus_one_over_k(self):
         for k in (2, 3, 5):
             report = extract_delta(3, k, TABLE)
-            assert report["delta_values"][0] == Fraction(-1, k)
+            assert Fraction(report["delta"][0]) == Fraction(-1, k)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_structural_pass_and_p_independence(self, k):
@@ -160,7 +160,7 @@ class TestDeltaExtraction:
         # delta_2 = -1/(3k) - 1/(2k^2) - 1/(6k^3), derived by expanding the
         # bracket polynomials over the localizer basis by hand
         for k in (2, 3, 4):
-            got = extract_delta(4, k, TABLE)["delta_values"]
+            got = [Fraction(v) for v in extract_delta(4, k, TABLE)["delta"]]
             assert got[0] == Fraction(-1, k)
             assert got[1] == Fraction(1, 2 * k) + Fraction(1, 2 * k * k)
             assert got[2] == (
@@ -183,7 +183,7 @@ class TestDeltaExtraction:
         # ratios: |delta_l| = C(2l+2, l+1)/4^(l+1)
         from math import comb
 
-        got = extract_delta(6, 2, TABLE)["delta_values"]
+        got = [Fraction(v) for v in extract_delta(6, 2, TABLE)["delta"]]
         for ell, value in enumerate(got):
             expected = Fraction(comb(2 * ell + 2, ell + 1), 4 ** (ell + 1))
             assert abs(value) == expected
@@ -194,7 +194,7 @@ class TestGammaExpansion:
     def test_j1_single_term(self):
         for k in (2, 3):
             report = verify_gamma_expansion(1, k, TABLE)
-            assert report["gamma_values"] == [Fraction(-1, k)]
+            assert [Fraction(v) for v in report["gamma"]] == [Fraction(-1, k)]
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_exact_expansion_through_j8(self, k):
@@ -204,8 +204,8 @@ class TestGammaExpansion:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gamma_reproduces_operator_delta(self, k):
-        gamma = verify_gamma_expansion(7, k, TABLE)["gamma_values"]
-        delta = extract_delta(7, k, TABLE)["delta_values"]
+        gamma = [Fraction(v) for v in verify_gamma_expansion(7, k, TABLE)["gamma"]]
+        delta = [Fraction(v) for v in extract_delta(7, k, TABLE)["delta"]]
         assert gamma == delta
 
 

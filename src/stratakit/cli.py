@@ -6,8 +6,9 @@ coeffs      dual-route coefficient table checks (recurrence vs generating
             function), Bernoulli head identity, growth scan
 verify      operator-identity suite: localizer brackets, localized-power
             brackets, delta extraction, gamma expansion, Stirling identity
-classify    stratum label for one covector, by exact zero tests
-flow        spiral Hamilton trajectory with conservation monitors
+classify    stratum label for one covector, by exact zero tests, and the
+            symplectic dichotomy at it
+flow        Hamilton trajectory on the leaves with conservation monitors
 cutoff      band-family derivative bound checks and the product-rate bound
 report-all  every suite, one JSON file per section; each section but the
             symplectic dichotomy is its subcommand run on its own argv
@@ -204,35 +205,27 @@ def run_verify(args) -> dict:
         localize.verify_stirling_identity(min(jmax + 3, 15)),
         localize.bound_scan_a(max(jmax, 2), table),
     ]
-    ok = all(c["pass"] for c in checks)
-    report = {
+    return {
         "suite": "operator-identities",
         "k": k,
         "jmax": jmax,
         "pmax": pmax,
         "checks": checks,
         "reversed_bracket": "[M, X2] = +t^k R = -[X2, M]",
-        "pass": ok,
+        "pass": all(c["pass"] for c in checks),
     }
-    convention = args.delta_convention_check
-    if convention != "none":
-        matched = checks[2]["convention_comparison"][convention]["matches"]
-        report["delta_convention_check"] = {"convention": convention, "matches": matched}
-        report["pass"] = ok and matched
-    return report
 
 
 def run_classify(args) -> dict:
-    if args.variant == "spiral":
-        params = geometry.ModelParams(variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b)
-    else:
-        params = geometry.ModelParams(variant="closed", k=args.k)
+    """The point's label and, on a stratum, its bracket-matrix rank; ``pass`` is
+    the paper's dichotomy there: Sigma1 nondegenerate, Sigma2 degenerate."""
+    params = geometry.ModelParams(args.k, args.mu)
     cov = geometry.Covector(t=args.t, x=args.x, tau=args.tau, xi=args.xi)
     label, flags = geometry.classify_detailed(cov, params)
-    return {
+    report = {
         "suite": "classification",
-        "variant": params.variant,
         "k": params.k,
+        "mu": params.mu,
         "point": {
             "t": str(args.t),
             "x": [str(v) for v in args.x],
@@ -241,8 +234,14 @@ def run_classify(args) -> dict:
         },
         "label": label.value,
         "flags": flags,
-        "pass": True,
     }
+    ok = True
+    if label is not geometry.StratumLabel.NONCHARACTERISTIC:
+        rank = geometry.symplectic_rank(label, cov, params)
+        report["rank"], report["degenerate"] = rank["rank"], rank["degenerate"]
+        ok = rank["degenerate"] == (label is geometry.StratumLabel.SIGMA2)
+    report["pass"] = ok
+    return report
 
 
 def _rank_verdict(stratum: geometry.StratumLabel, point, params) -> bool | None:
@@ -256,13 +255,13 @@ def _rank_verdict(stratum: geometry.StratumLabel, point, params) -> bool | None:
 
 def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
     rng = random.Random(seed)
-    closed = geometry.ModelParams(variant="closed", k=k)
+    params = geometry.ModelParams(k)
     sigma1_ok = sigma2_ok = 0
     for _ in range(samples):
-        p1 = geometry.sample_sigma1(rng, closed)
-        sigma1_ok += _rank_verdict(geometry.StratumLabel.SIGMA1, p1, closed) is False
-        p2 = geometry.sample_sigma2(rng, closed)
-        sigma2_ok += _rank_verdict(geometry.StratumLabel.SIGMA2, p2, closed) is True
+        p1 = geometry.sample_sigma1(rng, params)
+        sigma1_ok += _rank_verdict(geometry.StratumLabel.SIGMA1, p1, params) is False
+        p2 = geometry.sample_sigma2(rng, params)
+        sigma2_ok += _rank_verdict(geometry.StratumLabel.SIGMA2, p2, params) is True
     return {
         "suite": "symplectic-dichotomy",
         "k": k,
@@ -276,9 +275,9 @@ def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
 
 
 def run_flow(args) -> dict:
-    params = geometry.ModelParams(variant="spiral", k=args.k, mu=args.mu, a=args.a, b=args.b)
     traj = geometry.integrate(
-        args.x0, args.xi0, params, t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol
+        args.x0, args.xi0, args.mu, args.a, args.b,
+        t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol,
     )
     try:
         fit = geometry.log_spiral_fit(traj)
@@ -289,16 +288,16 @@ def run_flow(args) -> dict:
         and traj.drift_x_A_xi <= FLOW_DRIFT_TOL
         and traj.xi_closed_form_max_rel_dev <= FLOW_CLOSED_FORM_TOL
         and traj.norm_x_monotone
-        and traj.max_norm_x <= params.b + 1e-9
+        and traj.max_norm_x <= traj.b + 1e-9
     )
     report = {
         "suite": "hamilton-flow",
-        "params": {"k": params.k, "mu": float(params.mu), "a": params.a, "b": params.b},
+        "params": {"mu": traj.mu, "a": traj.a, "b": traj.b},
         "x0": list(traj.states[0][:2]),
         "xi0": list(traj.states[0][2:]),
         "t_end": args.t_end,
         "h": args.h,
-        "initial_monitors": geometry._monitors(traj.states[0], float(params.mu)),
+        "initial_monitors": geometry._monitors(traj.states[0], traj.mu),
         "drift_x_xi": traj.drift_x_xi,
         "drift_x_A_xi": traj.drift_x_A_xi,
         "xi_closed_form_max_rel_dev": traj.xi_closed_form_max_rel_dev,
@@ -378,8 +377,7 @@ def run_report_all(args) -> dict:
         args.k[0], args.seed, samples=20 if args.quick else 100
     )
     sections["flow"] = section(
-        "flow", "--k", str(args.k[0]), "--csv-out", str(outdir / "trajectory.csv"),
-        quick=("--t-end", "5"),
+        "flow", "--csv-out", str(outdir / "trajectory.csv"), quick=("--t-end", "5")
     )
     sections["cutoff"] = section(
         "cutoff", "--samples-out", str(outdir / "cutoff_samples.csv"), quick=("--N", "16")
@@ -417,28 +415,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_degree, default=2)
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--pmax", type=int, default=8)
-    p.add_argument(
-        "--delta-convention-check",
-        choices=["positive", "alternating", "positive-shifted", "alternating-shifted", "none"],
-        default="none",
-        help="additionally require the extracted delta to match a printed closed form",
-    )
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("classify", help="stratum label for one covector")
-    p.add_argument("--variant", choices=["closed", "spiral"], default="closed")
     p.add_argument("--k", type=_degree, required=True)
     p.add_argument("--t", type=_number, required=True)
     p.add_argument("--x", type=_pair(_number), required=True, metavar="X1,X2")
     p.add_argument("--tau", type=_number, required=True)
     p.add_argument("--xi", type=_pair(_number), required=True, metavar="XI1,XI2")
-    p.add_argument("--mu", type=_number)
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--b", type=_finite_float)
+    p.add_argument("--mu", type=_number, default=Fraction(0))
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("flow", help="integrate the spiral Hamilton system")
-    p.add_argument("--k", type=_degree, default=2)
+    p = sub.add_parser("flow", help="integrate the Hamilton system on the leaves")
     p.add_argument("--mu", type=_number, default=Fraction(1, 2))
     p.add_argument("--a", type=_finite_float, default=1.0)
     p.add_argument("--b", type=_finite_float, default=2.0)

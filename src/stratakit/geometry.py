@@ -1,15 +1,13 @@
-"""Phase-space strata, Poisson brackets, and the spiral Hamilton flow.
+"""Phase-space strata, Poisson brackets, and the Hamilton flow on the leaves.
 
-The cotangent variables are (t, x1, x2; tau, xi1, xi2).  Two model variants
-are supported:
-
-* ``closed``  — characteristic function x1 xi2 - x2 xi1 + t^k <x, xi>;
-  the depth-one stratum is symplectic of codimension 2, the depth-two
-  stratum (t = 0) is not.
-* ``spiral``  — characteristic function x1 xi2 - x2 xi1 + (mu + t^k) <x, xi>
-  modulated by the annulus factors g1 = |x|^2 - a^2, g2 = b^2 - |x|^2; the
-  depth-two stratum has codimension 3 and its Hamilton leaves are
-  logarithmic spirals between the circles |x| = a and |x| = b.
+The cotangent variables are (t, x1, x2; tau, xi1, xi2).  The model is one
+family in the degree k >= 2 and the pitch mu >= 0, with characteristic
+function x1 xi2 - x2 xi1 + (t^k + mu) <x, xi>.  The depth-one stratum is
+symplectic of codimension 2; the depth-two stratum {tau = t = 0,
+<x, A xi> = 0}, A = [[mu, 1], [-1, mu]], has codimension 3 and is not.
+Modulated by the ring factors g1 = |x|^2 - a^2, g2 = b^2 - |x|^2, its
+Hamilton leaves are closed circles at mu = 0 (the paper's case) and
+logarithmic spirals between the circles |x| = a and |x| = b for mu > 0.
 
 Stratum membership, Poisson brackets, and the bracket-matrix rank test run
 in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
@@ -147,27 +145,19 @@ class StratumLabel(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model selector: ``closed`` for the plain t^k twist, ``spiral`` for the
-    annulus model with the rotation-dilation matrix [[mu, 1], [-1, mu]]."""
+    """The model of degree k with the rotation-dilation matrix [[mu, 1], [-1, mu]];
+    mu = 0 is the paper's model, whose depth-two leaves are closed."""
 
-    variant: str
     k: int
-    mu: Fraction | None = None
-    a: float | None = None
-    b: float | None = None
+    mu: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.variant not in ("closed", "spiral"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.variant == "spiral":
-            # mu enters the exact strata, so it is coerced by ``exact`` (a float raises TypeError)
-            object.__setattr__(self, "mu", None if self.mu is None else exact(self.mu))
-            if self.mu is None or self.mu < 0:
-                raise ValueError(f"spiral variant requires mu >= 0, got mu = {self.mu}")
-            if self.a is None or self.b is None or not 0 < self.a < self.b:
-                raise ValueError(f"spiral variant requires 0 < a < b, got {self.a}, {self.b}")
+        # mu enters the exact strata, so it is coerced by ``exact`` (a float raises TypeError)
+        object.__setattr__(self, "mu", exact(self.mu))
+        if self.mu < 0:
+            raise ValueError(f"mu must be >= 0, got mu = {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -202,10 +192,7 @@ def char_function(params: ModelParams) -> PhasePoly:
     t = var("t")
     angular = x1 * xi2 - x2 * xi1
     radial = x1 * xi1 + x2 * xi2
-    twist = t ** params.k
-    if params.variant == "spiral":
-        twist = twist + PhasePoly.const(params.mu)
-    return angular + twist * radial
+    return angular + (t ** params.k + PhasePoly.const(params.mu)) * radial
 
 
 def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list[PhasePoly]:
@@ -216,10 +203,7 @@ def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list
     if label is StratumLabel.SIGMA2:
         x1, x2 = var("x1"), var("x2")
         xi1, xi2 = var("xi1"), var("xi2")
-        if params.variant == "closed":
-            third = x1 * xi2 - x2 * xi1
-        else:
-            third = x1 * xi2 - x2 * xi1 + params.mu * (x1 * xi1 + x2 * xi2)
+        third = x1 * xi2 - x2 * xi1 + params.mu * (x1 * xi1 + x2 * xi2)  # <x, A xi>
         return [tau, var("t"), third]
     raise ValueError(f"no defining-function system for {label}")
 
@@ -227,14 +211,14 @@ def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list
 def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel, dict]:
     """Classify a covector by exact zero tests and report classification metadata.
 
-    The flag ``exact`` is always true; ``ambiguous`` marks spiral points with
+    The flag ``exact`` is always true; ``ambiguous`` marks points with
     tau = t = 0, <x, A xi> = 0 but <x, xi> = 0 as well (possible only where x
     vanishes): they satisfy the characteristic equations yet belong to no
     printed stratum, so they are bucketed with the depth-two stratum and
     flagged.  At x = 0 with t != 0 (and tau = 0, xi != 0) the characteristic
     function vanishes, so the point is labelled Sigma1, but its bracket
     matrix is singular there: {tau, F} = k t^(k-1) <x, xi>, and with
-    T = t^k (+ mu) the identity |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2
+    T = t^k + mu the identity |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2
     shows that on F = 0 the bracket vanishes exactly when x = 0.  x = 0 lies
     outside the ring the paper works in, so Sigma1's rank 2 is claimed for
     x != 0 only.
@@ -246,8 +230,7 @@ def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel,
         return StratumLabel.NONCHARACTERISTIC, flags
     if cov.t != 0:
         return StratumLabel.SIGMA1, flags
-    if params.variant == "spiral":
-        flags["ambiguous"] = cov.x[0] * cov.xi[0] + cov.x[1] * cov.xi[1] == 0
+    flags["ambiguous"] = cov.x[0] * cov.xi[0] + cov.x[1] * cov.xi[1] == 0
     return StratumLabel.SIGMA2, flags
 
 
@@ -332,7 +315,9 @@ def _leaf_rhs(u, mu, a2, b2):
 class Trajectory:
     """``states`` holds the n_steps + 1 tuples (x1, x2, xi1, xi2); row i is at time i h."""
 
-    params: ModelParams
+    mu: float
+    a: float
+    b: float
     h: float
     states: list
     drift_x_xi: float
@@ -390,13 +375,16 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
 def integrate(
     x0,
     xi0,
-    params: ModelParams,
+    mu,
+    a: float,
+    b: float,
     t_end: float,
     h: float,
     richardson_tol: float | None = None,
 ) -> Trajectory:
-    """Fixed-step 4th-order integration of the spiral Hamilton system from
-    (x0, xi0), taken as floats, with x0 in the open ring a < |x0| < b.
+    """Fixed-step 4th-order integration of the Hamilton system of pitch
+    mu >= 0 from (x0, xi0), taken as floats, with x0 in the open ring
+    a < |x0| < b.
 
     One pass over the steps keeps each state as a plain tuple (x1, x2, xi1,
     xi2) and updates the running drifts of <x, xi> and <x, A xi>, the
@@ -410,12 +398,14 @@ def integrate(
     is the time of the last step that changed the state (by float !=), None
     if the final step did.  With ``richardson_tol`` set, each step is
     compared against two half steps and a deviation beyond the tolerance
-    raises StepSizeError.  An ``h`` that does not divide ``t_end`` into a
-    whole number of steps, more than ``_MAX_STEPS`` steps, a zero xi0 and a
-    diverging flow raise ValueError.
+    raises StepSizeError.  A negative mu, a ring without 0 < a < b, an ``h``
+    that does not divide ``t_end`` into a whole number of steps, more than
+    ``_MAX_STEPS`` steps, a zero xi0 and a diverging flow raise ValueError.
     """
-    if params.variant != "spiral":
-        raise ValueError("the Hamilton system belongs to the spiral variant")
+    if not mu >= 0:
+        raise ValueError(f"need mu >= 0, got mu = {mu}")
+    if not 0 < a < b:
+        raise ValueError(f"need a ring 0 < a < b, got a = {a}, b = {b}")
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
     if richardson_tol is not None and not richardson_tol > 0:
@@ -428,14 +418,14 @@ def integrate(
         raise ValueError(f"t_end / h = {n_steps} steps exceeds the cap of {_MAX_STEPS}")
     y = (float(x0[0]), float(x0[1]), float(xi0[0]), float(xi0[1]))
     # squares by multiplication: a huge value gives inf here, not OverflowError
-    a2, b2 = params.a * params.a, params.b * params.b
+    a2, b2 = a * a, b * b
     s_start = y[0] * y[0] + y[1] * y[1]
     if not a2 < s_start < b2:
         raise ValueError(f"x0 must lie in the open ring a < |x0| < b, but |x0|^2 = {s_start!r}"
                          f" with a^2 = {a2!r}, b^2 = {b2!r}")
     if y[2] == 0 and y[3] == 0:
         raise ValueError("xi0 = 0 gives a constant flow: every monitor passes vacuously")
-    mu = float(params.mu)
+    mu = float(mu)
 
     states = [y]
     m = _monitors(y, mu)
@@ -475,7 +465,9 @@ def integrate(
                          damp * (s * xi0[0] + c * xi0[1]) - y[3])
         closed_dev = max(closed_dev, off / max(m["norm_xi"], 1e-300))
     return Trajectory(
-        params=params,
+        mu=mu,
+        a=a,
+        b=b,
         h=h,
         states=states,
         drift_x_xi=drift,
@@ -489,10 +481,9 @@ def integrate(
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """Trajectory table with a mandatory header and 17-significant-digit floats."""
-    mu = float(traj.params.mu)
     stream.write("time,x1,x2,xi1,xi2,dot_x_xi,x_A_xi,norm_x\n")
     for i, y in enumerate(traj.states):
-        m = _monitors(y, mu)
+        m = _monitors(y, traj.mu)
         row = (i * traj.h, *y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"])
         stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -501,11 +492,11 @@ def log_spiral_fit(traj: Trajectory) -> dict:
     """Least-squares fit of log |x| against the unwound winding angle.
 
     Restricted to the mid-annulus segment (a tenth of the ring width away
-    from both circles); for the spiral model the pitch d log|x| / d theta
-    equals mu identically, so the fit slope approximates mu and the residual
-    measures integration error only.
+    from both circles); the pitch d log|x| / d theta equals mu identically,
+    so the fit slope approximates mu and the residual measures integration
+    error only.
     """
-    a, b = traj.params.a, traj.params.b
+    a, b = traj.a, traj.b
     lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
     theta = 0.0
     prev_angle = math.atan2(traj.states[0][1], traj.states[0][0])
@@ -555,28 +546,25 @@ def sample_sigma1(rng, params: ModelParams) -> Covector:
     t = _nonzero_fraction(rng)
     x = (_nonzero_fraction(rng), _nonzero_fraction(rng))
     alpha = _nonzero_fraction(rng)
-    twist = t ** params.k
-    if params.variant == "spiral":
-        twist += params.mu
-    beta = -twist * alpha
+    beta = -(t ** params.k + params.mu) * alpha
     x_perp = (-x[1], x[0])
     xi = (alpha * x[0] + beta * x_perp[0], alpha * x[1] + beta * x_perp[1])
     return Covector(t=t, x=x, tau=Fraction(0), xi=xi)
 
 
 def sample_sigma2(rng, params: ModelParams) -> Covector:
-    """Random exact-rational covector on the depth-two stratum (t = 0)."""
+    """Random exact-rational covector on the depth-two stratum (t = 0).
+
+    xi = alpha (x - mu x_perp) / (1 + mu^2) has <x, xi> = alpha |x|^2 / (1 + mu^2),
+    which is nonzero, and x1 xi2 - x2 xi1 = -mu <x, xi>, so <x, A xi> = 0.
+    At mu = 0 it is alpha x.
+    """
     x = (_nonzero_fraction(rng), _nonzero_fraction(rng))
     alpha = _nonzero_fraction(rng)
-    if params.variant == "closed":
-        xi = (alpha * x[0], alpha * x[1])
-    else:
-        mu = params.mu
-        det = mu * mu + 1
-        x_perp = (-x[1], x[0])
-        # xi = A^(-1) (beta x_perp) makes <x, A xi> = 0 with <x, xi> != 0
-        xi = (
-            alpha * (mu * x_perp[0] - x[0]) / det,
-            alpha * (mu * x_perp[1] - x[1]) / det,
-        )
+    mu = params.mu
+    x_perp = (-x[1], x[0])
+    xi = (
+        alpha * (x[0] - mu * x_perp[0]) / (1 + mu * mu),
+        alpha * (x[1] - mu * x_perp[1]) / (1 + mu * mu),
+    )
     return Covector(t=Fraction(0), x=x, tau=Fraction(0), xi=xi)

@@ -104,7 +104,7 @@ def test_criterion_07_coefficient_growth(table40):
 
 def test_criterion_08_symplectic_dichotomy():
     rng = random.Random(20260401)
-    params = geometry.ModelParams(variant="closed", k=2)
+    params = geometry.ModelParams(2)
     ok = True
     for _ in range(100):
         p1 = geometry.sample_sigma1(rng, params)
@@ -117,15 +117,15 @@ def test_criterion_08_symplectic_dichotomy():
 
 
 def test_criterion_09_flow_conservation():
-    params = geometry.ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1.0, b=2.0)
+    mu, a, b = Fraction(1, 2), 1.0, 2.0
     x0, xi0 = (1.2, 0.0), (-0.96, 0.48)
 
     start = time.perf_counter()
-    traj = geometry.integrate(x0, xi0, params, t_end=50.0, h=1e-3)
+    traj = geometry.integrate(x0, xi0, mu, a, b, t_end=50.0, h=1e-3)
     run_one = time.perf_counter() - start
-    assert abs(geometry._monitors(traj.states[0], float(params.mu))["x_A_xi"]) < 1e-15
+    assert abs(geometry._monitors(traj.states[0], float(mu))["x_A_xi"]) < 1e-15
     start = time.perf_counter()
-    traj_half = geometry.integrate(x0, xi0, params, t_end=50.0, h=5e-4)
+    traj_half = geometry.integrate(x0, xi0, mu, a, b, t_end=50.0, h=5e-4)
     run_two = time.perf_counter() - start
 
     ratio_xi = traj.drift_x_xi / max(traj_half.drift_x_xi, 1e-300)
@@ -137,7 +137,7 @@ def test_criterion_09_flow_conservation():
         and ratio_a >= 12.0
         and traj.xi_closed_form_max_rel_dev <= 1e-6
         and traj.norm_x_monotone
-        and traj.max_norm_x <= params.b + 1e-9
+        and traj.max_norm_x <= b + 1e-9
         and run_one < 10.0
         and run_two < 10.0
     )

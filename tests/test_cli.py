@@ -37,17 +37,6 @@ class TestVerifyCommand:
             cli.main(["verify", "--k", "1"])
         assert exc.value.code == 2
 
-    def test_failed_convention_check_exits_one_with_report(self, tmp_path):
-        out = tmp_path / "verify.json"
-        code = cli.main(
-            ["verify", "--k", "2", "--jmax", "4", "--pmax", "4",
-             "--delta-convention-check", "positive", "-o", str(out)]
-        )
-        assert code == 1
-        report = read_json(out)  # report written despite failure
-        assert report["pass"] is False
-        assert report["delta_convention_check"]["matches"] is False
-
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         cli.main(["verify", "--k", "2", "--jmax", "3", "--pmax", "3", "-o", str(a)])
@@ -105,11 +94,48 @@ class TestClassifyCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "Sigma1"
 
-    def test_spiral_requires_model_params(self):
+    def test_negative_mu_is_config_error(self):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["classify", "--variant", "spiral", "--k", "2", "--t", "0",
+            cli.main(["classify", "--k", "2", "--mu", "-1", "--t", "0",
                       "--x", "1,0", "--tau", "0", "--xi", "2,0"])
         assert exc.value.code == 2
+
+    def test_mu_moves_the_readme_point_off_sigma2(self, capsys):
+        code = cli.main(["classify", "--k", "2", "--mu", "1/2", "--t", "0", "--x", "1,0",
+                         "--tau", "0", "--xi", "2,0"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "Noncharacteristic"
+
+    def test_sigma2_report_carries_its_rank(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code = cli.main(["classify", "--k", "2", "--t", "0", "--x", "1,0",
+                         "--tau", "0", "--xi", "2,0", "-o", str(out)])
+        assert code == 0
+        report = read_json(out)
+        assert (report["k"], report["mu"]) == (2, "0/1")
+        assert (report["rank"], report["degenerate"], report["pass"]) == (2, True, True)
+
+    def test_sigma1_at_x_zero_fails(self, tmp_path, capsys):
+        # x = 0 lies outside the ring: the label is Sigma1, but its bracket matrix is singular
+        out = tmp_path / "c.json"
+        code = cli.main(["classify", "--k", "2", "--t", "1", "--x", "0,0",
+                         "--tau", "0", "--xi", "1,0", "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "Sigma1"
+        report = read_json(out)
+        assert report["label"] == "Sigma1"
+        assert (report["rank"], report["degenerate"], report["pass"]) == (0, True, False)
+
+    def test_planted_label_fails(self, monkeypatch, capsys):
+        # a Sigma2 point reported as Sigma1 fails the dichotomy
+        def planted(cov, params):
+            return geometry.StratumLabel.SIGMA1, {"exact": True, "ambiguous": False}
+
+        monkeypatch.setattr(geometry, "classify_detailed", planted)
+        monkeypatch.setattr(geometry, "classify", lambda cov, params: planted(cov, params)[0])
+        code = cli.main(["classify", "--k", "2", "--t", "0", "--x", "1,0",
+                         "--tau", "0", "--xi", "2,0"])
+        assert code == 1
 
     def test_json_report(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -223,8 +249,7 @@ def test_report_all_sections_equal_their_subcommands(tmp_path, capsys):
     subcommands = {
         "coeffs": ["coeffs", "--jmax", "12"],
         "verify_k2": ["verify", "--k", "2", "--jmax", "6", "--pmax", "5"],
-        "flow": ["flow", "--k", "2", "--t-end", "5",
-                 "--csv-out", str(outdir / "trajectory.csv")],
+        "flow": ["flow", "--t-end", "5", "--csv-out", str(outdir / "trajectory.csv")],
         "cutoff": ["cutoff", "--N", "16", "--samples-out", str(outdir / "cutoff_samples.csv")],
     }
     for name, argv in subcommands.items():
@@ -277,6 +302,12 @@ def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, 
         ["flow", "--t-end", "1000", "--h", "1e-6"],
         ["report-all", "--quick", "--k", "2,2", "--outdir", "{tmp}/r"],
         ["flow", "--drift-tol", "1"],
+        ["classify", "--variant", "closed", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0",
+         "--xi", "2,0"],
+        ["classify", "--a", "1", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "2,0"],
+        ["classify", "--b", "2", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "2,0"],
+        ["flow", "--k", "2", "--t-end", "0.01"],
+        ["verify", "--delta-convention-check", "none", "--jmax", "2", "--pmax", "2"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):
@@ -334,8 +365,7 @@ FUZZ_FLAGS = {
     "classify": (
         {
             "--k": ["2", "3"], "--t": ["1", "1/2"], "--x": ["1,0", "0,1"], "--tau": ["1"],
-            "--xi": ["1,0", "0,0", "1,-1"], "--variant": ["spiral"], "--mu": ["1/2"],
-            "--a": ["1"], "--b": ["2"],
+            "--xi": ["1,0", "0,0", "1,-1"], "--mu": ["1/2"],
         },
         ["--k", "--t", "--x", "--tau", "--xi"],
     ),
@@ -343,7 +373,7 @@ FUZZ_FLAGS = {
         {
             "--t-end": ["0.01", "0.002"], "--h": ["0.001", "0.002"], "--mu": ["0.5", "100"],
             "--x0": ["1.2,0", "1e200,0", "0,0"], "--xi0": ["-0.96,0.48", "0,0"],
-            "--a": ["1"], "--b": ["2"], "--k": ["3"], "--richardson-tol": ["1e-9", "1e-20"],
+            "--a": ["1"], "--b": ["2"], "--richardson-tol": ["1e-9", "1e-20"],
         },
         ["--t-end"],
     ),

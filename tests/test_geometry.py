@@ -1,5 +1,6 @@
-"""Strata classification, Poisson bracket calculus, and the spiral flow."""
+"""Strata classification, Poisson bracket calculus, and the Hamilton flow."""
 
+import dataclasses
 import io
 import math
 import random
@@ -32,8 +33,10 @@ from stratakit.geometry import (
     write_trajectory_csv,
 )
 
-CLOSED = ModelParams(variant="closed", k=2)
-SPIRAL = ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1.0, b=2.0)
+# the flow's pitch and ring: mu = 1/2 between the circles |x| = 1 and |x| = 2
+MU, A, B = Fraction(1, 2), 1.0, 2.0
+CLOSED = ModelParams(2)  # mu = 0: the closed-leaf model
+SPIRAL = ModelParams(2, MU)
 
 
 def exact_cov(t, x, tau, xi):
@@ -179,31 +182,36 @@ class TestClassify:
         assert label is StratumLabel.SIGMA2
         assert not flags["ambiguous"]
 
+    def test_closed_model_flags_the_origin(self):
+        # mu = 0 is the same family: the Sigma2 point at x = 0 has <x, xi> = 0 too
+        label, flags = classify_detailed(exact_cov(0, (0, 0), 0, (1, 0)), CLOSED)
+        assert label is StratumLabel.SIGMA2
+        assert flags["ambiguous"]
+
 
 class TestModelParams:
     def test_closed_ok(self):
-        assert ModelParams(variant="closed", k=3).k == 3
+        assert ModelParams(3).k == 3
+        assert ModelParams(3).mu == 0
+        assert [f.name for f in dataclasses.fields(ModelParams)] == ["k", "mu"]
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            ModelParams(variant="closed", k=1)
+            ModelParams(1)
 
     def test_spiral_needs_annulus(self):
+        # the model checks the pitch; the flow, which lives in the ring, checks a < b
+        with pytest.raises(ValueError, match="ring"):
+            integrate(X0, XI0, 1, 2.0, 1.0, t_end=0.01, h=1e-3)
         with pytest.raises(ValueError):
-            ModelParams(variant="spiral", k=2, mu=1, a=2.0, b=1.0)
-        with pytest.raises(ValueError):
-            ModelParams(variant="spiral", k=2, mu=-1, a=1.0, b=2.0)
-        assert ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0).mu == 0
+            ModelParams(2, -1)
+        assert ModelParams(2, 0).mu == 0
 
     def test_float_mu_rejected(self):
         # mu enters the exact strata: 0.1 would be its binary value, not 1/10
         with pytest.raises(TypeError):
-            ModelParams(variant="spiral", k=2, mu=0.1, a=1.0, b=2.0)
-        assert ModelParams(variant="spiral", k=2, mu=1, a=1.0, b=2.0).mu == Fraction(1)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            ModelParams(variant="torus", k=2)
+            ModelParams(2, 0.1)
+        assert ModelParams(2, 1).mu == Fraction(1)
 
 
 # -- symplectic rank -------------------------------------------------------------
@@ -252,18 +260,18 @@ class TestSymplecticRank:
 
     @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
     def test_sigma1_rank_two_needs_x_nonzero(self, params):
-        # {tau, F} = k t^(k-1) <x, xi> and, with T = t^k (+ mu),
+        # {tau, F} = k t^(k-1) <x, xi> and, with T = t^k + mu,
         # |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2: on F = 0 with xi != 0
         # the bracket vanishes exactly when x = 0
         t, x1, x2, xi1, xi2 = (var(n) for n in ("t", "x1", "x2", "xi1", "xi2"))
         f = char_function(params)
         radial = x1 * xi1 + x2 * xi2
-        twist = t ** params.k + PhasePoly.const(Fraction(params.mu or 0))
+        twist = t ** params.k + PhasePoly.const(params.mu)
         assert poisson_bracket(var("tau"), f) == t ** (params.k - 1) * radial * params.k
         norms = (x1 * x1 + x2 * x2) * (xi1 * xi1 + xi2 * xi2)
         assert norms == radial * radial + (f - twist * radial) ** 2
 
-    @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
+    @pytest.mark.parametrize("params", [CLOSED, SPIRAL, ModelParams(2, 3)])
     def test_exact_dichotomy_on_random_samples(self, params):
         rng = random.Random(23)
         for _ in range(25):
@@ -276,36 +284,35 @@ class TestSymplecticRank:
 # -- Hamilton flow ---------------------------------------------------------------
 
 
-def leaf_rhs(x, xi, params):
+def leaf_rhs(x, xi):
     """The flow right side at (x, xi), split into its x and xi parts."""
-    rhs = _leaf_rhs((*x, *xi), float(params.mu), params.a * params.a, params.b * params.b)
+    rhs = _leaf_rhs((*x, *xi), float(MU), A * A, B * B)
     return {"x_dot": rhs[0:2], "xi_dot": rhs[2:4]}
 
 
 class TestHamiltonRhs:
     def test_stationary_on_inner_circle(self):
-        out = leaf_rhs((1.0, 0.0), (0.5, 0.5), SPIRAL)
+        out = leaf_rhs((1.0, 0.0), (0.5, 0.5))
         assert out["x_dot"] == (0.0, 0.0)
         assert out["xi_dot"] == (0.0, 0.0)
 
     def test_stationary_on_outer_circle(self):
-        out = leaf_rhs((0.0, 2.0), (0.5, 0.5), SPIRAL)
+        out = leaf_rhs((0.0, 2.0), (0.5, 0.5))
         assert out["x_dot"] == (0.0, 0.0)
 
     def test_radius_grows_inside_annulus(self):
         x1, x2 = 1.3, 0.2
-        out = leaf_rhs((x1, x2), (0.1, 0.7), SPIRAL)
+        out = leaf_rhs((x1, x2), (0.1, 0.7))
         d_r2 = 2 * (x1 * out["x_dot"][0] + x2 * out["x_dot"][1])
         r2 = x1 * x1 + x2 * x2
-        g = (r2 - SPIRAL.a ** 2) * (SPIRAL.b ** 2 - r2)
-        assert d_r2 == pytest.approx(2 * g * SPIRAL.mu * r2)
+        g = (r2 - A ** 2) * (B ** 2 - r2)
+        assert d_r2 == pytest.approx(2 * g * MU * r2)
         assert d_r2 > 0
 
     def test_huge_ring_raises_value_error(self):
         # squaring 1e200 overflows a float: the flow must refuse, not raise OverflowError
-        params = ModelParams(variant="spiral", k=2, mu=Fraction(1, 2), a=1e200, b=1e201)
         with pytest.raises(ValueError):
-            integrate((2e200, 0), (1, 0), params, t_end=0.01, h=1e-3)
+            integrate((2e200, 0), (1, 0), MU, 1e200, 1e201, t_end=0.01, h=1e-3)
 
 
 # <x0, A xi0> = 0 with <x0, xi0> != 0: a genuine depth-two leaf projection
@@ -314,26 +321,27 @@ X0, XI0 = (1.2, 0.0), (-0.96, 0.48)
 
 class TestIntegrate:
     def test_conservation_short_run(self):
-        traj = integrate(X0, XI0, SPIRAL, t_end=5.0, h=1e-3)
+        traj = integrate(X0, XI0, MU, A, B, t_end=5.0, h=1e-3)
+        assert (traj.mu, traj.a, traj.b) == (0.5, A, B)
         assert traj.states[0] == (*X0, *XI0)
-        assert abs(_monitors(traj.states[0], float(SPIRAL.mu))["x_A_xi"]) < 1e-15
+        assert abs(_monitors(traj.states[0], traj.mu)["x_A_xi"]) < 1e-15
         assert traj.drift_x_xi < 1e-9
         assert traj.drift_x_A_xi < 1e-9
 
     def test_halving_step_reduces_drift_fourth_order(self):
-        coarse = integrate(X0, XI0, SPIRAL, t_end=5.0, h=4e-3)
-        fine = integrate(X0, XI0, SPIRAL, t_end=5.0, h=2e-3)
+        coarse = integrate(X0, XI0, MU, A, B, t_end=5.0, h=4e-3)
+        fine = integrate(X0, XI0, MU, A, B, t_end=5.0, h=2e-3)
         assert coarse.drift_x_xi / fine.drift_x_xi > 12.0
 
     def test_closed_form_xi_agrees(self):
-        traj = integrate(X0, XI0, SPIRAL, t_end=10.0, h=1e-3)
+        traj = integrate(X0, XI0, MU, A, B, t_end=10.0, h=1e-3)
         assert traj.xi_closed_form_max_rel_dev < 1e-8
 
     def test_closed_form_deviation_is_the_actual_error(self):
         # the reference must not share the integrator's error: the reported
         # deviation at a coarse step matches the difference from a 16x finer run
-        coarse = integrate(X0, XI0, SPIRAL, t_end=4.0, h=0.04)
-        fine = integrate(X0, XI0, SPIRAL, t_end=4.0, h=0.0025)
+        coarse = integrate(X0, XI0, MU, A, B, t_end=4.0, h=0.04)
+        fine = integrate(X0, XI0, MU, A, B, t_end=4.0, h=0.0025)
         actual = max(
             math.hypot(c[2] - f[2], c[3] - f[3]) / math.hypot(f[2], f[3])
             for c, f in zip(coarse.states, fine.states[::16])
@@ -342,11 +350,11 @@ class TestIntegrate:
 
     def test_state_frozen_from(self):
         # b^2 - |x|^2 reaches the float floor near t = 3.1; later steps repeat the state
-        traj = integrate(X0, XI0, SPIRAL, t_end=5.0, h=1e-3)
+        traj = integrate(X0, XI0, MU, A, B, t_end=5.0, h=1e-3)
         assert traj.state_frozen_from == 3108 * 1e-3
         assert traj.states[3108][:2] == traj.states[-1][:2]
         assert traj.states[3107][:2] != traj.states[3108][:2]
-        assert integrate(X0, XI0, SPIRAL, t_end=2.0, h=1e-3).state_frozen_from is None
+        assert integrate(X0, XI0, MU, A, B, t_end=2.0, h=1e-3).state_frozen_from is None
 
     @pytest.mark.parametrize("richardson_tol, calls_per_step", [(None, 1), (1e-6, 3)])
     def test_no_step_after_the_freeze(self, monkeypatch, richardson_tol, calls_per_step):
@@ -358,7 +366,7 @@ class TestIntegrate:
             return _rk4_step(*args)
 
         monkeypatch.setattr(geometry, "_rk4_step", counted)
-        traj = integrate(X0, XI0, SPIRAL, t_end=50.0, h=1e-3, richardson_tol=richardson_tol)
+        traj = integrate(X0, XI0, MU, A, B, t_end=50.0, h=1e-3, richardson_tol=richardson_tol)
         assert len(calls) == calls_per_step * 3109
         assert len(traj.states) == 50001
         assert traj.state_frozen_from == 3108 * 1e-3
@@ -366,9 +374,8 @@ class TestIntegrate:
 
     def test_closed_leaf_at_mu_zero(self):
         # t_end = 6 exceeds one period 2 pi / (g1 g2)(|x0|^2) = 5.578 of the circle
-        params = ModelParams(variant="spiral", k=2, mu=0, a=1.0, b=2.0)
-        coarse = integrate(X0, XI0, params, t_end=6.0, h=0.02)
-        fine = integrate(X0, XI0, params, t_end=6.0, h=0.01)
+        coarse = integrate(X0, XI0, 0, A, B, t_end=6.0, h=0.02)
+        fine = integrate(X0, XI0, 0, A, B, t_end=6.0, h=0.01)
         assert coarse.xi_closed_form_max_rel_dev / fine.xi_closed_form_max_rel_dev > 12.0
         for traj in (coarse, fine):
             assert traj.drift_x_xi <= 1e-8
@@ -377,16 +384,16 @@ class TestIntegrate:
             assert traj.state_frozen_from is None
 
     def test_radius_monotone_and_confined(self):
-        traj = integrate(X0, XI0, SPIRAL, t_end=20.0, h=1e-3)
+        traj = integrate(X0, XI0, MU, A, B, t_end=20.0, h=1e-3)
         assert traj.norm_x_monotone
-        assert traj.max_norm_x <= SPIRAL.b + 1e-9
+        assert traj.max_norm_x <= B + 1e-9
 
     def test_richardson_rejects_coarse_step(self):
         with pytest.raises(StepSizeError):
-            integrate(X0, XI0, SPIRAL, t_end=2.0, h=0.5, richardson_tol=1e-12)
+            integrate(X0, XI0, MU, A, B, t_end=2.0, h=0.5, richardson_tol=1e-12)
 
     def test_richardson_accepts_fine_step(self):
-        traj = integrate(X0, XI0, SPIRAL, t_end=0.5, h=1e-3, richardson_tol=1e-9)
+        traj = integrate(X0, XI0, MU, A, B, t_end=0.5, h=1e-3, richardson_tol=1e-9)
         assert len(traj.states) == 501
 
     @pytest.mark.parametrize(
@@ -396,46 +403,49 @@ class TestIntegrate:
         ],
     )
     def test_diverging_flow_raises(self, x0, mu, t_end, h):
-        params = ModelParams(variant="spiral", k=2, mu=mu, a=1.0, b=2.0)
         with pytest.raises(ValueError, match="diverged"):
-            integrate(x0, XI0, params, t_end=t_end, h=h)
+            integrate(x0, XI0, mu, A, B, t_end=t_end, h=h)
 
     @pytest.mark.parametrize("x0", [(1e200, 0.0), (3.0, 0.0), (1.0, 0.0), (0.0, 2.0), (0.0, 0.0)])
     def test_start_outside_open_ring_rejected(self, x0):
         with pytest.raises(ValueError, match="open ring"):
-            integrate(x0, XI0, SPIRAL, t_end=0.01, h=1e-3)
+            integrate(x0, XI0, MU, A, B, t_end=0.01, h=1e-3)
 
     def test_zero_xi0_rejected(self):
         with pytest.raises(ValueError, match="xi0"):
-            integrate(X0, (0.0, 0.0), SPIRAL, t_end=0.01, h=1e-3)
+            integrate(X0, (0.0, 0.0), MU, A, B, t_end=0.01, h=1e-3)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            integrate(X0, XI0, SPIRAL, t_end=0.0, h=1e-3)
+            integrate(X0, XI0, MU, A, B, t_end=0.0, h=1e-3)
         with pytest.raises(ValueError):
-            integrate(X0, XI0, SPIRAL, t_end=1.0, h=-1e-3)
+            integrate(X0, XI0, MU, A, B, t_end=1.0, h=-1e-3)
         with pytest.raises(ValueError):
-            integrate(X0, XI0, CLOSED, t_end=1.0, h=1e-3)
-        with pytest.raises(ValueError):
-            integrate(X0, XI0, SPIRAL, t_end=0.1, h=0.3)  # rounds to zero steps
+            integrate(X0, XI0, MU, A, B, t_end=0.1, h=0.3)  # rounds to zero steps
         with pytest.raises(ValueError, match="whole number"):
-            integrate(X0, XI0, SPIRAL, t_end=0.0015, h=1e-3)
+            integrate(X0, XI0, MU, A, B, t_end=0.0015, h=1e-3)
         with pytest.raises(ValueError, match="richardson_tol"):
-            integrate(X0, XI0, SPIRAL, t_end=0.01, h=1e-3, richardson_tol=0.0)
+            integrate(X0, XI0, MU, A, B, t_end=0.01, h=1e-3, richardson_tol=0.0)
+
+    def test_ring_and_pitch_checked(self):
+        # 0 < a < b and mu >= 0, nan failing each comparison
+        for mu, a, b in [(MU, 2.0, 1.0), (MU, 1.0, 1.0), (MU, 0.0, 2.0), (MU, -1.0, 2.0),
+                         (MU, 1.0, math.nan), (-1, A, B), (math.nan, A, B)]:
+            with pytest.raises(ValueError, match="ring|mu"):
+                integrate(X0, XI0, mu, a, b, t_end=0.01, h=1e-3)
 
     def test_step_count_capped(self):
         # 10^9 and 10^6 + 1 whole steps are refused before any state is built
         with pytest.raises(ValueError, match="cap"):
-            integrate(X0, XI0, SPIRAL, t_end=1000.0, h=1e-6)
+            integrate(X0, XI0, MU, A, B, t_end=1000.0, h=1e-6)
         with pytest.raises(ValueError, match="cap"):
-            integrate(X0, XI0, SPIRAL, t_end=1.000001, h=1e-6)
+            integrate(X0, XI0, MU, A, B, t_end=1.000001, h=1e-6)
 
 
 @pytest.mark.parametrize("mu, t_end", [(0.5, 5.0), (0, 6.0), (0.5, 1.0)])
 def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
     # the running values taken in the step loop equal the ones recomputed from the stored rows
-    params = ModelParams(variant="spiral", k=2, mu=Fraction(mu), a=1.0, b=2.0)
-    traj = integrate(X0, XI0, params, t_end, h=1e-3)
+    traj = integrate(X0, XI0, mu, A, B, t_end, h=1e-3)
     rows = [_monitors(y, float(mu)) for y in traj.states]
     assert len(rows) == round(t_end / 1e-3) + 1
     assert traj.drift_x_xi == max(abs(m["x_dot_xi"] - rows[0]["x_dot_xi"]) for m in rows)
@@ -450,14 +460,14 @@ def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
 
 
 def test_log_spiral_pitch_matches_mu():
-    traj = integrate(X0, XI0, SPIRAL, t_end=20.0, h=1e-3)
+    traj = integrate(X0, XI0, MU, A, B, t_end=20.0, h=1e-3)
     fit = log_spiral_fit(traj)
-    assert fit["slope"] == pytest.approx(SPIRAL.mu, abs=1e-6)
+    assert fit["slope"] == pytest.approx(MU, abs=1e-6)
     assert fit["max_residual"] < 1e-3
 
 
 def test_trajectory_csv_format():
-    traj = integrate(X0, XI0, SPIRAL, t_end=0.01, h=1e-3)
+    traj = integrate(X0, XI0, MU, A, B, t_end=0.01, h=1e-3)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -466,15 +476,14 @@ def test_trajectory_csv_format():
     # 17 significant digits reproduce the doubles bit-exactly
     cells = lines[2].split(",")
     assert float(cells[1]) == traj.states[1][0]
-    assert float(cells[7]) == _monitors(traj.states[1], SPIRAL.mu)["norm_x"]
+    assert float(cells[7]) == _monitors(traj.states[1], traj.mu)["norm_x"]
 
 
 def test_monitors_recomputed_from_state():
-    traj = integrate((0.9, 1.2), (1, 2), SPIRAL, t_end=1e-3, h=1e-3)
+    traj = integrate((0.9, 1.2), (1, 2), MU, A, B, t_end=1e-3, h=1e-3)
     assert traj.states[0] == (0.9, 1.2, 1.0, 2.0)
-    monitors = _monitors(traj.states[0], float(SPIRAL.mu))
+    monitors = _monitors(traj.states[0], float(MU))
     assert monitors["norm_x"] == pytest.approx(1.5)
     assert monitors["x_dot_xi"] == pytest.approx(0.9 + 2.4)
-    mu = SPIRAL.mu
-    a_xi = (mu * 1.0 + 2.0, -1.0 + mu * 2.0)
+    a_xi = (MU * 1.0 + 2.0, -1.0 + MU * 2.0)
     assert monitors["x_A_xi"] == pytest.approx(0.9 * a_xi[0] + 1.2 * a_xi[1])

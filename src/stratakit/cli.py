@@ -205,6 +205,8 @@ def run_verify(args) -> dict:
         localize.verify_stirling_identity(min(jmax + 3, 15)),
         localize.bound_scan_a(max(jmax, 2), table),
     ]
+    # gamma_m = delta_(m-1): the scalar expansion must reproduce the extracted delta
+    gamma_ok = all(d == g for d, g in zip(checks[2]["delta"], checks[3]["gamma"]))
     return {
         "suite": "operator-identities",
         "k": k,
@@ -212,7 +214,8 @@ def run_verify(args) -> dict:
         "pmax": pmax,
         "checks": checks,
         "reversed_bracket": "[M, X2] = +t^k R = -[X2, M]",
-        "pass": all(c["pass"] for c in checks),
+        "gamma_reproduces_delta": gamma_ok,
+        "pass": gamma_ok and all(c["pass"] for c in checks),
     }
 
 

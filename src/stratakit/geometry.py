@@ -11,7 +11,8 @@ logarithmic spirals between the circles |x| = a and |x| = b for mu > 0.
 
 Stratum membership, Poisson brackets, and the bracket-matrix rank test run
 in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
-component raises TypeError), so every zero test is exact.  The flow
+component raises TypeError), so every zero test is exact.  The bracket
+polynomials are built once per model and only evaluated per point.  The flow
 integrator is a fixed-step classical Runge-Kutta scheme that keeps each
 state as a plain (x1, x2, xi1, xi2) tuple and, in the same pass, takes the
 conserved-quantity monitors, a check of every step against the explicit
@@ -25,8 +26,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
+from fractions import Fraction
+from functools import cache
 
 from .exactalg import SparseTerms, exact
 
@@ -40,8 +42,7 @@ __all__ = [
     "var",
     "poisson_bracket",
     "char_function",
-    "stratum_defining_functions",
-    "classify",
+    "bracket_matrix",
     "classify_detailed",
     "symplectic_rank",
     "integrate",
@@ -185,27 +186,30 @@ class Covector:
         return (self.t, self.x[0], self.x[1], self.tau, self.xi[0], self.xi[1])
 
 
+def _twisted(twist: PhasePoly) -> PhasePoly:
+    """x1 xi2 - x2 xi1 + twist <x, xi>: F with twist t^k + mu, <x, A xi> with twist mu."""
+    x1, x2, xi1, xi2 = var("x1"), var("x2"), var("xi1"), var("xi2")
+    return x1 * xi2 - x2 * xi1 + twist * (x1 * xi1 + x2 * xi2)
+
+
+@cache
 def char_function(params: ModelParams) -> PhasePoly:
     """Principal characteristic polynomial of the angular field (tau excluded)."""
-    x1, x2 = var("x1"), var("x2")
-    xi1, xi2 = var("xi1"), var("xi2")
-    t = var("t")
-    angular = x1 * xi2 - x2 * xi1
-    radial = x1 * xi1 + x2 * xi2
-    return angular + (t ** params.k + PhasePoly.const(params.mu)) * radial
+    return _twisted(var("t") ** params.k + PhasePoly.const(params.mu))
 
 
-def stratum_defining_functions(label: StratumLabel, params: ModelParams) -> list[PhasePoly]:
-    """Defining polynomials whose pairwise brackets feed the rank test."""
-    tau = var("tau")
+@cache
+def bracket_matrix(label: StratumLabel, params: ModelParams) -> tuple:
+    """{F_i, F_j} over the stratum's defining polynomials: (tau, F) on Sigma1 and
+    (tau, t, <x, A xi>) on Sigma2.  It depends on the model only, so it is built
+    once per (label, params), and ``symplectic_rank`` evaluates it per point."""
     if label is StratumLabel.SIGMA1:
-        return [tau, char_function(params)]
-    if label is StratumLabel.SIGMA2:
-        x1, x2 = var("x1"), var("x2")
-        xi1, xi2 = var("xi1"), var("xi2")
-        third = x1 * xi2 - x2 * xi1 + params.mu * (x1 * xi1 + x2 * xi2)  # <x, A xi>
-        return [tau, var("t"), third]
-    raise ValueError(f"no defining-function system for {label}")
+        funcs = (var("tau"), char_function(params))
+    elif label is StratumLabel.SIGMA2:
+        funcs = (var("tau"), var("t"), _twisted(PhasePoly.const(params.mu)))
+    else:
+        raise ValueError(f"no defining-function system for {label}")
+    return tuple(tuple(poisson_bracket(fi, fj) for fj in funcs) for fi in funcs)
 
 
 def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel, dict]:
@@ -221,7 +225,7 @@ def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel,
     T = t^k + mu the identity |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2
     shows that on F = 0 the bracket vanishes exactly when x = 0.  x = 0 lies
     outside the ring the paper works in, so Sigma1's rank 2 is claimed for
-    x != 0 only.
+    x != 0 only.  The characteristic polynomial is built once per model.
     """
     if cov.tau == 0 and cov.xi == (0, 0):
         raise ValueError("zero covector cannot be classified")
@@ -232,10 +236,6 @@ def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel,
         return StratumLabel.SIGMA1, flags
     flags["ambiguous"] = cov.x[0] * cov.xi[0] + cov.x[1] * cov.xi[1] == 0
     return StratumLabel.SIGMA2, flags
-
-
-def classify(cov: Covector, params: ModelParams) -> StratumLabel:
-    return classify_detailed(cov, params)[0]
 
 
 def _exact_rank(matrix: list[list[Fraction]]) -> int:
@@ -257,23 +257,22 @@ def _exact_rank(matrix: list[list[Fraction]]) -> int:
 
 
 def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams) -> dict:
-    """Bracket matrix of the stratum's defining functions at a point on it.
+    """The stratum's bracket matrix at a point on it.
 
-    Returns the matrix {F_i, F_j}(point), its rank, and ``degenerate`` (true
-    iff the matrix is singular, i.e. the stratum fails the symplectic
-    codimension test there).  The point is rational, which makes the whole
-    computation exact; the rank of an odd-size antisymmetric matrix is
-    necessarily deficient, which is how the codimension-3 stratum always
-    reports degenerate.
+    A point that ``classify_detailed`` puts on another stratum raises
+    ValueError.  Returns the cached ``bracket_matrix`` evaluated at the point,
+    its rank, and ``degenerate`` (true iff the matrix is singular: the stratum
+    fails the symplectic codimension test there).  The point is rational, so
+    all of it is exact; an antisymmetric matrix of odd size is always singular,
+    which is how the codimension-3 stratum always reports degenerate.
     """
-    observed = classify(point, params)
+    observed = classify_detailed(point, params)[0]
     if observed is not stratum:
         raise ValueError(f"point classifies as {observed.value}, not {stratum.value}")
-    funcs = stratum_defining_functions(stratum, params)
     comps = point.components()
-    matrix = [[poisson_bracket(fi, fj).eval(comps) for fj in funcs] for fi in funcs]
+    matrix = [[entry.eval(comps) for entry in row] for row in bracket_matrix(stratum, params)]
     rank = _exact_rank(matrix)
-    return {"bracket_matrix": matrix, "rank": rank, "degenerate": rank < len(funcs)}
+    return {"bracket_matrix": matrix, "rank": rank, "degenerate": rank < len(matrix)}
 
 
 # -- Hamilton flow ------------------------------------------------------------

@@ -58,6 +58,7 @@ def _residual_case(residual: DiffOp) -> dict:
     return case
 
 
+# every caller reads .op, but perfbench/traced_cli.py reads .j and .k of build_N results
 @dataclass(frozen=True)
 class LocalizerN:
     """N_j = sum_{j'} a[j][j'] M^{j'}/j'! for one fixed degeneracy order k."""
@@ -247,7 +248,8 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     degree so the gamma are unique.  Checks: the gamma do not depend on j,
     they satisfy the equivalent per-(j,l) scalar identity
     sum_h a[j][l+h] (-1/k)^h/h! = sum_h delta_(j-l-h) a[l+h-1][l] with
-    delta_m = gamma_(m+1), and they reproduce the operator-extracted delta.
+    delta_m = gamma_(m+1).  ``cli.run_verify`` checks that they reproduce the
+    operator-extracted delta.
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")

@@ -77,14 +77,6 @@ class DiffOp(SparseTerms):
     __slots__ = ()
     _UNIT_KEY = _ZERO_KEY
 
-    def derivation_order(self) -> int:
-        """Highest total derivation degree (Dt, R, Dtheta powers combined)."""
-        if not self.terms:
-            return 0
-        return max(k[2] + k[3] + k[4] for k in self.terms)
-
-    # -- multiplication -----------------------------------------------------
-
     def __mul__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -117,22 +109,6 @@ class DiffOp(SparseTerms):
                             else:
                                 out.pop(key, None)
         return self._of(out)
-
-    # -- evaluations ----------------------------------------------------------
-
-    def substitute_phi_unit(self) -> "DiffOp":
-        """Evaluate on the region where the cutoff is identically 1.
-
-        phi^(0) is replaced by 1 and every phi^(j) with j > 0 by 0, so a
-        localized power collapses to the plain power it localizes.
-        """
-        out: dict = {}
-        for (a, phis, b, r, d), coeff in self.terms.items():
-            if any(j > 0 for j in phis):
-                continue
-            key = (a, (), b, r, d)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return DiffOp(out)
 
     def __repr__(self) -> str:
         return f"DiffOp({render(self)})"

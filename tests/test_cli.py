@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import cli, exactalg, geometry
+from stratakit import cli, exactalg, geometry, localize
 from stratakit.exactalg import coeff_table_from_json
 
 
@@ -31,6 +31,22 @@ class TestVerifyCommand:
         delta = next(c for c in report["checks"] if c["identity"] == "x1-localized-power-bracket")
         assert delta["delta"][0] == "-1/2"
         assert not delta["convention_comparison"]["positive"]["matches"]
+        assert report["gamma_reproduces_delta"] is True
+
+    def test_planted_wrong_gamma_fails(self, tmp_path, monkeypatch):
+        # a gamma that no longer reproduces delta fails the suite, though every check passes
+        real = localize.verify_gamma_expansion
+
+        def planted(jmax, k, table):
+            report = real(jmax, k, table)
+            return {**report, "gamma": ["1/1", *report["gamma"][1:]]}
+
+        monkeypatch.setattr(localize, "verify_gamma_expansion", planted)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--k", "2", "--jmax", "4", "--pmax", "4", "-o", str(out)]) == 1
+        report = read_json(out)
+        assert report["gamma_reproduces_delta"] is False
+        assert all(c["pass"] for c in report["checks"])
 
     def test_k_below_two_is_config_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -132,7 +148,6 @@ class TestClassifyCommand:
             return geometry.StratumLabel.SIGMA1, {"exact": True, "ambiguous": False}
 
         monkeypatch.setattr(geometry, "classify_detailed", planted)
-        monkeypatch.setattr(geometry, "classify", lambda cov, params: planted(cov, params)[0])
         code = cli.main(["classify", "--k", "2", "--t", "0", "--x", "1,0",
                          "--tau", "0", "--xi", "2,0"])
         assert code == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import geometry
+from stratakit import cli, geometry
 from stratakit.geometry import (
     Covector,
     ModelParams,
@@ -20,8 +20,8 @@ from stratakit.geometry import (
     _leaf_rhs,
     _monitors,
     _rk4_step,
+    bracket_matrix,
     char_function,
-    classify,
     classify_detailed,
     integrate,
     log_spiral_fit,
@@ -113,24 +113,24 @@ def test_bracket_jacobi(f, g, h):
 
 class TestClassify:
     def test_depth_two_example(self):
-        assert classify(exact_cov(0, (1, 0), 0, (2, 0)), CLOSED) is StratumLabel.SIGMA2
+        assert classify_detailed(exact_cov(0, (1, 0), 0, (2, 0)), CLOSED)[0] is StratumLabel.SIGMA2
 
     def test_depth_one_example(self):
-        assert classify(exact_cov(1, (1, 0), 0, (1, -1)), CLOSED) is StratumLabel.SIGMA1
+        assert classify_detailed(exact_cov(1, (1, 0), 0, (1, -1)), CLOSED)[0] is StratumLabel.SIGMA1
 
     def test_nonzero_tau_is_noncharacteristic(self):
         for params in (CLOSED, SPIRAL):
             c = exact_cov(0, (1, 0), 1, (2, 0))
-            assert classify(c, params) is StratumLabel.NONCHARACTERISTIC
+            assert classify_detailed(c, params)[0] is StratumLabel.NONCHARACTERISTIC
 
     def test_zero_covector_rejected(self):
         with pytest.raises(ValueError):
-            classify(exact_cov(0, (1, 1), 0, (0, 0)), CLOSED)
+            classify_detailed(exact_cov(0, (1, 1), 0, (0, 0)), CLOSED)
 
     def test_characteristic_but_off_strata(self):
         # tau = 0 but the characteristic polynomial does not vanish
         c = exact_cov(1, (1, 0), 0, (1, 1))
-        assert classify(c, CLOSED) is StratumLabel.NONCHARACTERISTIC
+        assert classify_detailed(c, CLOSED)[0] is StratumLabel.NONCHARACTERISTIC
 
     @given(
         st.integers(min_value=-5, max_value=5).filter(lambda n: n != 0),
@@ -145,7 +145,7 @@ class TestClassify:
             scaled = Covector(
                 t=c.t, x=c.x, tau=lam * c.tau, xi=(lam * c.xi[0], lam * c.xi[1])
             )
-            assert classify(scaled, CLOSED) is classify(c, CLOSED)
+            assert classify_detailed(scaled, CLOSED)[0] is classify_detailed(c, CLOSED)[0]
 
     def test_union_of_strata_is_characteristic_set(self):
         rng = random.Random(11)
@@ -163,7 +163,7 @@ class TestClassify:
                 )
                 if c.tau == 0 and c.xi == (0, 0):
                     continue
-            label = classify(c, CLOSED)
+            label = classify_detailed(c, CLOSED)[0]
             on_char = c.tau == 0 and f2.eval(c.components()) == 0
             assert on_char == (label in (StratumLabel.SIGMA1, StratumLabel.SIGMA2))
             hits += on_char
@@ -255,7 +255,7 @@ class TestSymplecticRank:
         # x = 0 lies outside the paper's ring: F vanishes there, so the point
         # is labelled Sigma1, but the bracket matrix is singular
         point = exact_cov(1, (0, 0), 0, (1, 0))
-        assert classify(point, params) is StratumLabel.SIGMA1
+        assert classify_detailed(point, params)[0] is StratumLabel.SIGMA1
         assert symplectic_rank(StratumLabel.SIGMA1, point, params)["degenerate"]
 
     @pytest.mark.parametrize("params", [CLOSED, SPIRAL])
@@ -279,6 +279,46 @@ class TestSymplecticRank:
             assert not symplectic_rank(StratumLabel.SIGMA1, p1, params)["degenerate"]
             p2 = sample_sigma2(rng, params)
             assert symplectic_rank(StratumLabel.SIGMA2, p2, params)["degenerate"]
+
+
+class TestBracketMatrix:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)])
+    def test_sigma1_holds_tau_f(self, k, mu):
+        # {tau, F} = k t^(k-1) <x, xi>, {F, tau} its negative, zeros on the diagonal
+        t, x1, x2, xi1, xi2 = (var(n) for n in ("t", "x1", "x2", "xi1", "xi2"))
+        tau_f = t ** (k - 1) * (x1 * xi1 + x2 * xi2) * k
+        matrix = bracket_matrix(StratumLabel.SIGMA1, ModelParams(k, mu))
+        assert matrix == ((PhasePoly(), tau_f), (-tau_f, PhasePoly()))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)])
+    def test_sigma2_is_constant(self, k, mu):
+        rows = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+        expected = tuple(tuple(PhasePoly.const(c) for c in row) for row in rows)
+        assert bracket_matrix(StratumLabel.SIGMA2, ModelParams(k, mu)) == expected
+
+    def test_cache_is_keyed_by_the_model(self):
+        assert (bracket_matrix(StratumLabel.SIGMA1, ModelParams(3))
+                != bracket_matrix(StratumLabel.SIGMA1, ModelParams(2)))
+        assert char_function(ModelParams(2, MU)) != char_function(CLOSED)
+        with pytest.raises(ValueError):
+            bracket_matrix(StratumLabel.NONCHARACTERISTIC, CLOSED)
+
+    def test_brackets_built_once_per_suite(self, monkeypatch):
+        # 2^2 brackets on Sigma1 and 3^2 on Sigma2, not n^2 per sample point
+        calls = []
+        bracket = geometry.poisson_bracket
+
+        def counted(f, g):
+            calls.append(1)
+            return bracket(f, g)
+
+        monkeypatch.setattr(geometry, "poisson_bracket", counted)
+        bracket_matrix.cache_clear()
+        report = cli.run_geometry_suite(2, 20260401, 100)
+        assert report["pass"]
+        assert len(calls) <= 13
 
 
 # -- Hamilton flow ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from opalg_helpers import derivation_order, substitute_phi_unit
 
 from stratakit.opalg import (
     DiffOp,
@@ -141,16 +142,16 @@ def test_product_coefficients_are_fractions(a, b):
 @given(_ops, _ops)
 @settings(max_examples=60, deadline=None)
 def test_commutator_lowers_derivation_order(a, b):
-    bound = a.derivation_order() + b.derivation_order() - 1
+    bound = derivation_order(a) + derivation_order(b) - 1
     c = commutator(a, b)
     if not c.is_zero:
-        assert c.derivation_order() <= bound
+        assert derivation_order(c) <= bound
 
 
 def test_derivation_order_bound_on_model_fields():
     m = build_model(3)
-    assert commutator(m.X1, m.X2).derivation_order() == 1
-    assert commutator(m.X2, m.M).derivation_order() == 1
+    assert derivation_order(commutator(m.X1, m.X2)) == 1
+    assert derivation_order(commutator(m.X2, m.M)) == 1
 
 
 class TestRendering:
@@ -172,7 +173,7 @@ class TestRendering:
 
 def test_phi_unit_substitution_collapses():
     op = phi(0) * rr() ** 2 + phi(1) * dt() + phi(0) * phi(0) * tvar()
-    collapsed = op.substitute_phi_unit()
+    collapsed = substitute_phi_unit(op)
     assert collapsed == rr() ** 2 + tvar()
 
 

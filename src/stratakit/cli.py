@@ -172,10 +172,9 @@ def run_coeffs(args) -> dict:
     )
     # the relation is re-checked on the independent route's table
     holds = generating.check_recurrence()
-    m = min(jmax, 20)
-    bern = exactalg.bernoulli_generator(m)
-    inverse = exactalg.matrix_inverse_coeffs(m)
-    bern_match = list(bern.coefficients) == inverse
+    # the band inverse against the closed-form Bernoulli series, over the whole table
+    inverse = exactalg.matrix_inverse_coeffs(jmax)
+    bern_match = list(exactalg.bernoulli_generator(jmax)) == inverse
     scan = localize.bound_scan_a(jmax, table=recurrence)
     report = {
         "suite": "coefficient-tables",

@@ -6,12 +6,13 @@ point.  The shared exact core used by every other module is ``exact`` (the
 strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
 report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
 with their linear arithmetic, the base of ``DiffOp`` and ``PhasePoly``).
-The module also provides truncated power series arithmetic, the triangular
-localizer-coefficient table a[j][j'] with its two independent construction
-routes (recurrence back-substitution vs. generating function), the convolution
-inverse of the factorial band matrix, Stirling numbers of the second kind in
-closed form, and the two candidate closed forms for the bracket coefficients
-delta_l.
+The module also provides the Bernoulli generating series t/(e^t - 1) from
+the closed form of B_m, the triangular localizer-coefficient table a[j][j']
+with its two independent construction routes (recurrence back-substitution
+vs. powers of that series), the convolution inverse of the factorial band
+matrix (the one routine here that inverts it), the exact generalised binomial
+C(a, n), Stirling numbers of the second kind in closed form, and the two
+printed candidate closed forms for the bracket coefficients delta_l.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 __all__ = [
     "exact",
     "fmt_fraction",
     "SparseTerms",
-    "Series",
     "CoeffTable",
     "PROVENANCE_RECURRENCE",
     "PROVENANCE_GENERATING",
@@ -33,6 +33,7 @@ __all__ = [
     "a_table_recurrence",
     "a_table_generating",
     "matrix_inverse_coeffs",
+    "binomial",
     "stirling_B",
     "delta_closed_form",
     "coeff_table_to_json",
@@ -131,76 +132,20 @@ class SparseTerms:
         return result
 
 
-@dataclass(frozen=True)
-class Series:
-    """Truncated power series with exact rational coefficients.
+def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
+    """Coefficients B_m/m! of t/(e^t - 1) through t^order.
 
-    Arithmetic is exact and closed at a fixed truncation order: binary
-    operations require both operands to carry the same order.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(exact(c) for c in self.coefficients)
-        )
-        if not self.coefficients:
-            raise ValueError("a series needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.coefficients[m]
-
-    def _check_order(self, other: "Series") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"series orders differ: {self.order} != {other.order}"
-            )
-
-    def __mul__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(tuple(out))
-
-    def reciprocal(self) -> "Series":
-        """Multiplicative inverse; requires a unit (nonzero constant term)."""
-        c0 = self.coefficients[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has no reciprocal: constant term is 0")
-        n = self.order
-        inv = [Fraction(1) / c0]
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                ci = self.coefficients[i]
-                if ci:
-                    acc += ci * inv[m - i]
-            inv.append(-acc / c0)
-        return Series(tuple(inv))
-
-
-def bernoulli_generator(order: int) -> Series:
-    """Truncated series of t/(e^t - 1); coefficient m equals B_m/m!.
-
-    Built as the reciprocal of sum_m t^m/(m+1)!, which is (e^t - 1)/t with
-    exact factorial coefficients.
+    B_m = sum_{k<=m} 1/(k+1) sum_{j<=k} (-1)^j C(k, j) j^m (so B_1 = -1/2), with
+    integer inner sums: no series is inverted, so this route shares no step
+    with ``matrix_inverse_coeffs``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    ramp = Series(tuple(Fraction(1, factorial(m + 1)) for m in range(order + 1)))
-    return ramp.reciprocal()
+    return tuple(
+        sum(Fraction(sum((-1) ** j * comb(k, j) * j**m for j in range(k + 1)), k + 1)
+            for k in range(m + 1)) / factorial(m)
+        for m in range(order + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -262,22 +207,35 @@ def a_table_recurrence(jmax: int) -> CoeffTable:
     return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_RECURRENCE)
 
 
+def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Coefficients of a * b, truncated at their common order len(a) - 1."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
 def a_table_generating(jmax: int) -> CoeffTable:
     """Build the same table from powers of the Bernoulli generating series.
 
     a[j][j'] is the coefficient of t^(j-j') in [t/(e^t-1)]^(j+1); the Taylor
-    1/(j-j')! normalization is already part of the series coefficient.
+    1/(j-j')! normalization is already part of the series coefficient.  The
+    series is taken from the closed form in ``bernoulli_generator``, so this
+    route solves no triangular system, and its powers are formed by truncated
+    products of coefficient lists.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    g = bernoulli_generator(jmax)
+    g = list(bernoulli_generator(jmax))
     entries: dict = {}
     gpow = g  # g^(j+1) for current j
     for j in range(jmax + 1):
         for jp in range(j + 1):
             entries[(j, jp)] = gpow[j - jp]
         if j < jmax:
-            gpow = gpow * g
+            gpow = _truncated_product(gpow, g)
     return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_GENERATING)
 
 
@@ -297,6 +255,16 @@ def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
             acc += coeffs[m - h] / factorial(h + 1)
         coeffs.append(-acc)
     return coeffs
+
+
+def binomial(a, n: int) -> Fraction:
+    """Generalised binomial coefficient C(a, n) = a (a-1) ... (a-n+1) / n! for exact a."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a, acc = exact(a), Fraction(1)
+    for i in range(n):
+        acc *= a - i
+    return acc / factorial(n)
 
 
 def stirling_B(j: int, ell: int) -> Fraction:

@@ -13,8 +13,9 @@ identities in the free operator algebra:
 * the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1),
   where the delta_l are *extracted* from the bracket (they are the unique
-  coefficients making the expansion exact) and then compared against the
-  printed closed-form candidates,
+  coefficients making the expansion exact), then required to equal the
+  binomial closed form C(-1/k, l+1) and compared against the printed
+  closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -178,10 +179,11 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     phi^(l+1) Dt R^(p-l-1) unitriangularly, so the delta_l are extracted by
     forward substitution; the full residual is then required to vanish
     exactly (the structural claim), the extracted values must not depend on
-    p, and |delta_l| <= 1 is checked.  The comparison against both printed
-    closed-form conventions (at both index alignments) is recorded — it is
-    documentation, not a pass criterion, because the printed forms disagree
-    with each other.
+    p, |delta_l| <= 1 is checked, and they must equal the binomial closed
+    form C(-1/k, l+1) under ``closed_form``.  The comparison against both
+    printed closed-form conventions (at both index alignments) is recorded —
+    it is documentation, not a pass criterion, because the printed forms
+    disagree with each other and with the extracted values.
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
@@ -211,6 +213,9 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         name: _compare_candidate(reference, values)
         for name, values in _delta_candidates(len(reference), k).items()
     }
+    # delta_l = C(-1/k, l+1): sum_l delta_l z^(l+1) = (1+z)^(-1/k) - 1
+    closed = [exactalg.binomial(Fraction(-1, k), ell + 1) for ell in range(len(reference))]
+    matches = closed == reference
     structural = all(c["pass"] for c in cases)
     return {
         "identity": "x1-localized-power-bracket",
@@ -222,7 +227,12 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         "delta_p_independent": p_independent,
         "delta_abs_le_1": bounded,
         "convention_comparison": comparison,
-        "pass": structural and p_independent and bounded,
+        "closed_form": {
+            "statement": "delta_l = C(-1/k, l+1)",
+            "values": [fmt_fraction(v) for v in closed],
+            "matches": matches,
+        },
+        "pass": structural and p_independent and bounded and matches,
     }
 
 

@@ -45,7 +45,7 @@ def test_criterion_02_bernoulli_identity():
     inverse = exactalg.matrix_inverse_coeffs(20)
     series = exactalg.bernoulli_generator(20)
     ok = (
-        inverse == list(series.coefficients)
+        inverse == list(series)
         and inverse[0] == 1
         and inverse[1] == Fraction(-1, 2)
     )

@@ -31,6 +31,7 @@ class TestVerifyCommand:
         delta = next(c for c in report["checks"] if c["identity"] == "x1-localized-power-bracket")
         assert delta["delta"][0] == "-1/2"
         assert not delta["convention_comparison"]["positive"]["matches"]
+        assert delta["closed_form"]["matches"] is True
         assert report["gamma_reproduces_delta"] is True
 
     def test_planted_wrong_gamma_fails(self, tmp_path, monkeypatch):
@@ -47,6 +48,25 @@ class TestVerifyCommand:
         report = read_json(out)
         assert report["gamma_reproduces_delta"] is False
         assert all(c["pass"] for c in report["checks"])
+
+    def test_planted_wrong_binomial_fails(self, tmp_path, monkeypatch):
+        # a closed form that misses the extracted delta fails the suite, with every residual zero
+        real = exactalg.binomial
+        monkeypatch.setattr(exactalg, "binomial", lambda a, n: real(a, n) + (n == 3))
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--k", "2", "--jmax", "4", "--pmax", "4", "-o", str(out)]) == 1
+        report = read_json(out)
+        delta = next(c for c in report["checks"] if c["identity"] == "x1-localized-power-bracket")
+        assert delta["closed_form"]["matches"] is False and delta["pass"] is False
+        assert delta["delta_p_independent"] and delta["delta_abs_le_1"]
+        residuals = [
+            case["residual_terms"]
+            for check in report["checks"]
+            for case in check.get("cases", [])
+            if "residual_terms" in case
+        ]
+        assert residuals and not any(residuals)
+        assert all(c["pass"] for c in report["checks"] if c is not delta)
 
     def test_k_below_two_is_config_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -72,6 +92,22 @@ class TestCoeffsCommand:
         assert report["bernoulli_head"][:2] == ["1/1", "-1/2"]
         table = coeff_table_from_json(table_out.read_text())
         assert table.jmax == 8
+
+    def test_planted_wrong_band_inverse_fails(self, tmp_path, monkeypatch):
+        # a wrong c_2 in the band inverse breaks the Bernoulli identity, not the tables
+        real = exactalg.matrix_inverse_coeffs
+
+        def planted(m_max):
+            coeffs = real(m_max)
+            coeffs[2] += 1
+            return coeffs
+
+        monkeypatch.setattr(exactalg, "matrix_inverse_coeffs", planted)
+        out = tmp_path / "coeffs.json"
+        assert cli.main(["coeffs", "--jmax", "8", "-o", str(out)]) == 1
+        report = read_json(out)
+        assert report["bernoulli_identity"] is False
+        assert report["dual_route_agree"] is True and report["pass"] is False
 
     def test_planted_wrong_entry_fails_recurrence(self, tmp_path, monkeypatch):
         # one wrong entry planted in both routes: they agree, the relation does not

@@ -1,7 +1,7 @@
 """Exact coefficient engines: oracles, boundary identities, serialization."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from stratakit import exactalg, geometry, opalg
 from stratakit.exactalg import (
     CoeffTable,
-    Series,
     a_table_generating,
     a_table_recurrence,
     bernoulli_generator,
+    binomial,
     coeff_table_from_json,
     coeff_table_to_json,
     delta_closed_form,
@@ -37,20 +37,6 @@ def divide_t_by_expm1(order: int) -> list[Fraction]:
     return q
 
 
-class TestSeries:
-    def test_reciprocal_multiplies_to_one(self):
-        s = Series(tuple(Fraction(1, factorial(m + 1)) for m in range(8)))
-        assert s * s.reciprocal() == Series((Fraction(1),) + (Fraction(0),) * 7)
-
-    def test_division_requires_unit(self):
-        with pytest.raises(ZeroDivisionError):
-            Series((Fraction(0), Fraction(1))).reciprocal()
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Series((Fraction(1),) * 4) * Series((Fraction(1),) * 5)
-
-
 class TestBernoulliGenerator:
     def test_order_four_against_long_division_oracle(self):
         expected = divide_t_by_expm1(4)
@@ -61,10 +47,10 @@ class TestBernoulliGenerator:
             Fraction(0),
             Fraction(-1, 720),
         ]
-        assert list(bernoulli_generator(4).coefficients) == expected
+        assert list(bernoulli_generator(4)) == expected
 
     def test_order_zero(self):
-        assert bernoulli_generator(0).coefficients == (Fraction(1),)
+        assert bernoulli_generator(0) == (Fraction(1),)
 
     def test_coefficient_is_bernoulli_over_factorial(self):
         # B_6 = 1/42
@@ -72,6 +58,18 @@ class TestBernoulliGenerator:
 
     def test_matches_matrix_inverse_head(self):
         assert bernoulli_generator(1)[1] == matrix_inverse_coeffs(1)[1] == Fraction(-1, 2)
+
+    def test_printed_bernoulli_numbers_to_order_forty(self):
+        g = bernoulli_generator(40)
+        printed = {
+            2: Fraction(1, 6),
+            4: Fraction(-1, 30),
+            12: Fraction(-691, 2730),
+            20: Fraction(-174611, 330),
+        }
+        for m, b_m in printed.items():
+            assert g[m] * factorial(m) == b_m
+        assert all(g[m] == 0 for m in range(3, 41, 2))
 
 
 class TestCoeffTable:
@@ -142,8 +140,23 @@ class TestMatrixInverseCoeffs:
             assert acc == (1 if m == 0 else 0)
 
     def test_equals_bernoulli_generator(self):
-        g = bernoulli_generator(20)
-        assert matrix_inverse_coeffs(20) == list(g.coefficients)
+        assert matrix_inverse_coeffs(40) == list(bernoulli_generator(40))
+
+
+class TestBinomial:
+    def test_integer_top_is_pascal(self):
+        assert [binomial(5, n) for n in range(7)] == [1, 5, 10, 10, 5, 1, 0]
+
+    def test_negative_half_is_central_binomial_ratio(self):
+        # C(-1/2, n) = (-1)^n C(2n, n) / 4^n
+        for n in range(10):
+            assert binomial(Fraction(-1, 2), n) == Fraction((-1) ** n * comb(2 * n, n), 4**n)
+
+    def test_float_and_negative_order_refused(self):
+        with pytest.raises(TypeError):
+            binomial(0.5, 0)
+        with pytest.raises(ValueError):
+            binomial(Fraction(1, 3), -1)
 
 
 class TestStirling:
@@ -241,11 +254,10 @@ class TestExactnessGuard:
         [
             lambda: opalg.DiffOp({(0, (), 1, 0, 0): 0.5}),
             lambda: geometry.PhasePoly({(1, 0, 0, 0, 0, 0): 0.5}),
-            lambda: Series((Fraction(1), 0.5)),
             lambda: opalg.dt().scale(0.5),
             lambda: geometry.var("t").scale(0.5),
         ],
-        ids=["DiffOp", "PhasePoly", "Series", "DiffOp.scale", "PhasePoly.scale"],
+        ids=["DiffOp", "PhasePoly", "DiffOp.scale", "PhasePoly.scale"],
     )
     def test_float_coefficient_refused(self, build):
         with pytest.raises(TypeError):

@@ -281,10 +281,6 @@ def run_flow(args) -> dict:
         args.x0, args.xi0, args.mu, args.a, args.b,
         t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol,
     )
-    try:
-        fit = geometry.log_spiral_fit(traj)
-    except ValueError:
-        fit = None
     ok = (
         traj.drift_x_xi <= FLOW_DRIFT_TOL
         and traj.drift_x_A_xi <= FLOW_DRIFT_TOL
@@ -306,7 +302,7 @@ def run_flow(args) -> dict:
         "norm_x_monotone": traj.norm_x_monotone,
         "max_norm_x": traj.max_norm_x,
         "state_frozen_from": traj.state_frozen_from,
-        "log_spiral_fit": fit,
+        "log_spiral_fit": traj.log_spiral_fit,
         "thresholds": {"drift": FLOW_DRIFT_TOL, "closed_form_rel": FLOW_CLOSED_FORM_TOL},
         "pass": ok,
     }

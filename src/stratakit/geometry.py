@@ -14,11 +14,11 @@ in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
 component raises TypeError), so every zero test is exact.  The bracket
 polynomials are built once per model and only evaluated per point.  The flow
 integrator is a fixed-step classical Runge-Kutta scheme that keeps each
-state as a plain (x1, x2, xi1, xi2) tuple and, in the same pass, takes the
-conserved-quantity monitors, a check of every step against the explicit
-leaf, and an optional Richardson step check.  It stops stepping once a step
-returns its state bit for bit (the orbit is frozen) and refuses runs of more
-than 10^6 steps.
+state it computes as a plain (x1, x2, xi1, xi2) tuple and, in the same pass,
+takes the conserved-quantity monitors, a check of every step against the
+explicit leaf, an optional Richardson step check and the log-spiral fit.
+Once a step returns its state bit for bit (the orbit is frozen) it stops
+stepping and storing; it refuses runs of more than 10^6 steps.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "symplectic_rank",
     "integrate",
     "write_trajectory_csv",
-    "log_spiral_fit",
     "sample_sigma1",
     "sample_sigma2",
 ]
@@ -278,7 +277,7 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 # -- Hamilton flow ------------------------------------------------------------
 
 
-_MAX_STEPS = 10**6  # 20 times the default run; every row is kept, and a mu = 0 orbit never freezes
+_MAX_STEPS = 10**6  # 20 times the default run: a mu = 0 orbit never freezes, so keeps every row
 
 
 class StepSizeError(RuntimeError):
@@ -312,19 +311,22 @@ def _leaf_rhs(u, mu, a2, b2):
 
 @dataclass
 class Trajectory:
-    """``states`` holds the n_steps + 1 tuples (x1, x2, xi1, xi2); row i is at time i h."""
+    """``states`` holds the computed tuples (x1, x2, xi1, xi2), row i at time i h;
+    rows len(states)..n_steps repeat ``states[-1]``, the frozen state."""
 
     mu: float
     a: float
     b: float
     h: float
     states: list
+    n_steps: int
     drift_x_xi: float
     drift_x_A_xi: float
     xi_closed_form_max_rel_dev: float
     norm_x_monotone: bool
     max_norm_x: float
     state_frozen_from: float | None
+    log_spiral_fit: dict | None
 
 
 def _rk4_step(y, h, mu, a2, b2):
@@ -385,21 +387,23 @@ def integrate(
     mu >= 0 from (x0, xi0), taken as floats, with x0 in the open ring
     a < |x0| < b.
 
-    One pass over the steps keeps each state as a plain tuple (x1, x2, xi1,
-    xi2) and updates the running drifts of <x, xi> and <x, A xi>, the
-    monotonicity and maximum of |x|, and the deviation of xi from the
-    explicit leaf xi = e^(-mu tau) R(tau) xi0 (R the counter-clockwise
+    One pass over the steps keeps each state it computes as a plain tuple
+    (x1, x2, xi1, xi2) and updates the running drifts of <x, xi> and
+    <x, A xi>, the monotonicity and maximum of |x|, the deviation of xi from
+    the explicit leaf xi = e^(-mu tau) R(tau) xi0 (R the counter-clockwise
     rotation, tau from ``_leaf_taus``, which never reads the integrated
-    state); xi and the gated pairings fix x.  A step is a function of the
-    state alone, so once one returns its input bit for bit the orbit is
-    frozen: later steps are not computed, every later row is that same
-    tuple, and only the leaf deviation is still updated.  ``state_frozen_from``
-    is the time of the last step that changed the state (by float !=), None
-    if the final step did.  With ``richardson_tol`` set, each step is
-    compared against two half steps and a deviation beyond the tolerance
-    raises StepSizeError.  A negative mu, a ring without 0 < a < b, an ``h``
-    that does not divide ``t_end`` into a whole number of steps, more than
-    ``_MAX_STEPS`` steps, a zero xi0 and a diverging flow raise ValueError.
+    state; xi and the gated pairings fix x) and the fit of log |x| against
+    the unwound angle of x over the rows a tenth of the ring width from both
+    circles, whose slope approximates the exact pitch mu (None if undefined).
+    A step is a function of the state alone, so once one returns its input
+    bit for bit the orbit is frozen: later steps are neither computed nor
+    stored.  ``state_frozen_from`` is the time of the last step that changed
+    the state (by float !=), None if the final step did.  With
+    ``richardson_tol`` set, each step is compared against two half steps and
+    a deviation beyond the tolerance raises StepSizeError.  A negative mu, a
+    ring without 0 < a < b, an ``h`` that does not divide ``t_end`` into a
+    whole number of steps, more than ``_MAX_STEPS`` steps, a zero xi0 or a
+    frozen first step (both vacuous) and a diverging flow raise ValueError.
     """
     if not mu >= 0:
         raise ValueError(f"need mu >= 0, got mu = {mu}")
@@ -434,6 +438,9 @@ def integrate(
     norm_x = max_norm_x = m["norm_x"]
     monotone, closed_dev, last_change, frozen = True, 0.0, 0, False
     xi0 = y[2:]
+    lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
+    theta, angle = 0.0, math.atan2(y[1], y[0])
+    angles, logs = ([theta], [math.log(norm_x)]) if lo <= norm_x <= hi else ([], [])
     for step, tau in enumerate(_leaf_taus(mu, s_start, a2, b2, h, n_steps), 1):
         if not frozen:
             y_next = _rk4_step(y, h, mu, a2, b2)
@@ -448,9 +455,12 @@ def integrate(
                 last_change = step
             # bits, not ==, since -0.0 == 0.0: a step that flips a zero's sign is not a fixed point
             frozen = y_next == y and struct.pack("4d", *y_next) == struct.pack("4d", *y)
+            if frozen and step == 1:
+                raise ValueError(f"at h = {h!r} the first step returns the start bit for bit")
             y = y_next
             if not all(map(math.isfinite, y)):
                 raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
+            states.append(y)
             # max(m, v) keeps m unless v > m, as max() over every row does
             m = _monitors(y, mu)
             drift = max(drift, abs(m["x_dot_xi"] - dot0))
@@ -458,7 +468,17 @@ def integrate(
             monotone = monotone and m["norm_x"] >= norm_x - 1e-12
             norm_x = m["norm_x"]
             max_norm_x = max(max_norm_x, norm_x)
-        states.append(y)
+            prev_angle, angle = angle, math.atan2(y[1], y[0])
+            d = angle - prev_angle
+            while d <= -math.pi:
+                d += 2 * math.pi
+            while d > math.pi:
+                d -= 2 * math.pi
+            theta += d
+        # the window test runs per row, so a frozen row counts once per step it stands for
+        if lo <= norm_x <= hi:
+            angles.append(theta)
+            logs.append(math.log(norm_x))
         damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
         off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
                          damp * (s * xi0[0] + c * xi0[1]) - y[3])
@@ -469,56 +489,39 @@ def integrate(
         b=b,
         h=h,
         states=states,
+        n_steps=n_steps,
         drift_x_xi=drift,
         drift_x_A_xi=a_drift,
         xi_closed_form_max_rel_dev=closed_dev,
         norm_x_monotone=monotone,
         max_norm_x=max_norm_x,
         state_frozen_from=None if last_change == n_steps else last_change * h,
+        log_spiral_fit=_line_fit(angles, logs),
     )
 
 
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    """Trajectory table with a mandatory header and 17-significant-digit floats."""
+    """Trajectory table: a mandatory header, then one row per step in 17-digit floats."""
     stream.write("time,x1,x2,xi1,xi2,dot_x_xi,x_A_xi,norm_x\n")
     for i, y in enumerate(traj.states):
         m = _monitors(y, traj.mu)
-        row = (i * traj.h, *y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"])
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = ",".join(f"{v:.17g}" for v in (*y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"]))
+        stream.write(f"{i * traj.h:.17g},{columns}\n")
+    for i in range(len(traj.states), traj.n_steps + 1):
+        stream.write(f"{i * traj.h:.17g},{columns}\n")
 
 
-def log_spiral_fit(traj: Trajectory) -> dict:
-    """Least-squares fit of log |x| against the unwound winding angle.
-
-    Restricted to the mid-annulus segment (a tenth of the ring width away
-    from both circles); the pitch d log|x| / d theta equals mu identically,
-    so the fit slope approximates mu and the residual measures integration
-    error only.
-    """
-    a, b = traj.a, traj.b
-    lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
-    theta = 0.0
-    prev_angle = math.atan2(traj.states[0][1], traj.states[0][0])
-    angles, logs = [], []
-    for x1, x2, _, _ in traj.states:
-        angle = math.atan2(x2, x1)
-        d = angle - prev_angle
-        while d <= -math.pi:
-            d += 2 * math.pi
-        while d > math.pi:
-            d -= 2 * math.pi
-        theta += d
-        prev_angle = angle
-        r = math.hypot(x1, x2)
-        if lo <= r <= hi:
-            angles.append(theta)
-            logs.append(math.log(r))
+def _line_fit(angles, logs) -> dict | None:
+    """Least-squares line through the points (angles[i], logs[i]); None with
+    fewer than two points or a single angle, where the slope is undefined."""
     n = len(angles)
     if n < 2:
-        raise ValueError("trajectory has no mid-annulus segment to fit")
+        return None
     mean_a = sum(angles) / n
     mean_l = sum(logs) / n
     sxx = sum((av - mean_a) ** 2 for av in angles)
+    if sxx == 0:
+        return None
     sxy = sum((av - mean_a) * (lv - mean_l) for av, lv in zip(angles, logs))
     slope = sxy / sxx
     intercept = mean_l - slope * mean_a

@@ -223,6 +223,13 @@ class TestFlowCommand:
         assert report["params"]["mu"] == 0.0
         assert report["state_frozen_from"] is None
 
+    def test_fit_is_null_when_x_never_moves(self, tmp_path):
+        # at h = 1.5e-17 the steps move xi but never x, so every window angle is equal
+        out = tmp_path / "flow.json"
+        argv = ["flow", "--x0", "1.2,0.7", "--h", "1.5e-17", "--t-end", "1.5e-14", "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert '"log_spiral_fit": null' in out.read_text()
+
     def test_bad_annulus_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["flow", "--a", "2", "--b", "1"])
@@ -359,6 +366,7 @@ def test_off_stratum_sample_fails_geometry_with_exit_one(tmp_path, monkeypatch, 
         ["classify", "--b", "2", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "2,0"],
         ["flow", "--k", "2", "--t-end", "0.01"],
         ["verify", "--delta-convention-check", "none", "--jmax", "2", "--pmax", "2"],
+        ["flow", "--x0", "1.2,0.7", "--h", "1e-20", "--t-end", "1e-17"],
     ],
 )
 def test_bad_configuration_exits_two_without_traceback(argv, tmp_path, capsys):

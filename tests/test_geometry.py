@@ -24,7 +24,6 @@ from stratakit.geometry import (
     char_function,
     classify_detailed,
     integrate,
-    log_spiral_fit,
     poisson_bracket,
     sample_sigma1,
     sample_sigma2,
@@ -359,6 +358,11 @@ class TestHamiltonRhs:
 X0, XI0 = (1.2, 0.0), (-0.96, 0.48)
 
 
+def full_rows(traj):
+    """The n_steps + 1 rows of a trajectory: the stored states, then the frozen tail."""
+    return traj.states + [traj.states[-1]] * (traj.n_steps + 1 - len(traj.states))
+
+
 class TestIntegrate:
     def test_conservation_short_run(self):
         traj = integrate(X0, XI0, MU, A, B, t_end=5.0, h=1e-3)
@@ -384,7 +388,7 @@ class TestIntegrate:
         fine = integrate(X0, XI0, MU, A, B, t_end=4.0, h=0.0025)
         actual = max(
             math.hypot(c[2] - f[2], c[3] - f[3]) / math.hypot(f[2], f[3])
-            for c, f in zip(coarse.states, fine.states[::16])
+            for c, f in zip(full_rows(coarse), full_rows(fine)[::16], strict=True)
         )
         assert coarse.xi_closed_form_max_rel_dev == pytest.approx(actual, rel=0.05)
 
@@ -408,9 +412,13 @@ class TestIntegrate:
         monkeypatch.setattr(geometry, "_rk4_step", counted)
         traj = integrate(X0, XI0, MU, A, B, t_end=50.0, h=1e-3, richardson_tol=richardson_tol)
         assert len(calls) == calls_per_step * 3109
-        assert len(traj.states) == 50001
+        # only the computed states are stored: one per RK4 step taken, the frozen one last
+        assert (len(traj.states), traj.n_steps) == (3110, 50000)
+        assert len(traj.states) - 1 == len(calls) // calls_per_step
+        rows = full_rows(traj)
+        assert len(rows) == 50001
         assert traj.state_frozen_from == 3108 * 1e-3
-        assert all(row is traj.states[3109] for row in traj.states[3109:])
+        assert all(row is traj.states[3109] for row in rows[3109:])
 
     def test_closed_leaf_at_mu_zero(self):
         # t_end = 6 exceeds one period 2 pi / (g1 g2)(|x0|^2) = 5.578 of the circle
@@ -455,6 +463,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="xi0"):
             integrate(X0, (0.0, 0.0), MU, A, B, t_end=0.01, h=1e-3)
 
+    def test_frozen_first_step_rejected(self):
+        # at h = 1e-20 the first step returns the start bit for bit: a vacuous pass
+        with pytest.raises(ValueError, match="first step"):
+            integrate((1.2, 0.7), XI0, MU, A, B, t_end=1e-17, h=1e-20)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             integrate(X0, XI0, MU, A, B, t_end=0.0, h=1e-3)
@@ -486,7 +499,7 @@ class TestIntegrate:
 def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
     # the running values taken in the step loop equal the ones recomputed from the stored rows
     traj = integrate(X0, XI0, mu, A, B, t_end, h=1e-3)
-    rows = [_monitors(y, float(mu)) for y in traj.states]
+    rows = [_monitors(y, float(mu)) for y in full_rows(traj)]
     assert len(rows) == round(t_end / 1e-3) + 1
     assert traj.drift_x_xi == max(abs(m["x_dot_xi"] - rows[0]["x_dot_xi"]) for m in rows)
     assert traj.drift_x_A_xi == max(abs(m["x_A_xi"] - rows[0]["x_A_xi"]) for m in rows)
@@ -501,9 +514,95 @@ def test_one_pass_bookkeeping_matches_the_states(mu, t_end):
 
 def test_log_spiral_pitch_matches_mu():
     traj = integrate(X0, XI0, MU, A, B, t_end=20.0, h=1e-3)
-    fit = log_spiral_fit(traj)
+    fit = traj.log_spiral_fit
     assert fit["slope"] == pytest.approx(MU, abs=1e-6)
     assert fit["max_residual"] < 1e-3
+
+
+def reference_csv(traj):
+    """The per-row CSV writer, run on every one of the n_steps + 1 rows."""
+    lines = ["time,x1,x2,xi1,xi2,dot_x_xi,x_A_xi,norm_x\n"]
+    for i, y in enumerate(full_rows(traj)):
+        m = _monitors(y, traj.mu)
+        row = (i * traj.h, *y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"])
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+def reference_fit(traj):
+    """The separate pass of the log-spiral fit, run on every one of the n_steps + 1 rows."""
+    a, b = traj.a, traj.b
+    lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
+    rows = full_rows(traj)
+    theta, prev_angle = 0.0, math.atan2(rows[0][1], rows[0][0])
+    angles, logs = [], []
+    for x1, x2, _, _ in rows:
+        angle = math.atan2(x2, x1)
+        d = angle - prev_angle
+        while d <= -math.pi:
+            d += 2 * math.pi
+        while d > math.pi:
+            d -= 2 * math.pi
+        theta += d
+        prev_angle = angle
+        r = math.hypot(x1, x2)
+        if lo <= r <= hi:
+            angles.append(theta)
+            logs.append(math.log(r))
+    n = len(angles)
+    if n < 2:
+        return None
+    mean_a = sum(angles) / n
+    mean_l = sum(logs) / n
+    sxx = sum((av - mean_a) ** 2 for av in angles)
+    if sxx == 0:
+        return None
+    sxy = sum((av - mean_a) * (lv - mean_l) for av, lv in zip(angles, logs))
+    slope = sxy / sxx
+    intercept = mean_l - slope * mean_a
+    residual = max(abs(lv - (slope * av + intercept)) for av, lv in zip(angles, logs))
+    return {"slope": slope, "intercept": intercept, "max_residual": residual, "points": n}
+
+
+def freeze_after(monkeypatch, n):
+    """Make every RK4 step after the n-th return its input, freezing the orbit mid-ring."""
+    calls = []
+
+    def step(y, *args):
+        calls.append(None)
+        return _rk4_step(y, *args) if len(calls) <= n else y
+
+    monkeypatch.setattr(geometry, "_rk4_step", step)
+
+
+@pytest.mark.parametrize(
+    "x0, mu, t_end, richardson_tol, frozen_after",
+    [
+        (X0, 0.5, 5.0, None, None),  # the default orbit, frozen at |x| = b from step 3109
+        (X0, 0, 6.0, None, None),  # a closed leaf: never frozen
+        ((1.2, 0.7), 0.5, 20.0, 1e-6, None),
+        (X0, 0.5, 1.0, None, 300),  # frozen mid-ring: the frozen row is in the fit's window
+    ],
+)
+def test_tail_rows_match_the_per_row_oracle(monkeypatch, x0, mu, t_end, richardson_tol,
+                                            frozen_after):
+    # the stored states and one formatted tail give the bytes and the fit of every row
+    if frozen_after is not None:
+        freeze_after(monkeypatch, frozen_after)
+    traj = integrate(x0, XI0, mu, A, B, t_end, h=1e-3, richardson_tol=richardson_tol)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    assert buf.getvalue() == reference_csv(traj)
+    assert traj.log_spiral_fit == reference_fit(traj)
+    assert traj.log_spiral_fit is not None
+
+
+def test_fit_is_none_when_every_window_angle_is_equal():
+    # at h = 1.5e-17 the steps move xi but never x, so the slope is 0 / 0
+    traj = integrate((1.2, 0.7), XI0, MU, A, B, t_end=1.5e-14, h=1.5e-17)
+    assert len({y[:2] for y in traj.states}) == 1
+    assert len({y[2:] for y in traj.states}) > 1
+    assert traj.log_spiral_fit is None
 
 
 def test_trajectory_csv_format():

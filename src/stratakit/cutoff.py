@@ -79,21 +79,33 @@ def _comb_row(n: int) -> list[int]:
     return _COMB_ROWS[n]
 
 
-def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
-    """Exact value of B_n^(j) at a rational point (unit knots on [0, n]).
+def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
+    """Exact values of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1) at a rational point.
 
-    At y = p/q the truncated-power sum has an integer numerator over
-    (n-j-1)! q^(n-j-1); 0 ** 0 == 1 gives (y - s)_+^0 = 1 at the knot y = s.
+    At y = p/q the truncated-power sum of B_n^(i) has an integer numerator
+    over (n-i-1)! q^(n-i-1); 0 ** 0 == 1 gives (y - s)_+^0 = 1 at the knot
+    y = s.  The orders share their bases p - s q: each base is raised to the
+    lowest degree n-j-1 once, then multiplied by itself once per further order.
     """
     if y <= 0 or y >= n:
-        return Fraction(0)
+        return [Fraction(0)] * count
     deg = n - j - 1
     p, q = y.numerator, y.denominator
     binom = _comb_row(n)
-    num = 0
+    nums = [0] * count
     for s in range(min(p // q, n) + 1):
-        num += (-binom[s] if s % 2 else binom[s]) * (p - s * q) ** deg
-    return Fraction(num, factorial(deg) * q ** deg)
+        base = p - s * q
+        power = (-binom[s] if s % 2 else binom[s]) * base ** deg
+        nums[0] += power
+        for i in range(1, count):
+            power *= base
+            nums[i] += power
+    return [Fraction(num, factorial(deg + i) * q ** (deg + i)) for i, num in enumerate(nums)]
+
+
+def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
+    """Exact value of B_n^(j) at a rational point: the one-order ``_eval_derivs``."""
+    return _eval_derivs(n, j, y, 1)[0]
 
 
 # -- bands and their cutoffs ------------------------------------------------------
@@ -135,26 +147,35 @@ class Band:
             return (fr - self.support_lo) / self.box_width, +1
         return (self.support_hi - fr) / self.box_width, -1
 
-    def value(self, r) -> Fraction:
-        """phi(r), exactly; a float r raises TypeError.
+    def _derivatives(self, r, lo: int, hi: int) -> list[Fraction]:
+        """[phi^(lo)(r), ..., phi^(hi)(r)] exactly, from one shared spline sum.
 
-        The ramp is B_N^(-1), the integral of B_N: the smoothed unit step at
-        knot scale.
+        Order l >= 1 is B_N^(l-1) at the knot coordinate over w^l, negated
+        for odd l on the right side.  Order 0 is the ramp B_N^(-1), the
+        integral of B_N: the smoothed unit step at knot scale.
         """
-        y, _side = self._knot_coord(r)
-        return Fraction(1) if y >= self.budget else _eval_deriv(self.budget, -1, y)
+        if lo < 0:
+            raise ValueError("derivative order must be >= 0")
+        if hi > self.budget:
+            raise ValueError(f"derivative order {hi} exceeds budget {self.budget}")
+        y, side = self._knot_coord(r)
+        values = _eval_derivs(self.budget, hi - 1, y, hi - lo + 1)[::-1]
+        for i, ell in enumerate(range(lo, hi + 1)):
+            if ell:
+                values[i] /= self.box_width ** ell
+                if side < 0 and ell % 2 == 1:
+                    values[i] = -values[i]
+            elif y >= self.budget:
+                values[i] = Fraction(1)
+        return values
+
+    def value(self, r) -> Fraction:
+        """phi(r), exactly; a float r raises TypeError."""
+        return self._derivatives(r, 0, 0)[0]
 
     def derivative_value(self, r, ell: int) -> Fraction:
         """phi^(l)(r) evaluated exactly from the spline representation."""
-        if ell < 0:
-            raise ValueError("derivative order must be >= 0")
-        if ell == 0:
-            return self.value(r)
-        if ell > self.budget:
-            raise ValueError(f"derivative order {ell} exceeds budget {self.budget}")
-        y, side = self._knot_coord(r)
-        scaled = _eval_deriv(self.budget, ell - 1, y) / self.box_width ** ell
-        return -scaled if side < 0 and ell % 2 == 1 else scaled
+        return self._derivatives(r, ell, ell)[0]
 
 
 def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
@@ -294,5 +315,5 @@ def write_cutoff_samples_csv(band: Band, stream) -> None:
     stream.write("r,phi,dphi,d2phi\n")
     for i in range(201):
         r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        row = (r, band.value(r), band.derivative_value(r, 1), band.derivative_value(r, 2))
+        row = (r, *band._derivatives(r, 0, 2))
         stream.write(",".join(f"{float(v):.17g}" for v in row) + "\n")

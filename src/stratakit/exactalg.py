@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 __all__ = [
     "exact",
@@ -58,6 +58,13 @@ def fmt_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _numerators(values) -> tuple[int, list[int]]:
+    """(den, ints): exact values as integer numerators over the lcm of their denominators."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 class SparseTerms:
     """Finite sum of monomial keys with nonzero exact rational coefficients.
 
@@ -84,6 +91,11 @@ class SparseTerms:
         result = cls.__new__(cls)
         result.terms = terms
         return result
+
+    @classmethod
+    def _over(cls, den: int, nums: dict):
+        """Build from integer numerators over one denominator; zero numerators are dropped."""
+        return cls._of({key: Fraction(n, den) for key, n in nums.items() if n})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -208,13 +220,19 @@ def a_table_recurrence(jmax: int) -> CoeffTable:
 
 
 def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Coefficients of a * b, truncated at their common order len(a) - 1."""
-    out = [Fraction(0)] * len(a)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b[: len(a) - i]):
+    """Coefficients of a * b, truncated at their common order len(a) - 1.
+
+    Both lists are scaled to integer numerators, so the products accumulate
+    as ints over den(a) den(b) and each output Fraction is built once.
+    """
+    den_a, ints_a = _numerators(a)
+    den_b, ints_b = _numerators(b)
+    out = [0] * len(a)
+    for i, x in enumerate(ints_a):
+        for j, y in enumerate(ints_b[: len(a) - i]):
             if y:
                 out[i + j] += x * y
-    return out
+    return [Fraction(n, den_a * den_b) for n in out]
 
 
 def a_table_generating(jmax: int) -> CoeffTable:

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import exactalg, opalg
-from .exactalg import CoeffTable, fmt_fraction
+from .exactalg import CoeffTable, _numerators, fmt_fraction
 from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
@@ -193,17 +193,33 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     # X1 = Dt commutes with phi and R: X1 R^q_phi^(m) is built from the X1 N_j
     x1_localizers = [model.X1 * build_N(j, k, table).op for j in range(pmax)]
     for p in range(1, pmax + 1):
-        residual = commutator(model.X1, build_Rp_phi(p, k, table))
+        bracket = commutator(model.X1, build_Rp_phi(p, k, table))
+        # the residual as integer numerators over den, updated in place
+        den, ints = _numerators(bracket.terms.values())
+        nums = dict(zip(bracket.terms, ints))
         deltas: list[Fraction] = []
         for ell in range(p):
             pivot = (0, (ell + 1,), 1, p - ell - 1, 0)
-            delta_ell = -residual.terms.get(pivot, Fraction(0))
+            delta_ell = -Fraction(nums.get(pivot, 0), den)
             deltas.append(delta_ell)
             if delta_ell:
                 basis = _localized(x1_localizers, p - ell - 1, ell + 1)
-                residual = residual + delta_ell * basis
+                basis_den, basis_ints = _numerators(basis.terms.values())
+                step_den = delta_ell.denominator * basis_den
+                common = lcm(den, step_den)
+                if common != den:
+                    lift = common // den
+                    nums = {key: n * lift for key, n in nums.items()}
+                    den = common
+                factor = delta_ell.numerator * (den // step_den)
+                for key, n in zip(basis.terms, basis_ints):
+                    acc = nums.get(key, 0) + factor * n
+                    if acc:
+                        nums[key] = acc
+                    else:
+                        del nums[key]
         deltas_by_p[p] = deltas
-        cases.append({"p": p, **_residual_case(residual)})
+        cases.append({"p": p, **_residual_case(DiffOp._over(den, nums))})
     reference = deltas_by_p[pmax]
     p_independent = all(
         deltas_by_p[p] == reference[:p] for p in range(1, pmax + 1)

@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 
-from .exactalg import SparseTerms
+from .exactalg import SparseTerms, _numerators
+
 __all__ = [
     "DiffOp",
     "ModelOps",
@@ -82,36 +83,39 @@ class DiffOp(SparseTerms):
             return self.scale(other)
         if not isinstance(other, DiffOp):
             return NotImplemented
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            a1, f1, b1, r1, d1 = k1
-            for k2, c2 in other.terms.items():
-                a2, f2, b2, r2, d2 = k2
-                base = c1 * c2  # the one Fraction factor: every multiplier below is an int
-                # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
-                for i in range(min(b1, a2) + 1):
-                    ct = comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
-                    t_pow = a1 + a2 - i
-                    dt_left = b1 - i
-                    for i2 in range(r1 + 1):
-                        cr = ct * comb(r1, i2)
-                        for ms, mult in _phi_derive(f2, i2):
-                            key = (
-                                t_pow,
-                                tuple(sorted(f1 + ms)),
-                                dt_left + b2,
-                                r1 - i2 + r2,
-                                d1 + d2,
-                            )
-                            acc = out.get(key, Fraction(0)) + base * (cr * mult)
-                            if acc:
-                                out[key] = acc
-                            else:
-                                out.pop(key, None)
-        return self._of(out)
+        return DiffOp._over(*_product(self, other, 0))
 
     def __repr__(self) -> str:
         return f"DiffOp({render(self)})"
+
+
+def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
+    """Normal-ordered left * right as integer numerators over den(left) den(right).
+
+    Each pair of monomials expands over i (Dt^b1 moved across t^a2) and i2
+    (R^r1 moved across the phi factors of the right monomial); the terms with
+    i + i2 < ``first`` are skipped.  ``first = 0`` gives the whole product;
+    ``first = 1`` drops the i = i2 = 0 term, the commuting product, which is
+    the same in both orders and cancels in a commutator.
+    """
+    den_l, ints_l = _numerators(left.terms.values())
+    den_r, ints_r = _numerators(right.terms.values())
+    right_items = list(zip(right.terms, ints_r))
+    out: dict = {}
+    for (a1, f1, b1, r1, d1), n1 in zip(left.terms, ints_l):
+        for (a2, f2, b2, r2, d2), n2 in right_items:
+            base = n1 * n2
+            # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
+            for i in range(min(b1, a2) + 1):
+                ct = base * comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
+                t_pow = a1 + a2 - i
+                dt_pow = b1 - i + b2
+                for i2 in range(max(first - i, 0), r1 + 1):
+                    cr = ct * comb(r1, i2)
+                    for ms, mult in _phi_derive(f2, i2):
+                        key = (t_pow, tuple(sorted(f1 + ms)), dt_pow, r1 - i2 + r2, d1 + d2)
+                        out[key] = out.get(key, 0) + cr * mult
+    return den_l * den_r, out
 
 
 # -- generators ---------------------------------------------------------------
@@ -153,7 +157,11 @@ def phi(j: int) -> DiffOp:
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a * b - b * a
+    """[a, b] from the normal-ordering corrections of a b and b a alone."""
+    den, out = _product(a, b, 1)
+    for key, n in _product(b, a, 1)[1].items():
+        out[key] = out.get(key, 0) - n
+    return DiffOp._over(den, out)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """DiffOp evaluations that only the tests need."""
 
 from fractions import Fraction
+from math import comb, perm
 
-from stratakit.opalg import DiffOp
+from stratakit.opalg import DiffOp, _phi_derive
 
 
 def derivation_order(op: DiffOp) -> int:
@@ -24,4 +25,19 @@ def substitute_phi_unit(op: DiffOp) -> DiffOp:
             continue
         key = (a, (), b, r, d)
         out[key] = out.get(key, Fraction(0)) + coeff
+    return DiffOp(out)
+
+
+def reference_product(left: DiffOp, right: DiffOp) -> DiffOp:
+    """left * right with one Fraction product per coefficient pair: the oracle for the kernel."""
+    out: dict = {}
+    for (a1, f1, b1, r1, d1), c1 in left.terms.items():
+        for (a2, f2, b2, r2, d2), c2 in right.terms.items():
+            for i in range(min(b1, a2) + 1):
+                ct = comb(b1, i) * perm(a2, i)
+                for i2 in range(r1 + 1):
+                    for ms, mult in _phi_derive(f2, i2):
+                        phis = tuple(sorted(f1 + ms))
+                        key = (a1 + a2 - i, phis, b1 - i + b2, r1 - i2 + r2, d1 + d2)
+                        out[key] = out.get(key, Fraction(0)) + c1 * c2 * (ct * comb(r1, i2) * mult)
     return DiffOp(out)

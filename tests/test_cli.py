@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report artifacts, atomic writes, env override."""
 
 import dataclasses
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -72,6 +73,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--k", "1"])
         assert exc.value.code == 2
+
+    def test_deep_report_bytes_are_pinned(self, tmp_path):
+        # the report of the fraction-per-coefficient kernels, before the
+        # integer-numerator products, commutator and delta elimination
+        out = tmp_path / "verify-deep.json"
+        argv = ["verify", "--k", "2", "--jmax", "12", "--pmax", "24", "-o", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4865a044141f4416fd35f37ef2e9fd8b0a044dc8ab6a2b1ffb9d014e0386d7e1"
+        )
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -264,6 +275,15 @@ class TestCutoffCommand:
         assert report["budgets"] == [16, 8, 4, 2]
         assert report["pass"]
         assert samples.read_text().startswith("r,phi,dphi,d2phi")
+
+    def test_samples_csv_bytes_are_pinned(self, tmp_path):
+        # the CSV of one evaluation per order, before the orders shared their bases
+        samples = tmp_path / "s.csv"
+        assert cli.main(["cutoff", "--N", "256", "--samples-out", str(samples),
+                         "-o", str(tmp_path / "cut.json")]) == 0
+        assert hashlib.sha256(samples.read_bytes()).hexdigest() == (
+            "073c42bed6eb55ecb944daedccec5e20449a5dba9fc4502b32cc4f8ca4169d60"
+        )
 
     def test_bad_n_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -101,6 +101,13 @@ class TestCoeffTable:
         for j in range(jmax + 1):
             assert tr.row(j) == tg.row(j)
 
+    def test_routes_agree_entry_by_entry_at_forty(self):
+        # the generating route's integer-numerator products against back-substitution
+        tr, tg = a_table_recurrence(40), a_table_generating(40)
+        assert tg.entries.keys() == tr.entries.keys()
+        for key, value in tr.entries.items():
+            assert type(tg.entries[key]) is Fraction and tg.entries[key] == value
+
     def test_generating_entry(self):
         assert a_table_generating(2).entry(2, 1) == Fraction(-3, 2)
         assert all(a_table_generating(j).entry(j, j) == 1 for j in range(8))

@@ -171,6 +171,28 @@ class TestDeltaExtraction:
     def test_bounded_by_one(self):
         assert extract_delta(8, 2, TABLE)["delta_abs_le_1"]
 
+    def test_planted_basis_coefficient_fails_structural_check(self, monkeypatch):
+        # X1 R^1_phi^(1) carries 1/2 t phi^(2) Dt^2 at k = 2, off every pivot;
+        # 5/6 there leaves -1/6 of it in the p = 2 residual and nothing else moves
+        real = localize._localized
+
+        def planted(parts, q, m):
+            op = real(parts, q, m)
+            if (q, m) == (1, 1):
+                terms = dict(op.terms)
+                terms[(1, (2,), 2, 0, 0)] += Fraction(1, 3)
+                return opalg.DiffOp(terms)
+            return op
+
+        monkeypatch.setattr(localize, "_localized", planted)
+        report = extract_delta(4, 2, TABLE)
+        failed = [c for c in report["cases"] if not c["pass"]]
+        assert [c["p"] for c in failed] == [2]
+        assert failed[0]["residual_terms"] == 1
+        assert failed[0]["offending_monomials"] == ["-1/6 * t φ^(2) ∂t^2"]
+        assert report["delta_p_independent"] and report["closed_form"]["matches"]
+        assert report["pass"] is False
+
     def test_neither_printed_convention_matches(self):
         report = extract_delta(6, 2, TABLE)
         comparison = report["convention_comparison"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from opalg_helpers import derivation_order, substitute_phi_unit
+from opalg_helpers import derivation_order, reference_product, substitute_phi_unit
 
 from stratakit.opalg import (
     DiffOp,
@@ -137,6 +137,51 @@ def test_multiplication_distributes(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_product_coefficients_are_fractions(a, b):
     assert all(type(c) is Fraction for c in (a * b).terms.values())
+
+
+# non-unit denominators and signs, so that the integer-numerator kernels must
+# scale, cancel and reduce
+_rational_ops = st.dictionaries(
+    _keys,
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(DiffOp)
+
+
+def _exact_terms(op):
+    return all(type(c) is Fraction and c != 0 for c in op.terms.values())
+
+
+@given(_rational_ops, _rational_ops)
+@settings(max_examples=120, deadline=None)
+def test_product_and_commutator_match_fraction_reference(a, b):
+    ab, ba = reference_product(a, b), reference_product(b, a)
+    assert a * b == ab and _exact_terms(a * b)
+    assert commutator(a, b) == ab - ba and _exact_terms(commutator(a, b))
+
+
+def test_kernels_match_reference_on_mixed_operators_that_cancel():
+    # every generator, denominators 2..15, and terms that cancel in the sums
+    a = (
+        Fraction(3, 4) * tvar(2) * phi(1) * dt() * rr() ** 2
+        + Fraction(-5, 6) * phi(0) * phi(2) * rr() * dtheta()
+        + Fraction(7, 15) * tvar() * dt() ** 2
+    )
+    b = (
+        Fraction(2, 9) * tvar(3) * phi(0) * rr()
+        + Fraction(-1, 10) * dt() * dtheta()
+        + Fraction(4, 7) * phi(3)
+    )
+    for left, right in ((a, b), (b, a), (a, a), (a + b, a - b), (a, -a)):
+        product, bracket = left * right, commutator(left, right)
+        assert product == reference_product(left, right) and _exact_terms(product)
+        expected = reference_product(left, right) - reference_product(right, left)
+        assert bracket == expected and _exact_terms(bracket)
+    assert commutator(a, a).is_zero and (a * -a + a * a).is_zero
+    # [Dt/3, 3/4 t^2 phi^(1)] keeps only its normal-ordering correction
+    bracket = commutator(Fraction(1, 3) * dt(), Fraction(3, 4) * tvar(2) * phi(1))
+    assert bracket == Fraction(1, 2) * tvar() * phi(1)
 
 
 @given(_ops, _ops)

@@ -148,16 +148,18 @@ def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
     """Coefficients B_m/m! of t/(e^t - 1) through t^order.
 
     B_m = sum_{k<=m} 1/(k+1) sum_{j<=k} (-1)^j C(k, j) j^m (so B_1 = -1/2), with
-    integer inner sums: no series is inverted, so this route shares no step
-    with ``matrix_inverse_coeffs``.
+    integer sums over lcm(1, ..., m+1): no series is inverted, so this route
+    shares no step with ``matrix_inverse_coeffs``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    return tuple(
-        sum(Fraction(sum((-1) ** j * comb(k, j) * j**m for j in range(k + 1)), k + 1)
-            for k in range(m + 1)) / factorial(m)
-        for m in range(order + 1)
-    )
+    out = []
+    for m in range(order + 1):
+        den = lcm(*range(1, m + 2))
+        num = sum(den // (k + 1) * sum((-1) ** j * comb(k, j) * j**m for j in range(k + 1))
+                  for k in range(m + 1))
+        out.append(Fraction(num, den * factorial(m)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ class CoeffTable:
     jmax: int
     entries: dict = field(repr=False)
     provenance: str
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.provenance not in (PROVENANCE_RECURRENCE, PROVENANCE_GENERATING):
@@ -182,16 +185,37 @@ class CoeffTable:
         return self.entries[(j, jprime)]
 
     def row(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entry(j, jp) for jp in range(j + 1))
+        """Row j, built and hashed once per table: ``build_N`` keys its cache on it."""
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = _Row(self.entry(j, jp) for jp in range(j + 1))
+        return row
 
     def check_recurrence(self) -> bool:
-        """Whether the defining relation holds for every row pair."""
-        return all(
-            sum((self.entry(j, ell + s) / factorial(s) for s in range(1, j - ell + 1)),
-                Fraction(0)) == self.entry(j - 1, ell)
-            for j in range(1, self.jmax + 1)
-            for ell in range(j)
-        )
+        """Whether the defining relation holds for every row pair, checked as
+        sum_s ints[l+s] n!/s! = a[j-1][l] den n! (n = j - l) on row j's numerators."""
+        for j in range(1, self.jmax + 1):
+            den, ints = _numerators(self.entry(j, jp) for jp in range(j + 1))
+            for ell in range(j):
+                lhs = 0
+                for s in range(1, j - ell + 1):
+                    lhs = lhs * s + ints[ell + s]
+                prev = self.entry(j - 1, ell)
+                if lhs * prev.denominator != prev.numerator * den * factorial(j - ell):
+                    return False
+        return True
+
+
+class _Row(tuple):
+    """A tuple whose hash is computed once, when it is built."""
+
+    def __new__(cls, values):
+        row = super().__new__(cls, values)
+        row._hash = tuple.__hash__(row)
+        return row
+
+    def __hash__(self):
+        return self._hash
 
 
 def a_table_recurrence(jmax: int) -> CoeffTable:
@@ -201,21 +225,30 @@ def a_table_recurrence(jmax: int) -> CoeffTable:
     the unknowns (a[j][1], ..., a[j][j]) map onto the previous row through the
     band matrix whose m-th superdiagonal holds 1/(m+1)!.  The a[j][0] column is
     free there and pinned to (-1)^j.
+    They are solved as integers X = a[j][.] den(row j-1) j!, where every
+    X[l+s] / s! is exact (README gives the proof); a remainder raises
+    ArithmeticError.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
     entries: dict = {(0, 0): Fraction(1)}
+    prev = [Fraction(1)]
     for j in range(1, jmax + 1):
-        row = [Fraction(0)] * (j + 1)
-        row[0] = Fraction(-1) ** j
+        den, ints = _numerators(prev)
+        fj = factorial(j)
+        x = [0] * (j + 1)
         for ell in range(j - 1, -1, -1):
             # unknown a[j][ell+1] from the ell-th equation of the system
-            acc = entries[(j - 1, ell)]
+            acc = ints[ell] * fj
             for s in range(2, j - ell + 1):
-                acc -= row[ell + s] / factorial(s)
-            row[ell + 1] = acc
-        for jp in range(j + 1):
-            entries[(j, jp)] = row[jp]
+                q, r = divmod(x[ell + s], factorial(s))
+                if r:
+                    raise ArithmeticError(f"row {j}: X[{ell + s}] is not divisible by {s}!")
+                acc -= q
+            x[ell + 1] = acc
+        prev = [Fraction(-1) ** j] + [Fraction(n, den * fj) for n in x[1:]]
+        for jp, value in enumerate(prev):
+            entries[(j, jp)] = value
     return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_RECURRENCE)
 
 

@@ -352,8 +352,9 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
     v = -ln((b^2 - s)/(b^2 - s0)), where 2 mu t(v) is concave with slope
     1/(s (s - a^2)): from the previous time's root the iterates rise
     monotonically and stay in the ring however close s gets to b^2.  They
-    stop once a step no longer moves v forward.  At mu = 0 the leaf is a
-    circle.
+    stop once a step no longer moves v forward.  Once expm1(-v) is -1.0 it
+    stays so as v grows, so tau is fixed and the generator stops.  At mu = 0
+    the leaf is a circle.
     """
     if mu == 0:
         yield from ((s0 - a2) * (b2 - s0) * step * h for step in range(1, n_steps + 1))
@@ -362,7 +363,8 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
     v = 0.0
     for step in range(1, n_steps + 1):
         while True:
-            ds = -(b2 - s0) * math.expm1(-v)  # s - s0
+            e = math.expm1(-v)
+            ds = -(b2 - s0) * e  # s - s0
             log_s = math.log1p(ds / s0)  # ln(s/s0) = 2 mu tau
             two_mu_t = (-log_s / (a2 * b2) + math.log1p(ds / (s0 - a2)) / (a2 * ring)
                         + v / (b2 * ring))
@@ -371,6 +373,8 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
                 break
             v += dv
         yield log_s / (2.0 * mu)
+        if e == -1.0:
+            return
 
 
 def integrate(
@@ -397,13 +401,14 @@ def integrate(
     circles, whose slope approximates the exact pitch mu (None if undefined).
     A step is a function of the state alone, so once one returns its input
     bit for bit the orbit is frozen: later steps are neither computed nor
-    stored.  ``state_frozen_from`` is the time of the last step that changed
-    the state (by float !=), None if the final step did.  With
-    ``richardson_tol`` set, each step is compared against two half steps and
-    a deviation beyond the tolerance raises StepSizeError.  A negative mu, a
-    ring without 0 < a < b, an ``h`` that does not divide ``t_end`` into a
-    whole number of steps, more than ``_MAX_STEPS`` steps, a zero xi0 or a
-    frozen first step (both vacuous) and a diverging flow raise ValueError.
+    stored, and once tau is fixed too the loop ends.  ``state_frozen_from`` is
+    the time of the last step that changed the state (by float !=), None if
+    the final step did.  With ``richardson_tol`` set, each step is compared
+    against two half steps and a deviation beyond the tolerance raises
+    StepSizeError.  A negative mu, a ring without 0 < a < b, an ``h`` that
+    does not divide ``t_end`` into a whole number of steps, more than
+    ``_MAX_STEPS`` steps, a zero xi0 or a frozen first step (both vacuous)
+    and a diverging flow raise ValueError.
     """
     if not mu >= 0:
         raise ValueError(f"need mu >= 0, got mu = {mu}")
@@ -441,7 +446,11 @@ def integrate(
     lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
     theta, angle = 0.0, math.atan2(y[1], y[0])
     angles, logs = ([theta], [math.log(norm_x)]) if lo <= norm_x <= hi else ([], [])
-    for step, tau in enumerate(_leaf_taus(mu, s_start, a2, b2, h, n_steps), 1):
+    leaf = _leaf_taus(mu, s_start, a2, b2, h, n_steps)
+    for step in range(1, n_steps + 1):
+        moved = next(leaf, None)  # None once tau is fixed
+        if moved is not None:
+            tau = moved
         if not frozen:
             y_next = _rk4_step(y, h, mu, a2, b2)
             if richardson_tol is not None:
@@ -483,6 +492,13 @@ def integrate(
         off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
                          damp * (s * xi0[0] + c * xi0[1]) - y[3])
         closed_dev = max(closed_dev, off / max(m["norm_xi"], 1e-300))
+        if frozen and moved is None:
+            # every later row repeats this one
+            if lo <= norm_x <= hi:
+                rest = n_steps - step
+                angles.extend([theta] * rest)
+                logs.extend([math.log(norm_x)] * rest)
+            break
     return Trajectory(
         mu=mu,
         a=a,

@@ -70,7 +70,7 @@ class LocalizerN:
 
 
 _M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
-_N_OPS: dict[tuple, DiffOp] = {}  # (k, row j of the table) -> N_j
+_N_OPS: dict[tuple, DiffOp] = {}  # (k, table.row(j), built and hashed once per table) -> N_j
 
 
 def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:

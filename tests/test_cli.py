@@ -14,6 +14,10 @@ from stratakit import cli, exactalg, geometry, localize
 from stratakit.exactalg import coeff_table_from_json
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -138,6 +142,18 @@ class TestCoeffsCommand:
         assert report["dual_route_agree"] and report["recurrence_holds"] is False
         assert report["pass"] is False
 
+    def test_report_and_table_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # the bytes of the Fraction-per-operation back-substitution and recurrence check
+        monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path))
+        argv = ["coeffs", "--jmax", "40", "--table-out", "table.json", "-o", "coeffs.json"]
+        assert cli.main(argv) == 0
+        assert sha256_of(tmp_path / "coeffs.json") == (
+            "f6f0726ffe863ced766df0a5ab950d63627b31a5f6db4da84b2ad4c7927a1b40"
+        )
+        assert sha256_of(tmp_path / "table.json") == (
+            "f5fa54707ae2183ba7cbce5cab002e36f9fd59b01c0d548fbd480b7fa3304157"
+        )
+
     def test_tiny_jmax_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "--jmax", "1"])
@@ -240,6 +256,17 @@ class TestFlowCommand:
         argv = ["flow", "--x0", "1.2,0.7", "--h", "1.5e-17", "--t-end", "1.5e-14", "-o", str(out)]
         assert cli.main(argv) == 0
         assert '"log_spiral_fit": null' in out.read_text()
+
+    def test_default_report_and_csv_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # the bytes of the loop that evaluated the leaf on all 50,000 rows
+        monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path))
+        assert cli.main(["flow", "--csv-out", "traj.csv", "-o", "flow.json"]) == 0
+        assert sha256_of(tmp_path / "flow.json") == (
+            "295046270d6e47132ad9008795aa1dc622fb3c78768af443c923e9c47d9f0cdc"
+        )
+        assert sha256_of(tmp_path / "traj.csv") == (
+            "24daa41f3d30f01a8514206716ac96b25e07f265357c1df0e024ecd3aac073d0"
+        )
 
     def test_bad_annulus_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,22 @@ def divide_t_by_expm1(order: int) -> list[Fraction]:
     return q
 
 
+def reference_a_table(jmax: int) -> dict:
+    """The a[j][j'] entries by back-substitution with one Fraction operation at a time."""
+    entries = {(0, 0): Fraction(1)}
+    for j in range(1, jmax + 1):
+        row = [Fraction(0)] * (j + 1)
+        row[0] = Fraction(-1) ** j
+        for ell in range(j - 1, -1, -1):
+            acc = entries[(j - 1, ell)]
+            for s in range(2, j - ell + 1):
+                acc -= row[ell + s] / factorial(s)
+            row[ell + 1] = acc
+        for jp in range(j + 1):
+            entries[(j, jp)] = row[jp]
+    return entries
+
+
 class TestBernoulliGenerator:
     def test_order_four_against_long_division_oracle(self):
         expected = divide_t_by_expm1(4)
@@ -107,6 +123,48 @@ class TestCoeffTable:
         assert tg.entries.keys() == tr.entries.keys()
         for key, value in tr.entries.items():
             assert type(tg.entries[key]) is Fraction and tg.entries[key] == value
+
+    def test_recurrence_matches_fraction_reference_at_sixty(self):
+        # the integer back-substitution against the Fraction one, entry by entry
+        table = a_table_recurrence(60)
+        expected = reference_a_table(60)
+        assert table.entries.keys() == expected.keys()
+        for key, value in expected.items():
+            assert type(table.entries[key]) is Fraction and table.entries[key] == value
+
+    @pytest.mark.parametrize("jmax", [4, 8, 12])
+    def test_scale_without_its_factorial_raises(self, monkeypatch, jmax):
+        # with j! dropped from the last row's scale, some X[l+s] / s! is inexact
+        real = factorial
+        monkeypatch.setattr(exactalg, "factorial", lambda n: 1 if n == jmax else real(n))
+        with pytest.raises(ArithmeticError, match=f"row {jmax}: .* not divisible"):
+            a_table_recurrence(jmax)
+
+    @given(st.data(), st.fractions().filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_check_recurrence_rejects_a_planted_entry(self, data, delta):
+        # a[j][j'] enters the relation of row j (as the s = 1 term for l = j' - 1) or,
+        # for j' = 0, that of row j + 1; a[jmax][0] enters none, so it is not drawn
+        jmax = 12
+        j = data.draw(st.integers(min_value=0, max_value=jmax))
+        jp = data.draw(st.integers(min_value=0 if j < jmax else 1, max_value=j))
+        for build in (a_table_recurrence, a_table_generating):
+            table = build(jmax)
+            entries = dict(table.entries)
+            entries[(j, jp)] += delta
+            assert table.check_recurrence()
+            assert not CoeffTable(jmax, entries, table.provenance).check_recurrence()
+
+    def test_row_is_built_once_per_table(self):
+        # build_N keys its cache on rows: one tuple per (table, j), equal to the plain row
+        table = a_table_recurrence(6)
+        row = table.row(5)
+        assert table.row(5) is row
+        assert row == tuple(table.entry(5, jp) for jp in range(6))
+        assert hash(row) == hash(tuple(row))
+        entries = dict(table.entries)
+        entries[(5, 2)] += 1
+        assert CoeffTable(6, entries, table.provenance).row(5) != row
 
     def test_generating_entry(self):
         assert a_table_generating(2).entry(2, 1) == Fraction(-3, 2)

@@ -18,6 +18,7 @@ from stratakit.geometry import (
     StepSizeError,
     StratumLabel,
     _leaf_rhs,
+    _leaf_taus,
     _monitors,
     _rk4_step,
     bracket_matrix,
@@ -564,6 +565,59 @@ def reference_fit(traj):
     return {"slope": slope, "intercept": intercept, "max_residual": residual, "points": n}
 
 
+def reference_leaf_taus(mu, s0, a2, b2, h, n_steps):
+    """The leaf parameter tau at every one of the n_steps times, by Newton's method at each."""
+    if mu == 0:
+        yield from ((s0 - a2) * (b2 - s0) * step * h for step in range(1, n_steps + 1))
+        return
+    ring = b2 - a2
+    v = 0.0
+    for step in range(1, n_steps + 1):
+        while True:
+            ds = -(b2 - s0) * math.expm1(-v)
+            log_s = math.log1p(ds / s0)
+            two_mu_t = (-log_s / (a2 * b2) + math.log1p(ds / (s0 - a2)) / (a2 * ring)
+                        + v / (b2 * ring))
+            dv = (2.0 * mu * step * h - two_mu_t) * (s0 + ds) * (s0 + ds - a2)
+            if not dv > 0 or v + dv == v:
+                break
+            v += dv
+        yield log_s / (2.0 * mu)
+
+
+def reference_closed_dev(traj):
+    """The largest relative deviation of xi from the explicit leaf, taken row by row."""
+    x1, x2, z1, z2 = traj.states[0]
+    s0 = x1 * x1 + x2 * x2
+    a2, b2 = traj.a * traj.a, traj.b * traj.b
+    taus = reference_leaf_taus(traj.mu, s0, a2, b2, traj.h, traj.n_steps)
+    dev = 0.0
+    for y, tau in zip(full_rows(traj)[1:], taus, strict=True):
+        damp, c, s = math.exp(-traj.mu * tau), math.cos(tau), math.sin(tau)
+        off = math.hypot(damp * (c * z1 - s * z2) - y[2], damp * (s * z1 + c * z2) - y[3])
+        dev = max(dev, off / max(math.hypot(y[2], y[3]), 1e-300))
+    return dev
+
+
+def test_leaf_stops_once_tau_saturates(monkeypatch):
+    # on the default orbit expm1(-v) reaches -1.0 at row 3504, so the leaf evaluates
+    # 3504 of the 50,000 rows; the reference's tau last changes at row 3370
+    rows = []
+
+    def counted(*args):
+        for tau in _leaf_taus(*args):
+            rows.append(tau)
+            yield tau
+
+    monkeypatch.setattr(geometry, "_leaf_taus", counted)
+    traj = integrate(X0, XI0, MU, A, B, t_end=50.0, h=1e-3)
+    assert len(rows) == 3504
+    reference = list(reference_leaf_taus(0.5, X0[0] * X0[0], A * A, B * B, 1e-3, 50000))
+    assert rows == reference[:3504]
+    assert set(reference[3369:]) == {rows[-1]} and reference[3368] != rows[-1]
+    assert traj.xi_closed_form_max_rel_dev == reference_closed_dev(traj)
+
+
 def freeze_after(monkeypatch, n):
     """Make every RK4 step after the n-th return its input, freezing the orbit mid-ring."""
     calls = []
@@ -582,6 +636,7 @@ def freeze_after(monkeypatch, n):
         (X0, 0, 6.0, None, None),  # a closed leaf: never frozen
         ((1.2, 0.7), 0.5, 20.0, 1e-6, None),
         (X0, 0.5, 1.0, None, 300),  # frozen mid-ring: the frozen row is in the fit's window
+        (X0, 0.5, 8.0, None, 300),  # frozen in the window, tau saturated before t_end
     ],
 )
 def test_tail_rows_match_the_per_row_oracle(monkeypatch, x0, mu, t_end, richardson_tol,
@@ -595,6 +650,7 @@ def test_tail_rows_match_the_per_row_oracle(monkeypatch, x0, mu, t_end, richards
     assert buf.getvalue() == reference_csv(traj)
     assert traj.log_spiral_fit == reference_fit(traj)
     assert traj.log_spiral_fit is not None
+    assert traj.xi_closed_form_max_rel_dev == reference_closed_dev(traj)
 
 
 def test_fit_is_none_when_every_window_angle_is_equal():

@@ -20,7 +20,7 @@ exact layers; k >= 2); ``ModelParams``, ``build_bands`` and ``integrate``
 check the rest.  Reports are JSON (CSV for trajectories and cutoff samples),
 written atomically (temp file + rename).  Exit codes: 0 all requested checks
 pass, 1 a verification failed (the report is still written), 2 invalid
-configuration (an argparse error, or a library ValueError or StepSizeError).
+configuration (an argparse error, or any ValueError the library raises).
 The environment variable STRATAKIT_REPORT_DIR redirects relative output
 paths.
 """
@@ -165,11 +165,7 @@ def run_coeffs(args) -> dict:
     jmax = args.jmax
     recurrence = exactalg.a_table_recurrence(jmax)
     generating = exactalg.a_table_generating(jmax)
-    agree = all(
-        recurrence.entry(j, jp) == generating.entry(j, jp)
-        for j in range(jmax + 1)
-        for jp in range(j + 1)
-    )
+    agree = recurrence.entries == generating.entries
     # the relation is re-checked on the independent route's table
     holds = generating.check_recurrence()
     # the band inverse against the closed-form Bernoulli series, over the whole table
@@ -461,7 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _run(args)
-    except (ValueError, geometry.StepSizeError) as exc:  # the library refused the input
+    except ValueError as exc:  # the library refused the input
         parser.error(str(exc))
     if args.command != "classify" or args.output:
         _emit(report, args.output)

@@ -8,8 +8,9 @@ report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
 with their linear arithmetic, the base of ``DiffOp`` and ``PhasePoly``).
 The module also provides the Bernoulli generating series t/(e^t - 1) from
 the closed form of B_m, the triangular localizer-coefficient table a[j][j']
-with its two independent construction routes (recurrence back-substitution
-vs. powers of that series), the convolution inverse of the factorial band
+with its two independent construction routes (the closed form
+N_j(M) = C(M-1, j) vs. powers of that series) and the check that
+characterises it, the convolution inverse of the factorial band
 matrix (the one routine here that inverts it), the exact generalised binomial
 C(a, n), Stirling numbers of the second kind in closed form, and the two
 printed candidate closed forms for the bracket coefficients delta_l.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 
 __all__ = [
@@ -27,8 +29,6 @@ __all__ = [
     "fmt_fraction",
     "SparseTerms",
     "CoeffTable",
-    "PROVENANCE_RECURRENCE",
-    "PROVENANCE_GENERATING",
     "bernoulli_generator",
     "a_table_recurrence",
     "a_table_generating",
@@ -37,11 +37,7 @@ __all__ = [
     "stirling_B",
     "delta_closed_form",
     "coeff_table_to_json",
-    "coeff_table_from_json",
 ]
-
-PROVENANCE_RECURRENCE = "recurrence"
-PROVENANCE_GENERATING = "generating-function"
 
 
 def exact(x) -> Fraction:
@@ -144,12 +140,14 @@ class SparseTerms:
         return result
 
 
+@cache
 def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
     """Coefficients B_m/m! of t/(e^t - 1) through t^order.
 
     B_m = sum_{k<=m} 1/(k+1) sum_{j<=k} (-1)^j C(k, j) j^m (so B_1 = -1/2), with
     integer sums over lcm(1, ..., m+1): no series is inverted, so this route
-    shares no step with ``matrix_inverse_coeffs``.
+    shares no step with ``matrix_inverse_coeffs``.  Cached: ``coeffs`` needs
+    the same series twice, and a tuple cannot be changed by a caller.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -162,38 +160,34 @@ def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffTable:
     """Triangular table of the localizer coefficients a[j][j'], 0 <= j' <= j.
 
-    Boundary values are a[j][j] = 1 and a[j][0] = (-1)^j; successive rows are
-    linked by the factorial convolution sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
+    Plain data, hashed by identity.  Boundary values are a[j][j] = 1 and
+    a[j][0] = (-1)^j; successive rows are linked by the factorial convolution
+    sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
     """
 
     jmax: int
     entries: dict = field(repr=False)
     provenance: str
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.provenance not in (PROVENANCE_RECURRENCE, PROVENANCE_GENERATING):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     def entry(self, j: int, jprime: int) -> Fraction:
         if not 0 <= jprime <= j <= self.jmax:
             raise KeyError(f"entry ({j}, {jprime}) outside triangle jmax={self.jmax}")
         return self.entries[(j, jprime)]
 
-    def row(self, j: int) -> tuple[Fraction, ...]:
-        """Row j, built and hashed once per table: ``build_N`` keys its cache on it."""
-        row = self._rows.get(j)
-        if row is None:
-            row = self._rows[j] = _Row(self.entry(j, jp) for jp in range(j + 1))
-        return row
-
     def check_recurrence(self) -> bool:
-        """Whether the defining relation holds for every row pair, checked as
-        sum_s ints[l+s] n!/s! = a[j-1][l] den n! (n = j - l) on row j's numerators."""
+        """Whether this is the one table with a[j][0] = (-1)^j and the defining relation.
+
+        The relations of row j are unit triangular in a[j][1..j], so with the
+        pin on a[j][0] they determine the table from a[0][0] = 1.  Each is
+        checked as sum_s ints[l+s] n!/s! = a[j-1][l] den n! (n = j - l) on
+        row j's integer numerators.
+        """
+        if any(self.entry(j, 0) != (-1) ** j for j in range(self.jmax + 1)):
+            return False
         for j in range(1, self.jmax + 1):
             den, ints = _numerators(self.entry(j, jp) for jp in range(j + 1))
             for ell in range(j):
@@ -206,50 +200,27 @@ class CoeffTable:
         return True
 
 
-class _Row(tuple):
-    """A tuple whose hash is computed once, when it is built."""
-
-    def __new__(cls, values):
-        row = super().__new__(cls, values)
-        row._hash = tuple.__hash__(row)
-        return row
-
-    def __hash__(self):
-        return self._hash
-
-
 def a_table_recurrence(jmax: int) -> CoeffTable:
-    """Build the a[j][j'] table row by row from the factorial recurrence.
+    """Build the a[j][j'] table from its closed form N_j(M) = C(M-1, j).
 
-    Each row solves a unit upper-triangular system by exact back-substitution:
-    the unknowns (a[j][1], ..., a[j][j]) map onto the previous row through the
-    band matrix whose m-th superdiagonal holds 1/(m+1)!.  The a[j][0] column is
-    free there and pinned to (-1)^j.
-    They are solved as integers X = a[j][.] den(row j-1) j!, where every
-    X[l+s] / s! is exact (README gives the proof); a remainder raises
-    ArithmeticError.
+    C(M-1, j) = prod_{i<=j} (M - i) / j!, so a[j][j'] = p_j[j'] j'!/j! with
+    p_j the integer coefficients of prod_{i<=j} (M - i).  Pascal's rule
+    C(M, j) - C(M-1, j) = C(M-1, j-1) is the defining relation
+    N_j(M+1) - N_j(M) = N_(j-1)(M), and N_j(0) = C(-1, j) = (-1)^j, so this
+    is the unique table that ``check_recurrence`` accepts.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    entries: dict = {(0, 0): Fraction(1)}
-    prev = [Fraction(1)]
-    for j in range(1, jmax + 1):
-        den, ints = _numerators(prev)
+    entries: dict = {}
+    poly = [1]  # p_j, lowest degree first
+    for j in range(jmax + 1):
+        if j:
+            poly = [lo - j * hi for lo, hi in zip([0] + poly, poly + [0])]
         fj = factorial(j)
-        x = [0] * (j + 1)
-        for ell in range(j - 1, -1, -1):
-            # unknown a[j][ell+1] from the ell-th equation of the system
-            acc = ints[ell] * fj
-            for s in range(2, j - ell + 1):
-                q, r = divmod(x[ell + s], factorial(s))
-                if r:
-                    raise ArithmeticError(f"row {j}: X[{ell + s}] is not divisible by {s}!")
-                acc -= q
-            x[ell + 1] = acc
-        prev = [Fraction(-1) ** j] + [Fraction(n, den * fj) for n in x[1:]]
-        for jp, value in enumerate(prev):
-            entries[(j, jp)] = value
-    return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_RECURRENCE)
+        for jp, c in enumerate(poly):
+            entries[(j, jp)] = Fraction(c * factorial(jp), fj)
+    # labelled by the relation it solves uniquely; table files carry this label
+    return CoeffTable(jmax=jmax, entries=entries, provenance="recurrence")
 
 
 def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -287,7 +258,7 @@ def a_table_generating(jmax: int) -> CoeffTable:
             entries[(j, jp)] = gpow[j - jp]
         if j < jmax:
             gpow = _truncated_product(gpow, g)
-    return CoeffTable(jmax=jmax, entries=entries, provenance=PROVENANCE_GENERATING)
+    return CoeffTable(jmax=jmax, entries=entries, provenance="generating-function")
 
 
 def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
@@ -369,12 +340,3 @@ def coeff_table_to_json(table: CoeffTable) -> str:
     ]
     doc = {"jmax": table.jmax, "provenance": table.provenance, "entries": items}
     return json.dumps(doc, indent=2)
-
-
-def coeff_table_from_json(text: str) -> CoeffTable:
-    doc = json.loads(text)
-    entries = {}
-    for key, value in doc["entries"]:
-        j_str, jp_str = key.split("/")
-        entries[(int(j_str), int(jp_str))] = Fraction(value)
-    return CoeffTable(jmax=doc["jmax"], entries=entries, provenance=doc["provenance"])

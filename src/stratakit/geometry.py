@@ -280,7 +280,7 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 _MAX_STEPS = 10**6  # 20 times the default run: a mu = 0 orbit never freezes, so keeps every row
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(ValueError):
     """Raised when the Richardson half-step comparison rejects the step size."""
 
 

@@ -70,7 +70,7 @@ class LocalizerN:
 
 
 _M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
-_N_OPS: dict[tuple, DiffOp] = {}  # (k, table.row(j), built and hashed once per table) -> N_j
+_N_OPS: dict[tuple, DiffOp] = {}  # (k, table, j) -> N_j; holding the table keeps its id unique
 
 
 def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
@@ -79,12 +79,12 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         raise ValueError("j must be >= 0")
     if table.jmax < j:
         raise ValueError(f"coefficient table too small: jmax={table.jmax} < j={j}")
-    key = (k, table.row(j))
+    key = (k, table, j)
     if key not in _N_OPS:
         powers = _M_POWERS.setdefault(k, [opalg.one()])
         while len(powers) <= j:
             powers.append(powers[-1] * build_model(k).M)
-        terms = ((a_j_jp / factorial(jp)) * powers[jp] for jp, a_j_jp in enumerate(key[1]))
+        terms = ((table.entry(j, jp) / factorial(jp)) * powers[jp] for jp in range(j + 1))
         _N_OPS[key] = sum(terms, opalg.zero())
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
 

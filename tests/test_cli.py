@@ -5,13 +5,13 @@ import hashlib
 import json
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratakit import cli, exactalg, geometry, localize
-from stratakit.exactalg import coeff_table_from_json
 
 
 def sha256_of(path):
@@ -105,8 +105,9 @@ class TestCoeffsCommand:
         assert report["dual_route_agree"] and report["recurrence_holds"]
         assert report["bernoulli_identity"]
         assert report["bernoulli_head"][:2] == ["1/1", "-1/2"]
-        table = coeff_table_from_json(table_out.read_text())
-        assert table.jmax == 8
+        doc = json.loads(table_out.read_text())
+        entries = {tuple(map(int, key.split("/"))): Fraction(v) for key, v in doc["entries"]}
+        assert doc["jmax"] == 8 and entries == exactalg.a_table_recurrence(8).entries
 
     def test_planted_wrong_band_inverse_fails(self, tmp_path, monkeypatch):
         # a wrong c_2 in the band inverse breaks the Bernoulli identity, not the tables
@@ -124,18 +125,31 @@ class TestCoeffsCommand:
         assert report["bernoulli_identity"] is False
         assert report["dual_route_agree"] is True and report["pass"] is False
 
-    def test_planted_wrong_entry_fails_recurrence(self, tmp_path, monkeypatch):
-        # one wrong entry planted in both routes: they agree, the relation does not
+    @staticmethod
+    def _plant_in_both_routes(monkeypatch, jprime):
+        # one wrong entry a[jmax][jprime], the same in both routes, so they still agree
         def planted(build):
             def wrong(jmax):
                 table = build(jmax)
                 entries = dict(table.entries)
-                entries[(jmax, 1)] += 1
+                entries[(jmax, jprime)] += 1
                 return dataclasses.replace(table, entries=entries)
             return wrong
 
         for name in ("a_table_recurrence", "a_table_generating"):
             monkeypatch.setattr(exactalg, name, planted(getattr(exactalg, name)))
+
+    def test_planted_wrong_entry_fails_recurrence(self, tmp_path, monkeypatch):
+        self._plant_in_both_routes(monkeypatch, 1)
+        out = tmp_path / "coeffs.json"
+        assert cli.main(["coeffs", "--jmax", "8", "-o", str(out)]) == 1
+        report = read_json(out)
+        assert report["dual_route_agree"] and report["recurrence_holds"] is False
+        assert report["pass"] is False
+
+    def test_planted_last_boundary_entry_fails_recurrence(self, tmp_path, monkeypatch):
+        # a[jmax][0] enters no row relation: only the pin a[j][0] = (-1)^j catches it
+        self._plant_in_both_routes(monkeypatch, 0)
         out = tmp_path / "coeffs.json"
         assert cli.main(["coeffs", "--jmax", "8", "-o", str(out)]) == 1
         report = read_json(out)

@@ -53,7 +53,7 @@ class TestLocalizerConstruction:
         base = exactalg.a_table_recurrence(4)
         entries = dict(base.entries)
         entries[(3, 1)] += 1
-        perturbed = exactalg.CoeffTable(4, entries, exactalg.PROVENANCE_RECURRENCE)
+        perturbed = exactalg.CoeffTable(4, entries, base.provenance)
         changed = build_N(3, 2, perturbed).op
         assert changed == _direct_N(3, 2, perturbed)
         assert changed != _direct_N(3, 2, base)
@@ -272,9 +272,10 @@ class TestBoundScan:
             bound_scan_a(1, TABLE)
 
     def test_fails_on_fast_growth(self):
-        entries = dict(exactalg.a_table_recurrence(2).entries)
+        base = exactalg.a_table_recurrence(2)
+        entries = dict(base.entries)
         entries[(2, 1)] = Fraction(100)
-        table = exactalg.CoeffTable(2, entries, exactalg.PROVENANCE_RECURRENCE)
+        table = exactalg.CoeffTable(2, entries, base.provenance)
         scan = bound_scan_a(2, table)
         assert scan["c_min_empirical"] == pytest.approx(10.0)
         assert scan["pass"] is False

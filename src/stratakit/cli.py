@@ -23,6 +23,12 @@ pass, 1 a verification failed (the report is still written), 2 invalid
 configuration (an argparse error, or any ValueError the library raises).
 The environment variable STRATAKIT_REPORT_DIR redirects relative output
 paths.
+
+Layers are imported on use: each runner imports the modules it calls, so
+``cutoff`` loads only cutoff and exactalg, and ``import stratakit.cli``
+loads no layer.  Start-up is a large share of a short run, and every
+module imported without cached bytecode is compiled first.  Runners call
+``module.attr``, so a monkeypatched or traced module attribute is what runs.
 """
 
 from __future__ import annotations
@@ -31,14 +37,9 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
-
-from . import cutoff as cutoff_mod
-from . import exactalg, geometry, localize
 
 REPORT_DIR_ENV = "STRATAKIT_REPORT_DIR"
 # the flow's pass thresholds: the largest drift of <x, xi> and <x, A xi>, and
@@ -49,6 +50,7 @@ FLOW_CLOSED_FORM_TOL = 1e-6
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
+        from . import exactalg
         return exactalg.fmt_fraction(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -71,6 +73,7 @@ def _resolve_output(path: str | None) -> Path | None:
 
 def _write_atomic(path: Path, write) -> None:
     """Call ``write(fh)`` on a temporary file beside ``path``, then rename it over ``path``."""
+    import tempfile
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,6 +97,7 @@ def _unwritable(path: Path, exc: OSError) -> None:
 
 def _check_writable_dir(path: Path) -> None:
     """Create ``path`` and write a scratch file in it, before any work is done."""
+    import tempfile
     try:
         path.mkdir(parents=True, exist_ok=True)
         tempfile.TemporaryFile(dir=path).close()
@@ -163,6 +167,9 @@ def _degree_list(text: str) -> list[int]:
 
 def run_coeffs(args) -> dict:
     jmax = args.jmax
+    if jmax < 2:  # the growth scan's least depth, checked before any table is built
+        raise ValueError("jmax must be >= 2")
+    from . import exactalg, localize
     recurrence = exactalg.a_table_recurrence(jmax)
     generating = exactalg.a_table_generating(jmax)
     agree = recurrence.entries == generating.entries
@@ -190,6 +197,7 @@ def run_coeffs(args) -> dict:
 
 
 def run_verify(args) -> dict:
+    from . import exactalg, localize
     k, jmax, pmax = args.k, args.jmax, args.pmax
     table = exactalg.a_table_recurrence(max(jmax, pmax, 2))
     checks = [
@@ -217,6 +225,7 @@ def run_verify(args) -> dict:
 def run_classify(args) -> dict:
     """The point's label and, on a stratum, its bracket-matrix rank; ``pass`` is
     the paper's dichotomy there: Sigma1 nondegenerate, Sigma2 degenerate."""
+    from . import geometry
     params = geometry.ModelParams(args.k, args.mu)
     cov = geometry.Covector(t=args.t, x=args.x, tau=args.tau, xi=args.xi)
     label, flags = geometry.classify_detailed(cov, params)
@@ -242,9 +251,10 @@ def run_classify(args) -> dict:
     return report
 
 
-def _rank_verdict(stratum: geometry.StratumLabel, point, params) -> bool | None:
+def _rank_verdict(stratum, point, params) -> bool | None:
     """``degenerate`` of the rank test; None when the point is off its stratum,
     which fails the check rather than marking bad configuration."""
+    from . import geometry
     try:
         return geometry.symplectic_rank(stratum, point, params)["degenerate"]
     except ValueError:
@@ -252,6 +262,8 @@ def _rank_verdict(stratum: geometry.StratumLabel, point, params) -> bool | None:
 
 
 def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
+    import random
+    from . import geometry
     rng = random.Random(seed)
     params = geometry.ModelParams(k)
     sigma1_ok = sigma2_ok = 0
@@ -273,6 +285,7 @@ def run_geometry_suite(k: int, seed: int, samples: int = 100) -> dict:
 
 
 def run_flow(args) -> dict:
+    from . import geometry
     traj = geometry.integrate(
         args.x0, args.xi0, args.mu, args.a, args.b,
         t_end=args.t_end, h=args.h, richardson_tol=args.richardson_tol,
@@ -310,8 +323,9 @@ def run_flow(args) -> dict:
 
 
 def run_cutoff(args) -> dict:
+    from . import cutoff, exactalg
     r1, r2, n, kmax = args.r1, args.r2, args.N, args.kmax
-    bands = cutoff_mod.build_bands(r1, r2, n)
+    bands = cutoff.build_bands(r1, r2, n)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if args.grid:
@@ -319,9 +333,9 @@ def run_cutoff(args) -> dict:
         while n_values[-1] < n:
             n_values.append(n_values[-1] * 4)
         n_values[-1] = min(n_values[-1], n)
-        body = cutoff_mod.bound_check_grid(r1, r2, n_values, kmax=kmax)
+        body = cutoff.bound_check_grid(r1, r2, n_values, kmax=kmax)
     else:
-        checks = [cutoff_mod.derivative_bound_check(band) for band in bands[:kmax]]
+        checks = [cutoff.derivative_bound_check(band) for band in bands[:kmax]]
         body = {
             "bands": checks,
             "C_uniform": max(c["C_measured"] for c in checks),
@@ -329,7 +343,7 @@ def run_cutoff(args) -> dict:
         }
     c_measured = body["C_uniform"]
     rate_curve = {
-        f"2^{e}": cutoff_mod.recursion_product(1 << e, c_measured)["per_N_rate"]
+        f"2^{e}": cutoff.recursion_product(1 << e, c_measured)["per_N_rate"]
         for e in (10, 11, 12, 13, 14)
     }
     cauchy_gap = abs(rate_curve["2^14"] - rate_curve["2^13"])
@@ -348,7 +362,7 @@ def run_cutoff(args) -> dict:
     }
     if args.samples_out:
         path = _resolve_output(args.samples_out)
-        _write_atomic(path, lambda fh: cutoff_mod.write_cutoff_samples_csv(bands[0], fh))
+        _write_atomic(path, lambda fh: cutoff.write_cutoff_samples_csv(bands[0], fh))
         report["samples_file"] = args.samples_out
     return report
 

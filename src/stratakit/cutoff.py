@@ -33,7 +33,7 @@ reports those two orders: order 0 exactly, order N at its attained bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -111,21 +111,18 @@ def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
 # -- bands and their cutoffs ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(namedtuple("Band", "k lo hi d budget")):
     """Band k = [lo, hi] with gap d and budget N_k, and its cutoff phi_k.
 
     phi_k is the indicator of [lo, hi] smoothed by ``budget`` boxes of width
     ``box_width``: identically 1 on the band, supported in
     [support_lo, support_hi] (band k-1), with a transition of width d on each
-    side.  Derivatives up to the budget exist and evaluate exactly.
+    side.  Derivatives up to the budget exist and evaluate exactly.  A named
+    tuple (int k and budget, Fraction lo, hi and d), not a dataclass, so the
+    cutoff path never imports ``dataclasses``.
     """
 
-    k: int
-    lo: Fraction
-    hi: Fraction
-    d: Fraction
-    budget: int
+    __slots__ = ()
 
     @property
     def box_width(self) -> Fraction:

@@ -19,7 +19,6 @@ printed candidate closed forms for the bracket coefficients delta_l.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
@@ -160,18 +159,25 @@ def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class CoeffTable:
     """Triangular table of the localizer coefficients a[j][j'], 0 <= j' <= j.
 
-    Plain data, hashed by identity.  Boundary values are a[j][j] = 1 and
-    a[j][0] = (-1)^j; successive rows are linked by the factorial convolution
+    Plain data, hashed and compared by identity; its fields cannot be
+    reassigned.  Boundary values are a[j][j] = 1 and a[j][0] = (-1)^j;
+    successive rows are linked by the factorial convolution
     sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
     """
 
-    jmax: int
-    entries: dict = field(repr=False)
-    provenance: str
+    __slots__ = ("jmax", "entries", "provenance")
+
+    def __init__(self, jmax: int, entries: dict, provenance: str):
+        for name, value in (("jmax", jmax), ("entries", entries), ("provenance", provenance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def entry(self, j: int, jprime: int) -> Fraction:
         if not 0 <= jprime <= j <= self.jmax:

@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, report artifacts, atomic writes, env override."""
 
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -133,7 +135,7 @@ class TestCoeffsCommand:
                 table = build(jmax)
                 entries = dict(table.entries)
                 entries[(jmax, jprime)] += 1
-                return dataclasses.replace(table, entries=entries)
+                return exactalg.CoeffTable(table.jmax, entries, table.provenance)
             return wrong
 
         for name in ("a_table_recurrence", "a_table_generating"):
@@ -168,10 +170,19 @@ class TestCoeffsCommand:
             "f5fa54707ae2183ba7cbce5cab002e36f9fd59b01c0d548fbd480b7fa3304157"
         )
 
-    def test_tiny_jmax_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["coeffs", "--jmax", "1"])
-        assert exc.value.code == 2
+    def test_tiny_jmax_rejected(self, monkeypatch, capsys):
+        # every refused depth gets the growth scan's message before any table is built
+        def must_not_run(jmax):
+            raise AssertionError("a table was built for a refused jmax")
+
+        monkeypatch.setattr(exactalg, "a_table_recurrence", must_not_run)
+        for jmax in ("-1", "0", "1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["coeffs", "--jmax", jmax])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert "error: jmax must be >= 2" in err
 
 
 class TestClassifyCommand:
@@ -542,3 +553,42 @@ def test_fuzzed_argv_keeps_exit_contract(argv):
 @settings(max_examples=6, deadline=None, derandomize=True)
 def test_fuzzed_report_all_argv_keeps_exit_contract(argv):
     assert_exit_contract(argv)
+
+
+def loaded_modules(code):
+    """The stratakit layers and ``dataclasses`` that a fresh interpreter has loaded after ``code``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
+    env.pop(cli.REPORT_DIR_ENV, None)
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('stratakit.') or m == 'dataclasses')), file=sys.stderr)"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp,
+                              capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+LAYERS = {f"stratakit.{m}" for m in ("cutoff", "exactalg", "geometry", "localize", "opalg")}
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert not loaded_modules("import stratakit.cli") & LAYERS
+
+
+def test_cutoff_loads_only_cutoff_and_exactalg():
+    loaded = loaded_modules("from stratakit import cli; cli.main(['cutoff', '--N', '16'])")
+    assert {"stratakit.cutoff", "stratakit.exactalg"} <= loaded
+    assert not loaded & {"stratakit.geometry", "stratakit.localize", "stratakit.opalg",
+                         "dataclasses"}
+
+
+def test_verify_loads_no_geometry_or_cutoff():
+    loaded = loaded_modules(
+        "from stratakit import cli; cli.main(['verify', '--jmax', '2', '--pmax', '2'])"
+    )
+    assert "stratakit.localize" in loaded
+    assert not loaded & {"stratakit.geometry", "stratakit.cutoff"}

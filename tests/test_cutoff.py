@@ -57,6 +57,24 @@ class TestBandGeometry:
         gap_to_limit = math.pi ** 2 / 24 - float(total)
         assert 0 < gap_to_limit < 1 / (4 * len(bands))
 
+    def test_band_fields_properties_and_value_semantics(self):
+        band = Band(1, Fraction(5, 4), Fraction(7, 4), Fraction(1, 4), 8)
+        assert band == Band(k=1, lo=Fraction(5, 4), hi=Fraction(7, 4), d=Fraction(1, 4), budget=8)
+        assert hash(band) == hash(build_bands(1, 2, 8)[0]) and band == build_bands(1, 2, 8)[0]
+        assert band != Band(2, band.lo, band.hi, band.d, band.budget)
+        assert (band.k, band.lo, band.hi, band.d, band.budget) == (
+            1, Fraction(5, 4), Fraction(7, 4), Fraction(1, 4), 8
+        )
+        assert band.box_width == Fraction(1, 32)
+        assert (band.support_lo, band.support_hi) == (Fraction(1), Fraction(2))
+
+    def test_band_is_immutable(self):
+        band = build_bands(1, 2, 8)[0]
+        for name in ("k", "lo", "hi", "d", "budget", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(band, name, 0)
+        assert band.budget == 8
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             build_bands(0, 1, 12)

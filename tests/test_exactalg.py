@@ -158,6 +158,22 @@ class TestCoeffTable:
 
     def test_generating_entry(self):
         assert a_table_generating(2).entry(2, 1) == Fraction(-3, 2)
+
+    def test_fields_cannot_be_reassigned(self):
+        t = a_table_recurrence(2)
+        for name, value in (("jmax", 3), ("entries", {}), ("provenance", "x"), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            del t.jmax
+        assert (t.jmax, t.provenance) == (2, "recurrence")
+
+    def test_equal_tables_are_distinct_keys(self):
+        # localize caches its operators per table object, so tables hash by identity
+        a, b = a_table_recurrence(3), a_table_recurrence(3)
+        assert a.entries == b.entries and a != b
+        assert len({a: 1, b: 2}) == 2
+        assert CoeffTable(jmax=3, entries=a.entries, provenance="p").entries is a.entries
         assert all(a_table_generating(j).entry(j, j) == 1 for j in range(8))
         assert all(a_table_generating(j).entry(j, 0) == Fraction(-1) ** j for j in range(8))
 

@@ -163,7 +163,8 @@ class CoeffTable:
     """Triangular table of the localizer coefficients a[j][j'], 0 <= j' <= j.
 
     Plain data, hashed and compared by identity; its fields cannot be
-    reassigned.  Boundary values are a[j][j] = 1 and a[j][0] = (-1)^j;
+    reassigned.  Not a dataclass, so the cutoff path never imports
+    ``dataclasses``.  Boundary values are a[j][j] = 1 and a[j][0] = (-1)^j;
     successive rows are linked by the factorial convolution
     sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
     """

@@ -25,10 +25,11 @@ The environment variable STRATAKIT_REPORT_DIR redirects relative output
 paths.
 
 Layers are imported on use: each runner imports the modules it calls, so
-``cutoff`` loads only cutoff and exactalg, and ``import stratakit.cli``
-loads no layer.  Start-up is a large share of a short run, and every
-module imported without cached bytecode is compiled first.  Runners call
-``module.attr``, so a monkeypatched or traced module attribute is what runs.
+``coeffs`` loads exactalg alone, ``cutoff`` only cutoff and exactalg, and
+``import stratakit.cli`` no layer.  Start-up is a large share of a short
+run, and every module imported without cached bytecode is compiled first.
+Runners call ``module.attr``, so a monkeypatched or traced module attribute
+is what runs.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def run_coeffs(args) -> dict:
     jmax = args.jmax
     if jmax < 2:  # the growth scan's least depth, checked before any table is built
         raise ValueError("jmax must be >= 2")
-    from . import exactalg, localize
+    from . import exactalg
     recurrence = exactalg.a_table_recurrence(jmax)
     generating = exactalg.a_table_generating(jmax)
     agree = recurrence.entries == generating.entries
@@ -178,7 +179,7 @@ def run_coeffs(args) -> dict:
     # the band inverse against the closed-form Bernoulli series, over the whole table
     inverse = exactalg.matrix_inverse_coeffs(jmax)
     bern_match = list(exactalg.bernoulli_generator(jmax)) == inverse
-    scan = localize.bound_scan_a(jmax, table=recurrence)
+    scan = exactalg.bound_scan_a(jmax, table=recurrence)
     report = {
         "suite": "coefficient-tables",
         "jmax": jmax,
@@ -206,7 +207,7 @@ def run_verify(args) -> dict:
         localize.extract_delta(pmax, k, table),
         localize.verify_gamma_expansion(jmax, k, table),
         localize.verify_stirling_identity(min(jmax + 3, 15)),
-        localize.bound_scan_a(max(jmax, 2), table),
+        exactalg.bound_scan_a(max(jmax, 2), table),
     ]
     # gamma_m = delta_(m-1): the scalar expansion must reproduce the extracted delta
     gamma_ok = all(d == g for d, g in zip(checks[2]["delta"], checks[3]["gamma"]))

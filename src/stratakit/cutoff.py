@@ -175,6 +175,11 @@ class Band(namedtuple("Band", "k lo hi d budget")):
         return self._derivatives(r, ell, ell)[0]
 
 
+# the largest family: the spline row C(N, s) grows as N^2 bits, and at N = 2^16
+# a cutoff run already peaks near 0.5 GiB
+_MAX_N = 1 << 16
+
+
 def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
     """Bands k = 1..log2(N) with gaps d_k = (r2 - r1)/(4 k^2) and budgets N/2^(k-1)."""
     lo, hi = exact(r1), exact(r2)
@@ -182,6 +187,8 @@ def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
         raise ValueError("need r1 < r2")
     if n < 4 or n & (n - 1):
         raise ValueError("N must be a power of 2, N >= 4")
+    if n > _MAX_N:
+        raise ValueError(f"N = {n} exceeds the cap of {_MAX_N}")
     span = hi - lo
     bands = []
     for k in range(1, n.bit_length()):

@@ -6,14 +6,15 @@ point.  The shared exact core used by every other module is ``exact`` (the
 strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
 report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
 with their linear arithmetic, the base of ``DiffOp`` and ``PhasePoly``).
-The module also provides the Bernoulli generating series t/(e^t - 1) from
-the closed form of B_m, the triangular localizer-coefficient table a[j][j']
-with its two independent construction routes (the closed form
-N_j(M) = C(M-1, j) vs. powers of that series) and the check that
-characterises it, the convolution inverse of the factorial band
-matrix (the one routine here that inverts it), the exact generalised binomial
-C(a, n), Stirling numbers of the second kind in closed form, and the two
-printed candidate closed forms for the bracket coefficients delta_l.
+The module also owns the coefficient layer and every check that reads only
+its data: the Bernoulli generating series t/(e^t - 1) from the closed form
+of B_m, the triangular localizer-coefficient table a[j][j'] with its two
+independent construction routes (the closed form N_j(M) = C(M-1, j) vs.
+powers of that series), the relation that characterises it, the growth scan
+of its entries, and the convolution inverse of the factorial band matrix
+(the one routine here that inverts it).  The closed forms that only the
+operator layer compares against (C(a, n), Stirling numbers, the delta
+candidates) live in :mod:`stratakit.localize`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ __all__ = [
     "a_table_recurrence",
     "a_table_generating",
     "matrix_inverse_coeffs",
-    "binomial",
-    "stirling_B",
-    "delta_closed_form",
+    "bound_scan_a",
     "coeff_table_to_json",
 ]
 
@@ -286,56 +285,30 @@ def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
     return coeffs
 
 
-def binomial(a, n: int) -> Fraction:
-    """Generalised binomial coefficient C(a, n) = a (a-1) ... (a-n+1) / n! for exact a."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    a, acc = exact(a), Fraction(1)
-    for i in range(n):
-        acc *= a - i
-    return acc / factorial(n)
+def bound_scan_a(jmax: int, table: CoeffTable) -> dict:
+    """Empirical exponential-growth scan of the coefficient table.
 
-
-def stirling_B(j: int, ell: int) -> Fraction:
-    """Stirling number of the second kind B[j][l] in closed form.
-
-    B[j][l] = sum_{m=0}^{l-1} (-1)^m (l-m)^(j-1) / (m! (l-m-1)!); the values
-    are positive integers (returned as Fractions with denominator 1).
+    Returns the least c with max_l |a[j][l]| <= c^j over 2 <= j <= jmax,
+    together with the per-j sequence m_j^(1/j), and passes when c <= 4.  The
+    sequence need not be monotone.
     """
-    if j < 1 or not 1 <= ell <= j:
-        raise ValueError("need j >= 1 and 1 <= ell <= j")
-    acc = Fraction(0)
-    for m in range(ell):
-        term = Fraction((ell - m) ** (j - 1), factorial(m) * factorial(ell - m - 1))
-        acc += -term if m % 2 else term
-    return acc
-
-
-def delta_closed_form(ell: int, k: int, sign_convention: str) -> Fraction:
-    """Partial sum candidates for the bracket coefficients delta_l.
-
-    Two printed conventions circulate for the same constants and they are not
-    mutually consistent, so both are exposed:
-
-    * ``"positive"``:    sum_{h=1}^{l} 1/(k^h h!)
-    * ``"alternating"``: sum_{h=1}^{l} (-1/k)^h / h!
-
-    Ground truth is whatever the symbolic extraction in
-    :mod:`stratakit.localize` produces; callers compare against both.
-    """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if sign_convention == "positive":
-        base = Fraction(1, k)
-    elif sign_convention == "alternating":
-        base = Fraction(-1, k)
-    else:
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
-    return sum(
-        (base ** h / factorial(h) for h in range(1, ell + 1)), Fraction(0)
-    )
+    if jmax < 2:
+        raise ValueError("jmax must be >= 2")
+    per_j = []
+    c_min = 0.0
+    for j in range(jmax + 1):
+        m_j = max(abs(table.entry(j, jp)) for jp in range(j + 1))
+        rate = float(m_j) ** (1.0 / j) if j >= 1 else float(m_j)
+        per_j.append({"j": j, "max_abs": fmt_fraction(m_j), "rate": rate})
+        if j >= 2:
+            c_min = max(c_min, rate)
+    return {
+        "identity": "coefficient-growth-scan",
+        "jmax": jmax,
+        "c_min_empirical": c_min,
+        "per_j_max": per_j,
+        "pass": c_min <= 4.0,
+    }
 
 
 def coeff_table_to_json(table: CoeffTable) -> str:

@@ -20,18 +20,22 @@ identities in the free operator algebra:
   (the gamma coefficients), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
 
+The closed forms these checks compare against (C(a, n), the Stirling numbers
+B[j][l], the printed delta candidates) live here; the coefficient table and
+its own checks, the growth scan included, live in :mod:`stratakit.exactalg`.
+
 Each verifier returns a JSON-ready report dict: status, parameters, residual
 term counts, and any extracted rational values rendered as "num/den" strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
-from . import exactalg, opalg
-from .exactalg import CoeffTable, _numerators, fmt_fraction
+from . import opalg
+from .exactalg import CoeffTable, _numerators, exact, fmt_fraction
 from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
@@ -43,7 +47,8 @@ __all__ = [
     "extract_delta",
     "verify_gamma_expansion",
     "verify_stirling_identity",
-    "bound_scan_a",
+    "binomial",
+    "stirling_B",
 ]
 
 _MAX_REPORTED_MONOMIALS = 20
@@ -60,13 +65,13 @@ def _residual_case(residual: DiffOp) -> dict:
 
 
 # every caller reads .op, but perfbench/traced_cli.py reads .j and .k of build_N results
-@dataclass(frozen=True)
-class LocalizerN:
-    """N_j = sum_{j'} a[j][j'] M^{j'}/j'! for one fixed degeneracy order k."""
+class LocalizerN(namedtuple("LocalizerN", "j k op")):
+    """N_j = sum_{j'} a[j][j'] M^{j'}/j'! for one fixed degeneracy order k.
 
-    j: int
-    k: int
-    op: DiffOp
+    A named tuple, not a dataclass, so ``verify`` never imports ``dataclasses``.
+    """
+
+    __slots__ = ()
 
 
 _M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
@@ -148,14 +153,42 @@ def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
     }
 
 
+def binomial(a, n: int) -> Fraction:
+    """Generalised binomial coefficient C(a, n) = a (a-1) ... (a-n+1) / n! for exact a."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a, acc = exact(a), Fraction(1)
+    for i in range(n):
+        acc *= a - i
+    return acc / factorial(n)
+
+
+def stirling_B(j: int, ell: int) -> Fraction:
+    """Stirling number of the second kind B[j][l] in closed form.
+
+    B[j][l] = sum_{m=0}^{l-1} (-1)^m (l-m)^(j-1) / (m! (l-m-1)!); the values
+    are positive integers (returned as Fractions with denominator 1).
+    """
+    if j < 1 or not 1 <= ell <= j:
+        raise ValueError("need j >= 1 and 1 <= ell <= j")
+    acc = Fraction(0)
+    for m in range(ell):
+        term = Fraction((ell - m) ** (j - 1), factorial(m) * factorial(ell - m - 1))
+        acc += -term if m % 2 else term
+    return acc
+
+
 def _delta_candidates(count: int, k: int) -> dict[str, list[Fraction]]:
-    """The printed closed-form candidates, index-aligned and shifted by one."""
+    """The printed candidates sum_{h=1}^{l} (+-1/k)^h/h!, index-aligned (l < count)
+    and shifted by one (l = 1..count), both read off one running sum per sign."""
     out = {}
-    for convention in ("positive", "alternating"):
-        aligned = [exactalg.delta_closed_form(ell, k, convention) for ell in range(count)]
-        shifted = [exactalg.delta_closed_form(ell + 1, k, convention) for ell in range(count)]
-        out[convention] = aligned
-        out[convention + "-shifted"] = shifted
+    for convention, base in (("positive", Fraction(1, k)), ("alternating", Fraction(-1, k))):
+        sums, term = [Fraction(0)], Fraction(1)
+        for h in range(1, count + 1):
+            term = term * base / h
+            sums.append(sums[-1] + term)
+        out[convention] = sums[:count]
+        out[convention + "-shifted"] = sums[1:]
     return out
 
 
@@ -230,7 +263,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         for name, values in _delta_candidates(len(reference), k).items()
     }
     # delta_l = C(-1/k, l+1): sum_l delta_l z^(l+1) = (1+z)^(-1/k) - 1
-    closed = [exactalg.binomial(Fraction(-1, k), ell + 1) for ell in range(len(reference))]
+    closed = [binomial(Fraction(-1, k), ell + 1) for ell in range(len(reference))]
     matches = closed == reference
     structural = all(c["pass"] for c in cases)
     return {
@@ -270,12 +303,15 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     """Expand the scalar X1-bracket polynomial over the localizer basis.
 
     For each j the degree-(j-1) polynomial sum a[j][j'] (-1/k)^l M^(j'-l)/..
-    is written as sum_{s<j} gamma_{j-s} N_s(M); the N_s are unitriangular in
-    degree so the gamma are unique.  Checks: the gamma do not depend on j,
-    they satisfy the equivalent per-(j,l) scalar identity
-    sum_h a[j][l+h] (-1/k)^h/h! = sum_h delta_(j-l-h) a[l+h-1][l] with
-    delta_m = gamma_(m+1).  ``cli.run_verify`` checks that they reproduce the
-    operator-extracted delta.
+    is written as sum_{s<j} gamma_{j-s} N_s(M) by back-substitution; the N_s
+    are unitriangular in degree so the gamma are unique.  Checks: the gamma
+    do not depend on j, and the per-(j,l) scalar identity
+    sum_h a[j][l+h] (-1/k)^h/h! = sum_h gamma_(j-l-h+1) a[l+h-1][l].  Its left
+    side is what the step s = l solves for gamma_(j-l), and its right side is
+    gamma_(j-l) a[l][l] plus what that step subtracts, so it is checked as
+    gamma_(j-l) (1 - a[l][l]) == 0: it fails only on a diagonal entry other
+    than 1.  ``cli.run_verify`` checks that the gamma reproduce the
+    operator-extracted delta (delta_m = gamma_(m+1)).
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
@@ -290,26 +326,7 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
                 acc -= gamma[j - sp] * table.entry(sp, s)
             gamma[j - s] = acc
         gamma_by_j[j] = gamma[1:]
-        # per-(j, l) scalar identity with delta_m = gamma_(m+1)
-        identity_ok = True
-        for ell in range(1, j):
-            lhs = sum(
-                (
-                    table.entry(j, ell + h) * Fraction(-1, k) ** h / factorial(h)
-                    for h in range(1, j - ell + 1)
-                ),
-                Fraction(0),
-            )
-            rhs = sum(
-                (
-                    gamma[j - ell - h + 1] * table.entry(ell + h - 1, ell)
-                    for h in range(1, j - ell + 1)
-                ),
-                Fraction(0),
-            )
-            if lhs != rhs:
-                identity_ok = False
-                break
+        identity_ok = all(gamma[j - ell] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j))
         cases.append({"j": j, "scalar_identity": identity_ok, "pass": identity_ok})
     reference = gamma_by_j[jmax]
     j_independent = all(
@@ -338,13 +355,13 @@ def verify_stirling_identity(jmax: int) -> dict:
         power = power * euler
         expected = DiffOp(
             {
-                (ell, (), ell, 0, 0): exactalg.stirling_B(j, ell)
+                (ell, (), ell, 0, 0): stirling_B(j, ell)
                 for ell in range(1, j + 1)
             }
         )
         residual = power - expected
         case = {"j": j, **_residual_case(residual)}
-        row = [exactalg.stirling_B(j, ell) for ell in range(1, j + 1)]
+        row = [stirling_B(j, ell) for ell in range(1, j + 1)]
         case["row_positive_integers"] = all(
             b >= 1 and b.denominator == 1 for b in row
         )
@@ -360,28 +377,3 @@ def verify_stirling_identity(jmax: int) -> dict:
         "pass": all(c["pass"] for c in cases),
     }
 
-
-def bound_scan_a(jmax: int, table: CoeffTable) -> dict:
-    """Empirical exponential-growth scan of the coefficient table.
-
-    Returns the least c with max_l |a[j][l]| <= c^j over 2 <= j <= jmax,
-    together with the per-j sequence m_j^(1/j), and passes when c <= 4.  The
-    sequence need not be monotone.
-    """
-    if jmax < 2:
-        raise ValueError("jmax must be >= 2")
-    per_j = []
-    c_min = 0.0
-    for j in range(jmax + 1):
-        m_j = max(abs(table.entry(j, jp)) for jp in range(j + 1))
-        rate = float(m_j) ** (1.0 / j) if j >= 1 else float(m_j)
-        per_j.append({"j": j, "max_abs": fmt_fraction(m_j), "rate": rate})
-        if j >= 2:
-            c_min = max(c_min, rate)
-    return {
-        "identity": "coefficient-growth-scan",
-        "jmax": jmax,
-        "c_min_empirical": c_min,
-        "per_j_max": per_j,
-        "pass": c_min <= 4.0,
-    }

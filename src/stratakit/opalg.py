@@ -22,7 +22,7 @@ DiffOp values are immutable once built; all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
@@ -41,7 +41,6 @@ __all__ = [
     "phi",
     "commutator",
     "build_model",
-    "render",
 ]
 
 Key = tuple  # (t_pow, phis, dt_pow, r_pow, dth_pow)
@@ -84,9 +83,6 @@ class DiffOp(SparseTerms):
         if not isinstance(other, DiffOp):
             return NotImplemented
         return DiffOp._over(*_product(self, other, 0))
-
-    def __repr__(self) -> str:
-        return f"DiffOp({render(self)})"
 
 
 def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
@@ -164,20 +160,16 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp._over(den, out)
 
 
-@dataclass(frozen=True)
-class ModelOps:
+class ModelOps(namedtuple("ModelOps", "k X1 X2 R M")):
     """The model vector fields for a fixed degeneracy order k.
 
     All fields are real derivations: X1 = d/dt, X2 = d/dtheta + t^k R,
     R = r d/dr, and the auxiliary field M = (t/k) d/dt whose bracket with X2
-    reproduces -t^k R.
+    reproduces -t^k R.  A named tuple, not a dataclass, so ``verify`` never
+    imports ``dataclasses``.
     """
 
-    k: int
-    X1: DiffOp
-    X2: DiffOp
-    R: DiffOp
-    M: DiffOp
+    __slots__ = ()
 
 
 def build_model(k: int) -> ModelOps:
@@ -192,10 +184,11 @@ def build_model(k: int) -> ModelOps:
     )
 
 
-# -- rendering -----------------------------------------------------------------
+# -- report form ---------------------------------------------------------------
 
 
 def _render_key(key: Key) -> str:
+    """One monomial as the ``offending_monomials`` of a failed residual list it."""
     a, phis, b, r, d = key
     pieces = []
     if a:
@@ -210,22 +203,3 @@ def _render_key(key: Key) -> str:
         pieces.append("∂θ" if d == 1 else f"∂θ^{d}")
     return " ".join(pieces) if pieces else "1"
 
-
-def render(op: DiffOp) -> str:
-    """Canonical human-readable form: monomials sorted, exact coefficients."""
-    if op.is_zero:
-        return "0"
-    parts = []
-    for key in sorted(op.terms):
-        coeff = op.terms[key]
-        body = _render_key(key)
-        if coeff == 1 and body != "1":
-            parts.append(body)
-        elif coeff == -1 and body != "1":
-            parts.append(f"- {body}" if not parts else f"-{body}")
-        elif body == "1":
-            parts.append(str(coeff))
-        else:
-            parts.append(f"{coeff} {body}")
-    rendered = " + ".join(parts)
-    return rendered.replace("+ -", "- ")

@@ -96,7 +96,7 @@ def test_criterion_06_stirling_identity():
 
 
 def test_criterion_07_coefficient_growth(table40):
-    scan = localize.bound_scan_a(40, table40)
+    scan = exactalg.bound_scan_a(40, table40)
     rates = [e["rate"] for e in scan["per_j_max"] if e["j"] >= 2]
     ok = max(rates) <= 4.0
     report(7, "coefficient growth rate <= 4 for j in 2..40", ok, f"max={max(rates):.3f}")

@@ -58,8 +58,8 @@ class TestVerifyCommand:
 
     def test_planted_wrong_binomial_fails(self, tmp_path, monkeypatch):
         # a closed form that misses the extracted delta fails the suite, with every residual zero
-        real = exactalg.binomial
-        monkeypatch.setattr(exactalg, "binomial", lambda a, n: real(a, n) + (n == 3))
+        real = localize.binomial
+        monkeypatch.setattr(localize, "binomial", lambda a, n: real(a, n) + (n == 3))
         out = tmp_path / "verify.json"
         assert cli.main(["verify", "--k", "2", "--jmax", "4", "--pmax", "4", "-o", str(out)]) == 1
         report = read_json(out)
@@ -348,6 +348,25 @@ class TestCutoffCommand:
             cli.main(["cutoff", "--N", "16", *argv])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("grid", [[], ["--grid"]])
+    def test_n_above_the_cap_exits_two_before_any_row_is_built(self, grid):
+        # a child with 1 GiB of address space: without the cap, the row of
+        # C(131072, s) alone would exhaust it and exit 1 with a MemoryError
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratakit.cli", "cutoff", "--N", "131072", *grid],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "exceeds the cap of 65536" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def test_report_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path / "redirected"))
@@ -586,9 +605,16 @@ def test_cutoff_loads_only_cutoff_and_exactalg():
                          "dataclasses"}
 
 
+def test_coeffs_loads_exactalg_alone():
+    loaded = loaded_modules("from stratakit import cli; cli.main(['coeffs', '--jmax', '4'])")
+    assert loaded & LAYERS == {"stratakit.exactalg"}
+    assert "dataclasses" not in loaded
+
+
 def test_verify_loads_no_geometry_or_cutoff():
+    # nor dataclasses: LocalizerN and ModelOps are named tuples
     loaded = loaded_modules(
         "from stratakit import cli; cli.main(['verify', '--jmax', '2', '--pmax', '2'])"
     )
-    assert "stratakit.localize" in loaded
-    assert not loaded & {"stratakit.geometry", "stratakit.cutoff"}
+    assert loaded & LAYERS == {"stratakit.exactalg", "stratakit.localize", "stratakit.opalg"}
+    assert "dataclasses" not in loaded

@@ -14,12 +14,10 @@ from stratakit.exactalg import (
     a_table_generating,
     a_table_recurrence,
     bernoulli_generator,
-    binomial,
     coeff_table_to_json,
-    delta_closed_form,
     matrix_inverse_coeffs,
-    stirling_B,
 )
+from stratakit.localize import _delta_candidates, binomial, stirling_B
 
 
 def divide_t_by_expm1(order: int) -> list[Fraction]:
@@ -214,6 +212,10 @@ class TestMatrixInverseCoeffs:
         assert matrix_inverse_coeffs(40) == list(bernoulli_generator(40))
 
 
+# the closed forms from here to TestDeltaClosedForm live in localize, beside
+# the operator checks that compare against them
+
+
 class TestBinomial:
     def test_integer_top_is_pascal(self):
         assert [binomial(5, n) for n in range(7)] == [1, 5, 10, 10, 5, 1, 0]
@@ -268,27 +270,39 @@ class TestStirling:
                 assert b.denominator == 1 and b >= 1
 
 
+def printed_delta(ell, k, convention):
+    """The printed candidate sum_{h=1}^{l} (+-1/k)^h/h!, read from the index-aligned list."""
+    return _delta_candidates(ell + 1, k)[convention][ell]
+
+
 class TestDeltaClosedForm:
     def test_empty_sum(self):
-        assert delta_closed_form(0, 2, "positive") == 0
-        assert delta_closed_form(0, 2, "alternating") == 0
+        assert printed_delta(0, 2, "positive") == 0
+        assert printed_delta(0, 2, "alternating") == 0
 
     def test_alternating_first_term(self):
-        assert delta_closed_form(1, 2, "alternating") == Fraction(-1, 2)
+        assert printed_delta(1, 2, "alternating") == Fraction(-1, 2)
 
     def test_positive_two_terms_bounded(self):
-        v = delta_closed_form(2, 2, "positive")
+        v = printed_delta(2, 2, "positive")
         assert v == Fraction(5, 8)
         assert v <= 1
 
     def test_positive_bounded_by_one_everywhere(self):
         for k in (2, 3, 5):
-            for ell in range(12):
-                assert delta_closed_form(ell, k, "positive") <= 1
+            assert all(v <= 1 for v in _delta_candidates(12, k)["positive"])
 
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            delta_closed_form(1, 2, "sideways")
+    def test_running_sums_match_direct_sums(self):
+        for k in (2, 3, 5):
+            candidates = _delta_candidates(8, k)
+            for convention, sign in (("positive", 1), ("alternating", -1)):
+                base = Fraction(sign, k)
+                direct = [
+                    sum((base**h / factorial(h) for h in range(1, ell + 1)), Fraction(0))
+                    for ell in range(9)
+                ]
+                assert candidates[convention] == direct[:8]
+                assert candidates[convention + "-shifted"] == direct[1:]
 
 
 class TestSerialization:

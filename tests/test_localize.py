@@ -7,8 +7,8 @@ import pytest
 from opalg_helpers import substitute_phi_unit
 
 from stratakit import exactalg, localize, opalg
+from stratakit.exactalg import bound_scan_a
 from stratakit.localize import (
-    bound_scan_a,
     build_N,
     build_Rp_phi,
     extract_delta,
@@ -224,6 +224,17 @@ class TestGammaExpansion:
         report = verify_gamma_expansion(8, k, TABLE)
         assert report["pass"]
         assert report["gamma_j_independent"]
+
+    @pytest.mark.parametrize("ell", [1, 4, 7])
+    def test_planted_diagonal_entry_fails_scalar_identity(self, ell):
+        # left minus right of the scalar identity is gamma_(j-l) (1 - a[l][l])
+        entries = dict(TABLE.entries)
+        entries[(ell, ell)] = Fraction(2)
+        table = exactalg.CoeffTable(TABLE.jmax, entries, TABLE.provenance)
+        report = verify_gamma_expansion(8, 2, table)
+        failed = [c["j"] for c in report["cases"] if not c["scalar_identity"]]
+        assert failed == list(range(ell + 1, 9))
+        assert report["pass"] is False
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gamma_reproduces_operator_delta(self, k):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from opalg_helpers import derivation_order, reference_product, substitute_phi_unit
 
+from stratakit import opalg
 from stratakit.opalg import (
     DiffOp,
     build_model,
@@ -15,10 +16,8 @@ from stratakit.opalg import (
     dtheta,
     one,
     phi,
-    render,
     rr,
     tvar,
-    zero,
 )
 
 
@@ -199,21 +198,11 @@ def test_derivation_order_bound_on_model_fields():
     assert derivation_order(commutator(m.X2, m.M)) == 1
 
 
-class TestRendering:
-    def test_zero(self):
-        assert render(zero()) == "0"
-
-    def test_monomial_order_and_symbols(self):
-        op = tvar(2) * phi(1) * dt() ** 2 * rr()
-        assert render(op) == "t^2 φ^(1) ∂t^2 R"
-
-    def test_sorted_sum_with_signs(self):
-        op = dt() * tvar()  # 1 + t Dt
-        assert render(op) == "1 + t ∂t"
-        assert render(Fraction(-3, 2) * rr()) == "-3/2 R"
-
-    def test_dtheta_rendering(self):
-        assert render(dtheta() ** 2) == "∂θ^2"
+def test_monomial_report_form():
+    # the form in which a failed residual's offending_monomials are listed
+    assert opalg._render_key((2, (1,), 2, 1, 0)) == "t^2 φ^(1) ∂t^2 R"
+    assert opalg._render_key((1, (0, 3), 1, 2, 2)) == "t φ^(0) φ^(3) ∂t R^2 ∂θ^2"
+    assert opalg._render_key((0, (), 0, 0, 0)) == "1"
 
 
 def test_phi_unit_substitution_collapses():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -110,14 +110,6 @@ class PhasePoly(SparseTerms):
             acc += term
         return acc
 
-    def __repr__(self):
-        def mono(key):
-            return " ".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(_VARS, key) if e
-            ) or "1"
-
-        return " + ".join(f"{c} {mono(k)}" for k, c in sorted(self.terms.items()))
-
 
 def var(name: str) -> PhasePoly:
     key = [0] * 6
@@ -131,8 +123,8 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     The (t, tau) pair enters the same way, so {tau, t} = 1 exactly.
     """
     out = PhasePoly()
-    for xi_idx, mom_idx in ((pair[0], pair[1]) for pair in _PAIRS):
-        x_name, p_name = _VARS[xi_idx], _VARS[mom_idx]
+    for x_idx, p_idx in _PAIRS:
+        x_name, p_name = _VARS[x_idx], _VARS[p_idx]
         out = out + f.diff(p_name) * g.diff(x_name) - f.diff(x_name) * g.diff(p_name)
     return out
 
@@ -143,43 +135,38 @@ class StratumLabel(Enum):
     SIGMA2 = "Sigma2"
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "k mu")):
     """The model of degree k with the rotation-dilation matrix [[mu, 1], [-1, mu]];
-    mu = 0 is the paper's model, whose depth-two leaves are closed."""
+    mu = 0 is the paper's model, whose depth-two leaves are closed.  A named
+    tuple, not a dataclass, so ``flow`` and ``classify`` never import
+    ``dataclasses``; equal models hash equal, so the per-model caches hit."""
 
-    k: int
-    mu: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __new__(cls, k: int, mu=0):
+        if k < 2:
             raise ValueError("k must be >= 2")
         # mu enters the exact strata, so it is coerced by ``exact`` (a float raises TypeError)
-        object.__setattr__(self, "mu", exact(self.mu))
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got mu = {self.mu}")
+        mu = exact(mu)
+        if mu < 0:
+            raise ValueError(f"mu must be >= 0, got mu = {mu}")
+        return super().__new__(cls, k, mu)
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(namedtuple("Covector", "t x tau xi")):
     """A phase-space point (t, x; tau, xi) with x, xi in the plane.
 
     The strata are algebraic sets, so membership is a question of exact
     zeros: every component is coerced by ``exact`` (a float raises TypeError).
     """
 
-    t: Fraction
-    x: tuple
-    tau: Fraction
-    xi: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        x1, x2 = self.x
-        xi1, xi2 = self.xi
-        object.__setattr__(self, "t", exact(self.t))
-        object.__setattr__(self, "x", (exact(x1), exact(x2)))
-        object.__setattr__(self, "tau", exact(self.tau))
-        object.__setattr__(self, "xi", (exact(xi1), exact(xi2)))
+    def __new__(cls, t, x, tau, xi):
+        x1, x2 = x
+        xi1, xi2 = xi
+        return super().__new__(cls, exact(t), (exact(x1), exact(x2)),
+                               exact(tau), (exact(xi1), exact(xi2)))
 
     def components(self) -> tuple:
         return (self.t, self.x[0], self.x[1], self.tau, self.xi[0], self.xi[1])
@@ -309,24 +296,14 @@ def _leaf_rhs(u, mu, a2, b2):
     )
 
 
-@dataclass
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "mu a b h states n_steps drift_x_xi drift_x_A_xi "
+                             "xi_closed_form_max_rel_dev norm_x_monotone max_norm_x "
+                             "state_frozen_from log_spiral_fit")):
     """``states`` holds the computed tuples (x1, x2, xi1, xi2), row i at time i h;
-    rows len(states)..n_steps repeat ``states[-1]``, the frozen state."""
+    rows len(states)..n_steps repeat ``states[-1]``, the frozen state.
+    ``state_frozen_from`` and ``log_spiral_fit`` may be None (see ``integrate``)."""
 
-    mu: float
-    a: float
-    b: float
-    h: float
-    states: list
-    n_steps: int
-    drift_x_xi: float
-    drift_x_A_xi: float
-    xi_closed_form_max_rel_dev: float
-    norm_x_monotone: bool
-    max_norm_x: float
-    state_frozen_from: float | None
-    log_spiral_fit: dict | None
+    __slots__ = ()
 
 
 def _rk4_step(y, h, mu, a2, b2):

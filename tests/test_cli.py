@@ -350,8 +350,7 @@ class TestCutoffCommand:
 
     @pytest.mark.parametrize("grid", [[], ["--grid"]])
     def test_n_above_the_cap_exits_two_before_any_row_is_built(self, grid):
-        # a child with 1 GiB of address space: without the cap, the row of
-        # C(131072, s) alone would exhaust it and exit 1 with a MemoryError
+        # a child with 1 GiB of address space: the refusal comes before any band is checked
         import resource
 
         def limit():
@@ -575,14 +574,15 @@ def test_fuzzed_report_all_argv_keeps_exit_contract(argv):
 
 
 def loaded_modules(code):
-    """The stratakit layers and ``dataclasses`` that a fresh interpreter has loaded after ``code``."""
+    """The stratakit layers, ``dataclasses`` and ``inspect`` that a fresh interpreter has
+    loaded after ``code``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
     env.pop(cli.REPORT_DIR_ENV, None)
     probe = (
         f"{code}\nimport sys\n"
         "print(' '.join(sorted(m for m in sys.modules "
-        "if m.startswith('stratakit.') or m == 'dataclasses')), file=sys.stderr)"
+        "if m.startswith('stratakit.') or m in ('dataclasses', 'inspect'))), file=sys.stderr)"
     )
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp,
@@ -618,3 +618,21 @@ def test_verify_loads_no_geometry_or_cutoff():
     )
     assert loaded & LAYERS == {"stratakit.exactalg", "stratakit.localize", "stratakit.opalg"}
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--t-end", "5"],
+    ["classify", "--k", "2", "--t", "0", "--x", "1,0", "--tau", "0", "--xi", "2,0"],
+], ids=["flow", "classify"])
+def test_flow_and_classify_load_geometry_and_exactalg_alone(argv):
+    # ModelParams, Covector and Trajectory are named tuples, so neither
+    # dataclasses nor the inspect module it imports is loaded
+    loaded = loaded_modules(f"from stratakit import cli; cli.main({argv!r})")
+    assert loaded & LAYERS == {"stratakit.exactalg", "stratakit.geometry"}
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_report_all_loads_no_dataclasses():
+    loaded = loaded_modules("from stratakit import cli; cli.main(['report-all', '--quick'])")
+    assert loaded & LAYERS == LAYERS
+    assert not loaded & {"dataclasses", "inspect"}

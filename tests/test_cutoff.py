@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,17 @@ class TestBoundCheck:
         grid = bound_check_grid(0, 1, [4, 16, 64], kmax=8)
         assert grid["pass"]
         assert grid["C_uniform"] <= 2.0 * grid["single_band_reference"]
+
+    def test_large_grid_keeps_no_binomial_rows(self):
+        # the rows C(N_k, s) of the eight bands at N = 16384 held 33.9 MiB;
+        # the spline sum carries one binomial at a time
+        tracemalloc.start()
+        try:
+            assert bound_check_grid(1, 2, [16384])["pass"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("kmax", [0, -1])
     def test_grid_rejects_nonpositive_kmax(self, kmax):

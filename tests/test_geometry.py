@@ -1,6 +1,5 @@
 """Strata classification, Poisson bracket calculus, and the Hamilton flow."""
 
-import dataclasses
 import io
 import math
 import random
@@ -193,7 +192,7 @@ class TestModelParams:
     def test_closed_ok(self):
         assert ModelParams(3).k == 3
         assert ModelParams(3).mu == 0
-        assert [f.name for f in dataclasses.fields(ModelParams)] == ["k", "mu"]
+        assert ModelParams._fields == ("k", "mu")
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -212,6 +211,34 @@ class TestModelParams:
         with pytest.raises(TypeError):
             ModelParams(2, 0.1)
         assert ModelParams(2, 1).mu == Fraction(1)
+
+
+class TestRecords:
+    def test_equal_models_hash_equal_and_share_the_caches(self):
+        assert ModelParams(2) == ModelParams(2, 0) == ModelParams(k=2, mu=Fraction(0))
+        assert hash(ModelParams(2)) == hash(ModelParams(2, 0))
+        assert ModelParams(2) != ModelParams(3) and ModelParams(2) != SPIRAL
+        assert char_function(ModelParams(2)) is char_function(ModelParams(2, 0))
+        assert (bracket_matrix(StratumLabel.SIGMA1, ModelParams(2))
+                is bracket_matrix(StratumLabel.SIGMA1, ModelParams(2, 0)))
+
+    def test_keyword_covector_coerces_to_fractions(self):
+        cov = Covector(t=1, x=(2, Fraction(1, 3)), tau=0, xi=(-1, 5))
+        assert cov == exact_cov(1, (2, Fraction(1, 3)), 0, (-1, 5))
+        assert cov._fields == ("t", "x", "tau", "xi")
+        assert type(cov.x) is type(cov.xi) is tuple
+        assert all(type(c) is Fraction for c in cov.components())
+
+    @pytest.mark.parametrize("which", ["params", "covector", "trajectory"])
+    def test_fields_cannot_be_assigned(self, which):
+        record = {
+            "params": lambda: SPIRAL,
+            "covector": lambda: exact_cov(0, (1, 0), 0, (2, 0)),
+            "trajectory": lambda: integrate(X0, XI0, MU, A, B, t_end=0.01, h=1e-3),
+        }[which]()
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
 
 
 # -- symplectic rank -------------------------------------------------------------

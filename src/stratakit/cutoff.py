@@ -283,20 +283,11 @@ def recursion_product(n: int, c: float) -> dict:
     levels = n.bit_length() - 1
     log_c = math.log(c)
     total = 0.0
-    factors = []
     for k in range(1, levels + 1):
         n_k = n >> (k - 1)
         log_base = math.log(k * k) - k * math.log(2.0)
-        contribution = n_k * log_c + (n // (1 << k) + 1) * log_base
-        factors.append({"k": k, "log_factor": contribution, "base_negative": log_base < 0})
-        total += contribution
-    return {
-        "N": n,
-        "C": c,
-        "log_product": total,
-        "per_N_rate": total / n,
-        "factors": factors,
-    }
+        total += n_k * log_c + (n // (1 << k) + 1) * log_base
+    return {"N": n, "C": c, "log_product": total, "per_N_rate": total / n}
 
 
 def write_cutoff_samples_csv(band: Band, stream) -> None:

@@ -5,17 +5,19 @@ coefficients a[j][j']) and the localized powers
 
     R^p_phi = sum_{j=0}^{p} phi^(j) N_j R^(p-j)
 
-(each N_j once per (k, table row); R^p_phi and its shifted families by
-relabelling the keys of the N_j), then verifies, as exact zero-residual
-identities in the free operator algebra:
+(each N_j once per (k, table row); R^p_phi by relabelling the keys of the
+N_j), then verifies, as exact zero-residual identities in the free operator
+algebra:
 
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R,
 * the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p,
-* the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1),
-  where the delta_l are *extracted* from the bracket (they are the unique
-  coefficients making the expansion exact), then required to equal the
-  binomial closed form C(-1/k, l+1) and compared against the printed
-  closed-form candidates,
+* the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
+  X1 commutes with phi and R, so every level relabels the same blocks
+  phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
+  the Dt coefficient of block l+1.  The relabelling is checked against the
+  bracket formed in the algebra at every level, and the delta_l are required
+  to equal the binomial closed form C(-1/k, l+1) and compared against the
+  printed closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import opalg
-from .exactalg import CoeffTable, _numerators, exact, fmt_fraction
+from .exactalg import CoeffTable, exact, fmt_fraction
 from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
@@ -206,65 +208,48 @@ def _compare_candidate(extracted: list[Fraction], candidate: list[Fraction]) -> 
 
 
 def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
-    """Solve [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1) for delta.
+    """Read the delta_l of [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1).
 
-    The basis operators X1 R^(p-l-1)_phi^(l+1) hit the pivot monomials
-    phi^(l+1) Dt R^(p-l-1) unitriangularly, so the delta_l are extracted by
-    forward substitution; the full residual is then required to vanish
-    exactly (the structural claim), the extracted values must not depend on
-    p, |delta_l| <= 1 is checked, and they must equal the binomial closed
-    form C(-1/k, l+1) under ``closed_form``.  The comparison against both
-    printed closed-form conventions (at both index alignments) is recorded —
-    it is documentation, not a pass criterion, because the printed forms
-    disagree with each other and with the extracted values.
+    X1 = Dt commutes with phi and R, so level p of the identity is
+    sum_j phi^(j) B_j R^(p-j) with B_j = [X1, N_j] + X1 sum_(l<j) delta_l N_(j-l-1),
+    and no B_j depends on p.  The pivot of delta_(j-1) is X1 N_0 = Dt in
+    block j, so delta_(j-1) is read once, as minus the Dt coefficient of B_j
+    before that term joins it.  Each level's residual sum_j phi^(j) B_j R^(p-j)
+    is then required to vanish exactly (the structural claim), and
+    ``delta_p_independent`` checks the relabelling the argument rests on: at
+    every level the bracket [X1, R^p_phi] formed in the algebra equals
+    sum_j phi^(j) [X1, N_j] R^(p-j).  |delta_l| <= 1 is checked, and the
+    delta_l must equal the binomial closed form C(-1/k, l+1) under
+    ``closed_form``.  The comparison against both printed closed-form
+    conventions (at both index alignments) is recorded — it is documentation,
+    not a pass criterion, because the printed forms disagree with each other
+    and with the extracted values.
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
-    model = build_model(k)
-    cases = []
-    deltas_by_p: dict[int, list[Fraction]] = {}
-    # X1 = Dt commutes with phi and R: X1 R^q_phi^(m) is built from the X1 N_j
-    x1_localizers = [model.X1 * build_N(j, k, table).op for j in range(pmax)]
-    for p in range(1, pmax + 1):
-        bracket = commutator(model.X1, build_Rp_phi(p, k, table))
-        # the residual as integer numerators over den, updated in place
-        den, ints = _numerators(bracket.terms.values())
-        nums = dict(zip(bracket.terms, ints))
-        deltas: list[Fraction] = []
-        for ell in range(p):
-            pivot = (0, (ell + 1,), 1, p - ell - 1, 0)
-            delta_ell = -Fraction(nums.get(pivot, 0), den)
-            deltas.append(delta_ell)
-            if delta_ell:
-                basis = _localized(x1_localizers, p - ell - 1, ell + 1)
-                basis_den, basis_ints = _numerators(basis.terms.values())
-                step_den = delta_ell.denominator * basis_den
-                common = lcm(den, step_den)
-                if common != den:
-                    lift = common // den
-                    nums = {key: n * lift for key, n in nums.items()}
-                    den = common
-                factor = delta_ell.numerator * (den // step_den)
-                for key, n in zip(basis.terms, basis_ints):
-                    acc = nums.get(key, 0) + factor * n
-                    if acc:
-                        nums[key] = acc
-                    else:
-                        del nums[key]
-        deltas_by_p[p] = deltas
-        cases.append({"p": p, **_residual_case(DiffOp._over(den, nums))})
-    reference = deltas_by_p[pmax]
+    x1 = build_model(k).X1
+    localizers = [build_N(j, k, table).op for j in range(pmax + 1)]
+    brackets = [commutator(x1, n) for n in localizers]
+    x1_localizers = [x1 * n for n in localizers[:pmax]]
+    delta: list[Fraction] = []
+    blocks = brackets[:1]
+    for j in range(1, pmax + 1):
+        block = sum((d * x1_localizers[j - 1 - ell] for ell, d in enumerate(delta)), brackets[j])
+        delta.append(-block.terms.get((0, (), 1, 0, 0), Fraction(0)))  # the Dt coefficient
+        blocks.append(block + delta[-1] * x1_localizers[0])
+    cases = [{"p": p, **_residual_case(_localized(blocks, p, 0))} for p in range(1, pmax + 1)]
     p_independent = all(
-        deltas_by_p[p] == reference[:p] for p in range(1, pmax + 1)
+        commutator(x1, build_Rp_phi(p, k, table)) == _localized(brackets, p, 0)
+        for p in range(1, pmax + 1)
     )
-    bounded = all(abs(d) <= 1 for d in reference)
+    bounded = all(abs(d) <= 1 for d in delta)
     comparison = {
-        name: _compare_candidate(reference, values)
-        for name, values in _delta_candidates(len(reference), k).items()
+        name: _compare_candidate(delta, values)
+        for name, values in _delta_candidates(len(delta), k).items()
     }
     # delta_l = C(-1/k, l+1): sum_l delta_l z^(l+1) = (1+z)^(-1/k) - 1
-    closed = [binomial(Fraction(-1, k), ell + 1) for ell in range(len(reference))]
-    matches = closed == reference
+    closed = [binomial(Fraction(-1, k), ell + 1) for ell in range(len(delta))]
+    matches = closed == delta
     structural = all(c["pass"] for c in cases)
     return {
         "identity": "x1-localized-power-bracket",
@@ -272,7 +257,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         "k": k,
         "pmax": pmax,
         "cases": cases,
-        "delta": [fmt_fraction(d) for d in reference],
+        "delta": [fmt_fraction(d) for d in delta],
         "delta_p_independent": p_independent,
         "delta_abs_le_1": bounded,
         "convention_comparison": comparison,

@@ -90,6 +90,30 @@ class TestVerifyCommand:
             "4865a044141f4416fd35f37ef2e9fd8b0a044dc8ab6a2b1ffb9d014e0386d7e1"
         )
 
+    def test_failing_report_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # a[3][1] off by 1/7 moves delta_2, read from block 3, so every level
+        # p >= 4 keeps a residual; these are the bytes the per-level
+        # elimination wrote before delta was read per localizer
+        real = exactalg.a_table_recurrence
+
+        def planted(jmax):
+            table = real(jmax)
+            entries = dict(table.entries)
+            entries[(3, 1)] += Fraction(1, 7)
+            return exactalg.CoeffTable(table.jmax, entries, table.provenance)
+
+        monkeypatch.setattr(exactalg, "a_table_recurrence", planted)
+        out = tmp_path / "verify-planted.json"
+        argv = ["verify", "--k", "2", "--jmax", "6", "--pmax", "8", "-o", str(out)]
+        assert cli.main(argv) == 1
+        delta = next(
+            c for c in read_json(out)["checks"] if c["identity"] == "x1-localized-power-bracket"
+        )
+        assert [c["residual_terms"] for c in delta["cases"]] == [0, 0, 0, 1, 3, 6, 10, 15]
+        assert sha256_of(out) == (
+            "33af5e9fbab816ff04cfd59203fc56ec6e00e43ec703a9eb7bbc1ea3df355e6f"
+        )
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         cli.main(["verify", "--k", "2", "--jmax", "3", "--pmax", "3", "-o", str(a)])

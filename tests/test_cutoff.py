@@ -305,12 +305,6 @@ class TestRecursionProduct:
         out = recursion_product(4, 10.0)
         assert out["log_product"] == pytest.approx(6 * math.log(10) - 3 * math.log(2))
 
-    def test_factors_negative_beyond_k4(self):
-        # k^2 < 2^k holds at k = 1 and for every k >= 5
-        out = recursion_product(1 << 6, 1.0)  # C = 1 isolates the k-part
-        for f in out["factors"]:
-            assert f["base_negative"] == (f["k"] >= 5 or f["k"] == 1)
-
     def test_rate_converges_under_doubling(self):
         rates = {n: recursion_product(1 << n, 10.0)["per_N_rate"] for n in (10, 11, 12, 13, 14)}
         assert abs(rates[13] - rates[14]) <= 1e-3

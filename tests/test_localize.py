@@ -172,17 +172,17 @@ class TestDeltaExtraction:
         assert extract_delta(8, 2, TABLE)["delta_abs_le_1"]
 
     def test_planted_basis_coefficient_fails_structural_check(self, monkeypatch):
-        # X1 R^1_phi^(1) carries 1/2 t phi^(2) Dt^2 at k = 2, off every pivot;
-        # 5/6 there leaves -1/6 of it in the p = 2 residual and nothing else moves
+        # X1 N_1 carries 1/2 t Dt^2 at k = 2, off the pivot Dt; 5/6 there in
+        # block 2 leaves delta_0 (5/6 - 1/2) = -1/6 t phi^(2) Dt^2 in the p = 2
+        # residual and nothing else moves.  The blocks are the only list handed
+        # to _localized that is all zero on a valid table.
         real = localize._localized
 
         def planted(parts, q, m):
-            op = real(parts, q, m)
-            if (q, m) == (1, 1):
-                terms = dict(op.terms)
-                terms[(1, (2,), 2, 0, 0)] += Fraction(1, 3)
-                return opalg.DiffOp(terms)
-            return op
+            if (q, m) == (2, 0) and all(part.is_zero for part in parts):
+                slip = opalg.DiffOp({(1, (), 2, 0, 0): Fraction(-1, 2) * Fraction(1, 3)})
+                parts = [*parts[:2], parts[2] + slip, *parts[3:]]
+            return real(parts, q, m)
 
         monkeypatch.setattr(localize, "_localized", planted)
         report = extract_delta(4, 2, TABLE)
@@ -192,6 +192,22 @@ class TestDeltaExtraction:
         assert failed[0]["offending_monomials"] == ["-1/6 * t φ^(2) ∂t^2"]
         assert report["delta_p_independent"] and report["closed_form"]["matches"]
         assert report["pass"] is False
+
+    def test_bracket_off_its_relabelling_fails_p_independence(self, monkeypatch):
+        # phi^(1) added to every bracket whose right operand carries a phi: the
+        # [X1, N_j] carry none, so delta and every block stay exact and only the
+        # level-p brackets formed in the algebra move off their relabelling
+        real = localize.commutator
+
+        def planted(a, b):
+            out = real(a, b)
+            return out + phi(1) if any(key[1] for key in b.terms) else out
+
+        monkeypatch.setattr(localize, "commutator", planted)
+        report = extract_delta(4, 2, TABLE)
+        assert report["delta_p_independent"] is False and report["pass"] is False
+        assert all(c["pass"] for c in report["cases"])
+        assert report["closed_form"]["matches"] and report["delta_abs_le_1"]
 
     def test_neither_printed_convention_matches(self):
         report = extract_delta(6, 2, TABLE)

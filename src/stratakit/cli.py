@@ -329,12 +329,10 @@ def run_cutoff(args) -> dict:
     bands = cutoff.build_bands(r1, r2, n)
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if args.samples_out and n > cutoff._MAX_SAMPLES_N:
+        raise ValueError(f"--samples-out needs N <= {cutoff._MAX_SAMPLES_N}, got N = {n}")
     if args.grid:
-        n_values = [4]
-        while n_values[-1] < n:
-            n_values.append(n_values[-1] * 4)
-        n_values[-1] = min(n_values[-1], n)
-        body = cutoff.bound_check_grid(r1, r2, n_values, kmax=kmax)
+        body = cutoff.bound_check_grid(r1, r2, n, kmax=kmax)
     else:
         checks = [cutoff.derivative_bound_check(band) for band in bands[:kmax]]
         body = {

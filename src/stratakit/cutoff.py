@@ -93,11 +93,6 @@ def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
     return [Fraction(num, factorial(deg + i) * q ** (deg + i)) for i, num in enumerate(nums)]
 
 
-def _eval_deriv(n: int, j: int, y: Fraction) -> Fraction:
-    """Exact value of B_n^(j) at a rational point: the one-order ``_eval_derivs``."""
-    return _eval_derivs(n, j, y, 1)[0]
-
-
 # -- bands and their cutoffs ------------------------------------------------------
 
 
@@ -134,12 +129,13 @@ class Band(namedtuple("Band", "k lo hi d budget")):
             return (fr - self.support_lo) / self.box_width, +1
         return (self.support_hi - fr) / self.box_width, -1
 
-    def _derivatives(self, r, lo: int, hi: int) -> list[Fraction]:
+    def derivatives(self, r, lo: int, hi: int) -> list[Fraction]:
         """[phi^(lo)(r), ..., phi^(hi)(r)] exactly, from one shared spline sum.
 
         Order l >= 1 is B_N^(l-1) at the knot coordinate over w^l, negated
         for odd l on the right side.  Order 0 is the ramp B_N^(-1), the
-        integral of B_N: the smoothed unit step at knot scale.
+        integral of B_N: the smoothed unit step at knot scale.  A float r
+        raises TypeError.
         """
         if lo < 0:
             raise ValueError("derivative order must be >= 0")
@@ -156,19 +152,13 @@ class Band(namedtuple("Band", "k lo hi d budget")):
                 values[i] = Fraction(1)
         return values
 
-    def value(self, r) -> Fraction:
-        """phi(r), exactly; a float r raises TypeError."""
-        return self._derivatives(r, 0, 0)[0]
-
-    def derivative_value(self, r, ell: int) -> Fraction:
-        """phi^(l)(r) evaluated exactly from the spline representation."""
-        return self._derivatives(r, ell, ell)[0]
-
 
 # the largest family: a bound check's time about quadruples per doubling of N
-# (--N 65536 --grid took 1.6 s, and 7.0 s at 131072 with the cap lifted) and the
-# samples CSV's grows faster (3.6 s at N = 1024, 24 s at 2048)
+# (--N 65536 --grid took 1.6 s, and 7.0 s at 131072 with the cap lifted)
 _MAX_N = 1 << 16
+# the largest family whose samples CSV is written: its time grows five- to
+# sevenfold per doubling of N (3.4 s at N = 1024, 17-23 s at 2048)
+_MAX_SAMPLES_N = 1 << 11
 
 
 def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
@@ -196,12 +186,14 @@ def build_bands(r1, r2, n: int) -> tuple[Band, ...]:
 def derivative_bound_check(band: Band) -> dict:
     """Least C with sup |phi^(l)| <= (C/d)^(l+1) N^l at every order l = 0..N.
 
-    Order 0 has sup phi = 1; order l >= 1 has the certified bound
+    Order 0 has sup phi = 1; order l >= 1 has the proved bound
     sup |B_N^(l-1)| <= C(l-1, floor((l-1)/2)).  Orders 0 and N set the
     constant (README has the proof), so C_measured is the larger of theirs,
-    max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))), and is certified.  The top
-    order's bound is attained, and ``pass`` requires that value, evaluated
-    from the spline at the centre of a piece, to equal the binomial.
+    max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))), evaluated in floats: the
+    closed form rounded to nearest, not an upper bound (the exact enclosure
+    is an open ROADMAP item).  The top order's bound is attained, and
+    ``pass`` requires that value, evaluated from the spline at the centre of
+    a piece, to equal the binomial.
     """
     n = band.budget
     log_d = _log_frac(band.d)
@@ -222,7 +214,7 @@ def derivative_bound_check(band: Band) -> dict:
     c_measured = max(e["bound_c"] for e in profile)
     mid = (n - 1) // 2
     # B_N^(N-1) is +-C(N-1, i) on the piece (i, i+1)
-    top_ok = abs(_eval_deriv(n, n - 1, Fraction(2 * mid + 1, 2))) == comb(n - 1, mid)
+    top_ok = abs(_eval_derivs(n, n - 1, Fraction(2 * mid + 1, 2), 1)[0]) == comb(n - 1, mid)
     return {
         "band": band.k,
         "budget": n,
@@ -234,28 +226,29 @@ def derivative_bound_check(band: Band) -> dict:
     }
 
 
-def bound_check_grid(r1, r2, n_values, kmax: int = 8) -> dict:
-    """Bound constants across a grid of (N, band) pairs for fixed (r1, r2).
+def bound_check_grid(r1, r2, n: int, kmax: int = 8) -> dict:
+    """Bound constants of bands k <= kmax of the families 4, 16, 64, ... below N
+    and of N itself, for fixed (r1, r2).
 
     Uniformity claim: a single constant works for every band — the
-    largest-budget band's certified constant calibrates it, in that no (N, k)
-    pair on the grid needs more than twice that single-band value.  (Small budgets
+    largest-budget band's C_measured calibrates it, in that no (N, k) pair on
+    the grid needs more than twice that single-band value.  (Small budgets
     need much *less*, so the downward spread is wide by design; what must
     not happen is any band needing substantially more.)
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    entries = []
-    reference = None
-    for n in sorted(n_values):
-        for band in build_bands(r1, r2, n)[:kmax]:
-            check = derivative_bound_check(band)
-            entries.append(
-                {"N": n, "k": band.k, "budget": band.budget, "C_measured": check["C_measured"]}
-            )
-            if n == max(n_values) and band.k == 1:
-                reference = check["C_measured"]
+    sizes = [1 << e for e in range(2, n.bit_length() - 1, 2)] + [n]
+    # every family is built, so an invalid N is refused, before any band is checked
+    families = [build_bands(r1, r2, size)[:kmax] for size in sizes]
+    entries = [
+        {"N": size, "k": band.k, "budget": band.budget,
+         "C_measured": derivative_bound_check(band)["C_measured"]}
+        for size, bands in zip(sizes, families)
+        for band in bands
+    ]
     cs = [e["C_measured"] for e in entries]
+    reference = cs[-len(families[-1])]  # band 1 of N
     uniform_ok = max(cs) <= 2.0 * reference
     return {
         "r1": str(Fraction(r1)),
@@ -301,5 +294,5 @@ def write_cutoff_samples_csv(band: Band, stream) -> None:
     stream.write("r,phi,dphi,d2phi\n")
     for i in range(201):
         r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        row = (r, *band._derivatives(r, 0, 2))
+        row = (r, *band.derivatives(r, 0, 2))
         stream.write(",".join(f"{float(v):.17g}" for v in row) + "\n")

@@ -201,13 +201,13 @@ def bracket_matrix(label: StratumLabel, params: ModelParams) -> tuple:
 def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel, dict]:
     """Classify a covector by exact zero tests and report classification metadata.
 
-    The flag ``exact`` is always true; ``ambiguous`` marks points with
-    tau = t = 0, <x, A xi> = 0 but <x, xi> = 0 as well (possible only where x
-    vanishes): they satisfy the characteristic equations yet belong to no
-    printed stratum, so they are bucketed with the depth-two stratum and
-    flagged.  At x = 0 with t != 0 (and tau = 0, xi != 0) the characteristic
-    function vanishes, so the point is labelled Sigma1, but its bracket
-    matrix is singular there: {tau, F} = k t^(k-1) <x, xi>, and with
+    The one flag, ``ambiguous``, marks points with tau = t = 0,
+    <x, A xi> = 0 but <x, xi> = 0 as well (possible only where x vanishes):
+    they satisfy the characteristic equations yet belong to no printed
+    stratum, so they are bucketed with the depth-two stratum and flagged.
+    At x = 0 with t != 0 (and tau = 0, xi != 0) the characteristic function
+    vanishes, so the point is labelled Sigma1, but its bracket matrix is
+    singular there: {tau, F} = k t^(k-1) <x, xi>, and with
     T = t^k + mu the identity |x|^2 |xi|^2 = <x, xi>^2 + (F - T <x, xi>)^2
     shows that on F = 0 the bracket vanishes exactly when x = 0.  x = 0 lies
     outside the ring the paper works in, so Sigma1's rank 2 is claimed for
@@ -215,7 +215,7 @@ def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel,
     """
     if cov.tau == 0 and cov.xi == (0, 0):
         raise ValueError("zero covector cannot be classified")
-    flags = {"exact": True, "ambiguous": False}
+    flags = {"ambiguous": False}
     if cov.tau != 0 or char_function(params).eval(cov.components()) != 0:
         return StratumLabel.NONCHARACTERISTIC, flags
     if cov.t != 0:

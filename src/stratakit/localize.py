@@ -5,7 +5,7 @@ coefficients a[j][j']) and the localized powers
 
     R^p_phi = sum_{j=0}^{p} phi^(j) N_j R^(p-j)
 
-(each N_j once per (k, table row); R^p_phi by relabelling the keys of the
+(each N_j once per (k, table, j); R^p_phi by relabelling the keys of the
 N_j), then verifies, as exact zero-residual identities in the free operator
 algebra:
 
@@ -96,12 +96,12 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
 
 
-def _localized(parts: list[DiffOp], q: int, m: int) -> DiffOp:
-    """sum_{j<=q} phi^(j+m) parts[j] R^(q-j); parts free of phi and R just get relabelled."""
+def _localized(parts: list[DiffOp], q: int) -> DiffOp:
+    """sum_{j<=q} phi^(j) parts[j] R^(q-j); parts free of phi and R just get relabelled."""
     terms = {}
     for j in range(q + 1):
         for (a, _, b, _, d), c in parts[j].terms.items():
-            terms[(a, (j + m,), b, q - j, d)] = c
+            terms[(a, (j,), b, q - j, d)] = c
     return DiffOp._of(terms)
 
 
@@ -109,7 +109,7 @@ def build_Rp_phi(p: int, k: int, table: CoeffTable) -> DiffOp:
     """R^p_phi = sum_j phi^(j) N_j R^(p-j)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    return _localized([build_N(j, k, table).op for j in range(p + 1)], p, 0)
+    return _localized([build_N(j, k, table).op for j in range(p + 1)], p)
 
 
 def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
@@ -237,9 +237,9 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         block = sum((d * x1_localizers[j - 1 - ell] for ell, d in enumerate(delta)), brackets[j])
         delta.append(-block.terms.get((0, (), 1, 0, 0), Fraction(0)))  # the Dt coefficient
         blocks.append(block + delta[-1] * x1_localizers[0])
-    cases = [{"p": p, **_residual_case(_localized(blocks, p, 0))} for p in range(1, pmax + 1)]
+    cases = [{"p": p, **_residual_case(_localized(blocks, p))} for p in range(1, pmax + 1)]
     p_independent = all(
-        commutator(x1, build_Rp_phi(p, k, table)) == _localized(brackets, p, 0)
+        commutator(x1, build_Rp_phi(p, k, table)) == _localized(brackets, p)
         for p in range(1, pmax + 1)
     )
     bounded = all(abs(d) <= 1 for d in delta)

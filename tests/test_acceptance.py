@@ -151,7 +151,7 @@ def test_criterion_09_flow_conservation():
 
 @pytest.fixture(scope="module")
 def bound_grid():
-    return co.bound_check_grid(1, 2, [4, 16, 64, 256, 1024], kmax=8)
+    return co.bound_check_grid(1, 2, 1024, kmax=8)
 
 
 def test_criterion_10_cutoff_bounds(bound_grid):

@@ -257,7 +257,7 @@ class TestClassifyCommand:
     def test_planted_label_fails(self, monkeypatch, capsys):
         # a Sigma2 point reported as Sigma1 fails the dichotomy
         def planted(cov, params):
-            return geometry.StratumLabel.SIGMA1, {"exact": True, "ambiguous": False}
+            return geometry.StratumLabel.SIGMA1, {"ambiguous": False}
 
         monkeypatch.setattr(geometry, "classify_detailed", planted)
         code = cli.main(["classify", "--k", "2", "--t", "0", "--x", "1,0",
@@ -270,7 +270,7 @@ class TestClassifyCommand:
                   "--xi", "0,1", "-o", str(out)])
         report = read_json(out)
         assert report["label"] == "Noncharacteristic"
-        assert report["flags"]["exact"] is True
+        assert report["flags"] == {"ambiguous": False}
 
 
 class TestFlowCommand:
@@ -360,6 +360,23 @@ class TestCutoffCommand:
         assert hashlib.sha256(samples.read_bytes()).hexdigest() == (
             "073c42bed6eb55ecb944daedccec5e20449a5dba9fc4502b32cc4f8ca4169d60"
         )
+
+    def test_grid_report_bytes_are_pinned(self, tmp_path):
+        # the report of the grid 4, 16, 64, 256, 1024 that the runner listed
+        # before bound_check_grid derived it from N
+        out = tmp_path / "grid.json"
+        assert cli.main(["cutoff", "--N", "1024", "--grid", "-o", str(out)]) == 0
+        assert sha256_of(out) == (
+            "7e4eb15ed5fa14c5fe643ad1e09552c922f6dad163a63ee5c4b5176b5c645275"
+        )
+
+    def test_samples_above_their_cap_exit_two_and_write_no_file(self, tmp_path, capsys):
+        samples = tmp_path / "big.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cutoff", "--N", "4096", "--samples-out", str(samples)])
+        assert exc.value.code == 2
+        assert "--samples-out needs N <= 2048" in capsys.readouterr().err
+        assert not samples.exists() and not list(tmp_path.iterdir())
 
     def test_bad_n_rejected(self):
         with pytest.raises(SystemExit) as exc:

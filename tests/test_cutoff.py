@@ -18,6 +18,11 @@ from stratakit.cutoff import (
 from stratakit import cutoff as co
 
 
+def _phi(cut, r, ell=0):
+    """phi^(l)(r) alone, exactly: one order of ``Band.derivatives``."""
+    return cut.derivatives(r, ell, ell)[0]
+
+
 class TestBandGeometry:
     def test_gap_schedule_exact(self):
         bands = build_bands(0, 1, 16)
@@ -94,7 +99,7 @@ class TestCutoffShape:
     def test_plateau_is_band_support_is_outer_band(self):
         outer = (Fraction(0), Fraction(1))
         for band in build_bands(0, 1, 16)[:2]:
-            assert band.value(band.lo) == band.value(band.hi) == 1
+            assert _phi(band, band.lo) == _phi(band, band.hi) == 1
             assert (band.support_lo, band.support_hi) == outer
             assert band.box_width * band.budget == band.d
             outer = (band.lo, band.hi)
@@ -102,54 +107,54 @@ class TestCutoffShape:
     def test_plateau_value_one(self):
         cut = build_bands(0, 1, 8)[0]
         for r in (cut.lo, (cut.lo + cut.hi) / 2, cut.hi):
-            assert cut.value(r) == 1
+            assert _phi(cut, r) == 1
 
     def test_vanishes_outside_support(self):
         cut = build_bands(0, 1, 8)[0]
-        assert cut.value(cut.support_lo) == 0
-        assert cut.value(cut.support_hi) == 0
-        assert cut.value(cut.support_lo - Fraction(1, 100)) == 0
+        assert _phi(cut, cut.support_lo) == 0
+        assert _phi(cut, cut.support_hi) == 0
+        assert _phi(cut, cut.support_lo - Fraction(1, 100)) == 0
 
     def test_bounded_by_one(self):
         cut = build_bands(0, 1, 8)[1]
         for i in range(301):
             r = Fraction(i, 300)
-            assert 0 <= cut.value(r) <= 1
+            assert 0 <= _phi(cut, r) <= 1
 
     def test_mid_transition_value(self):
         cut = build_bands(0, 1, 16)[0]
         mid = cut.lo - cut.d / 2
-        assert cut.value(mid) == Fraction(1, 2)  # symmetric ramp
+        assert _phi(cut, mid) == Fraction(1, 2)  # symmetric ramp
 
     def test_float_input_rejected(self):
         cut = build_bands(0, 1, 8)[0]
         with pytest.raises(TypeError):
-            cut.value(0.5)
-        assert isinstance(cut.value(Fraction(1, 2)), Fraction)
+            _phi(cut, 0.5)
+        assert isinstance(_phi(cut, Fraction(1, 2)), Fraction)
 
     def test_base_is_one_on_support_of_next_level(self):
         phi1, phi2 = build_bands(0, 1, 16)[:2]
         assert phi1.lo <= phi2.support_lo
         assert phi2.support_hi <= phi1.hi
-        assert phi1.value(phi2.support_lo) == 1
+        assert _phi(phi1, phi2.support_lo) == 1
 
 
 class TestBsplineSups:
     def test_hat_function(self):
-        assert co._eval_deriv(2, 0, Fraction(1)) == 1 == math.comb(0, 0)
+        assert co._eval_derivs(2, 0, Fraction(1), 1)[0] == 1 == math.comb(0, 0)
 
     def test_quadratic_peak(self):
-        assert co._eval_deriv(3, 0, Fraction(3, 2)) == Fraction(3, 4)
+        assert co._eval_derivs(3, 0, Fraction(3, 2), 1)[0] == Fraction(3, 4)
 
     def test_top_derivative_central_binomial(self):
         # piecewise-constant top derivative has values +-C(n-1, i)
-        assert abs(co._eval_deriv(6, 5, Fraction(5, 2))) == 10  # C(5, 2)
+        assert abs(co._eval_derivs(6, 5, Fraction(5, 2), 1)[0]) == 10  # C(5, 2)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_sup_dominates_exact_scan(self, n):
         # C(j, floor(j/2)) against an exact reference: every 1/64 point of (0, n)
         for j in range(n):
-            scan = max(abs(co._eval_deriv(n, j, Fraction(i, 64))) for i in range(1, 64 * n))
+            scan = max(abs(co._eval_derivs(n, j, Fraction(i, 64), 1)[0]) for i in range(1, 64 * n))
             bound = math.comb(j, j // 2)
             assert bound >= scan
             assert (bound == scan) or j < n - 1
@@ -158,13 +163,13 @@ class TestBsplineSups:
         # the bound is attained for j >= n - 2: at a knot where B_n^(n-2) is
         # piecewise linear, inside a piece where B_n^(n-1) is constant
         n = 12
-        assert abs(co._eval_deriv(n, n - 2, Fraction(6))) == math.comb(n - 2, 5)
-        assert abs(co._eval_deriv(n, n - 1, Fraction(11, 2))) == math.comb(n - 1, 5)
+        assert abs(co._eval_derivs(n, n - 2, Fraction(6), 1)[0]) == math.comb(n - 2, 5)
+        assert abs(co._eval_derivs(n, n - 1, Fraction(11, 2), 1)[0]) == math.comb(n - 1, 5)
 
     def test_bad_order_rejected(self):
         cut = build_bands(0, 1, 8)[0]
         with pytest.raises(ValueError):
-            cut.derivative_value(cut.lo - cut.d / 2, cut.budget + 1)
+            _phi(cut, cut.lo - cut.d / 2, cut.budget + 1)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_cdf_matches_direct_alternating_sum(self, n):
@@ -181,12 +186,12 @@ class TestBsplineSups:
         points = [Fraction(-3, 2), Fraction(0), Fraction(n), Fraction(2 * n + 1, 2)]
         points += [Fraction(i, 7) for i in range(1, 7 * n)]
         for y in points:
-            assert ramp.value(y) == direct(y)
+            assert _phi(ramp, y) == direct(y)
 
 
 def _peak(cut):
     """B_n at its argmax n/2 over the box width: the exact sup of phi'."""
-    return co._eval_deriv(cut.budget, 0, Fraction(cut.budget, 2)) / cut.box_width
+    return co._eval_derivs(cut.budget, 0, Fraction(cut.budget, 2), 1)[0] / cut.box_width
 
 
 class TestDerivativeValues:
@@ -198,14 +203,14 @@ class TestDerivativeValues:
         cut = build_bands(0, 1, 8)[0]
         left = cut.lo - cut.d / 2
         right = cut.hi + cut.d / 2
-        assert cut.derivative_value(left, 1) == -cut.derivative_value(right, 1)
-        assert cut.derivative_value(left, 2) == cut.derivative_value(right, 2)
+        assert _phi(cut, left, 1) == -_phi(cut, right, 1)
+        assert _phi(cut, left, 2) == _phi(cut, right, 2)
 
     def test_derivative_zero_on_plateau_and_outside(self):
         cut = build_bands(0, 1, 8)[0]
         mid = (cut.lo + cut.hi) / 2
-        assert cut.derivative_value(mid, 1) == 0
-        assert cut.derivative_value(cut.support_lo - 1, 1) == 0
+        assert _phi(cut, mid, 1) == 0
+        assert _phi(cut, cut.support_lo - 1, 1) == 0
 
     def test_finite_differences_agree(self):
         # FD probes of the exact evaluator around the argmax of phi'
@@ -216,8 +221,8 @@ class TestDerivativeValues:
         worst = 0
         for i in range(-500, 501):
             r = center + i * (w / 2000)
-            fd = (cut.value(r + delta) - cut.value(r - delta)) / (2 * delta)
-            exact = cut.derivative_value(r, 1)
+            fd = (_phi(cut, r + delta) - _phi(cut, r - delta)) / (2 * delta)
+            exact = _phi(cut, r, 1)
             worst = max(worst, abs(fd - exact))
         assert worst / _peak(cut) < 1e-6
 
@@ -228,7 +233,7 @@ class TestDerivativeValues:
         w = cut.box_width
         delta = w / 4000
         fd_max = max(
-            abs(cut.value(center + i * (w / 1000) + delta) - cut.value(center + i * (w / 1000) - delta))
+            abs(_phi(cut, center + i * (w / 1000) + delta) - _phi(cut, center + i * (w / 1000) - delta))
             / (2 * delta)
             for i in range(-500, 501)
         )
@@ -257,7 +262,7 @@ class TestBoundCheck:
         for ell in range(cut.budget + 1):
             bound = (ell + 1) * (math.log(c) - math.log(d)) + ell * math.log(cut.budget)
             for r in points:
-                value = abs(cut.derivative_value(r, ell))
+                value = abs(_phi(cut, r, ell))
                 assert not value or math.log(value) <= bound + 1e-9
 
     def test_every_order_checked_large_budget(self):
@@ -269,35 +274,54 @@ class TestBoundCheck:
         # B_8^(7) is +-C(7, 3) = +-35 on (3, 4); a planted 36 there must fail the check
         cut = build_bands(0, 1, 8)[0]
         assert derivative_bound_check(cut)["pass"]
-        real = co._eval_deriv
+        real = co._eval_derivs
 
-        def planted(n, j, y):
-            return Fraction(36) if (n, j, y) == (8, 7, Fraction(7, 2)) else real(n, j, y)
+        def planted(n, j, y, count):
+            if (n, j, y, count) == (8, 7, Fraction(7, 2), 1):
+                return [Fraction(36)]
+            return real(n, j, y, count)
 
-        monkeypatch.setattr(co, "_eval_deriv", planted)
+        monkeypatch.setattr(co, "_eval_derivs", planted)
         assert derivative_bound_check(cut)["pass"] is False
 
     def test_uniformity_grid_small(self):
-        grid = bound_check_grid(0, 1, [4, 16, 64], kmax=8)
+        grid = bound_check_grid(0, 1, 64, kmax=8)
         assert grid["pass"]
         assert grid["C_uniform"] <= 2.0 * grid["single_band_reference"]
 
     def test_large_grid_keeps_no_binomial_rows(self):
-        # the rows C(N_k, s) of the eight bands at N = 16384 held 33.9 MiB;
-        # the spline sum carries one binomial at a time
+        # the rows C(N_k, s) of the eight bands at N = 16384, the grid's
+        # largest family, held 33.9 MiB; the spline sum carries one binomial
+        # at a time
         tracemalloc.start()
         try:
-            assert bound_check_grid(1, 2, [16384])["pass"]
+            assert bound_check_grid(1, 2, 16384)["pass"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "n, sizes", [(4, [4]), (8, [4, 8]), (64, [4, 16, 64]), (128, [4, 16, 64, 128])]
+    )
+    def test_grid_is_powers_of_four_below_n_then_n(self, n, sizes):
+        entries = bound_check_grid(1, 2, n, kmax=1)["entries"]
+        assert [e["N"] for e in entries] == sizes
+
+    @pytest.mark.parametrize("n", [12, 2, 1 << 17])
+    def test_grid_refuses_n_before_any_band_is_checked(self, monkeypatch, n):
+        def unreachable(band):
+            raise AssertionError(f"band {band.k} of N = {band.budget} checked")
+
+        monkeypatch.setattr(co, "derivative_bound_check", unreachable)
+        with pytest.raises(ValueError, match="power of 2|exceeds the cap"):
+            bound_check_grid(1, 2, n)
+
     @pytest.mark.parametrize("kmax", [0, -1])
     def test_grid_rejects_nonpositive_kmax(self, kmax):
         # bands[:-1] would silently drop the last band
         with pytest.raises(ValueError):
-            bound_check_grid(0, 1, [16], kmax=kmax)
+            bound_check_grid(0, 1, 16, kmax=kmax)
 
 
 class TestRecursionProduct:
@@ -336,7 +360,7 @@ def test_samples_csv_rows_round_exact_values():
     assert len(rows) == 201
     for i, row in enumerate(rows):
         r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        exact = (r, cut.value(r), cut.derivative_value(r, 1), cut.derivative_value(r, 2))
+        exact = (r, _phi(cut, r), _phi(cut, r, 1), _phi(cut, r, 2))
         assert [float(c) for c in row.split(",")] == [float(v) for v in exact]
 
 

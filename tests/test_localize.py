@@ -81,22 +81,16 @@ class TestLocalizedPower:
         op = substitute_phi_unit(build_Rp_phi(p, 2, TABLE))
         assert op == rr() ** p
 
-    def test_shifted_family(self):
-        shifted = localize._localized([build_N(j, 2, TABLE).op for j in range(2)], 1, 3)
-        m = build_model(2).M
-        assert shifted == phi(3) * rr() + phi(4) * (m - one())
-
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_direct_product_sum(self, k):
         table = exactalg.a_table_recurrence(6)
         for p in range(7):
             parts = [build_N(j, k, table).op for j in range(p + 1)]
-            for m in range(4):
-                expected = opalg.zero()
-                for j in range(p + 1):
-                    expected = expected + phi(j + m) * _direct_N(j, k, table) * rr() ** (p - j)
-                assert localize._localized(parts, p, m) == expected
-            assert build_Rp_phi(p, k, table) == localize._localized(parts, p, 0)
+            expected = opalg.zero()
+            for j in range(p + 1):
+                expected = expected + phi(j) * _direct_N(j, k, table) * rr() ** (p - j)
+            assert localize._localized(parts, p) == expected
+            assert build_Rp_phi(p, k, table) == localize._localized(parts, p)
 
 
 class TestX2LocalizerBracket:
@@ -178,11 +172,11 @@ class TestDeltaExtraction:
         # to _localized that is all zero on a valid table.
         real = localize._localized
 
-        def planted(parts, q, m):
-            if (q, m) == (2, 0) and all(part.is_zero for part in parts):
+        def planted(parts, q):
+            if q == 2 and all(part.is_zero for part in parts):
                 slip = opalg.DiffOp({(1, (), 2, 0, 0): Fraction(-1, 2) * Fraction(1, 3)})
                 parts = [*parts[:2], parts[2] + slip, *parts[3:]]
-            return real(parts, q, m)
+            return real(parts, q)
 
         monkeypatch.setattr(localize, "_localized", planted)
         report = extract_delta(4, 2, TABLE)

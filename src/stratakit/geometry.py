@@ -13,12 +13,12 @@ Stratum membership, Poisson brackets, and the bracket-matrix rank test run
 in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
 component raises TypeError), so every zero test is exact.  The bracket
 polynomials are built once per model and only evaluated per point.  The flow
-integrator is a fixed-step classical Runge-Kutta scheme that keeps each
-state it computes as a plain (x1, x2, xi1, xi2) tuple and, in the same pass,
-takes the conserved-quantity monitors, a check of every step against the
-explicit leaf, an optional Richardson step check and the log-spiral fit.
-Once a step returns its state bit for bit (the orbit is frozen) it stops
-stepping and storing; it refuses runs of more than 10^6 steps.
+integrator is a fixed-step classical Runge-Kutta loop that keeps each state
+as a plain (x1, x2, xi1, xi2) tuple and takes the conserved-quantity
+monitors, a check against the explicit leaf, an optional Richardson step
+check and the log-spiral fit.  It ends once a step returns its state bit for
+bit (the orbit is frozen); a second pass checks that state against the rest
+of the leaf.  Runs of more than 10^6 steps are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "ModelParams",
     "Covector",
     "Trajectory",
-    "StepSizeError",
     "var",
     "poisson_bracket",
     "char_function",
@@ -267,10 +266,6 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
 _MAX_STEPS = 10**6  # 20 times the default run: a mu = 0 orbit never freezes, so keeps every row
 
 
-class StepSizeError(ValueError):
-    """Raised when the Richardson half-step comparison rejects the step size."""
-
-
 def _monitors(u, mu) -> dict:
     """Pairings and norms of the state u = (x1, x2, xi1, xi2)."""
     x1, x2, xi1, xi2 = u
@@ -354,6 +349,14 @@ def _leaf_taus(mu, s0, a2, b2, h, n_steps):
             return
 
 
+def _leaf_dev(tau, mu, xi0, y, norm_xi) -> float:
+    """|xi - e^(-mu tau) R(tau) xi0| / |xi|: the state y's distance from the leaf at tau."""
+    damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
+    off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
+                     damp * (s * xi0[0] + c * xi0[1]) - y[3])
+    return off / max(norm_xi, 1e-300)
+
+
 def integrate(
     x0,
     xi0,
@@ -368,7 +371,7 @@ def integrate(
     mu >= 0 from (x0, xi0), taken as floats, with x0 in the open ring
     a < |x0| < b.
 
-    One pass over the steps keeps each state it computes as a plain tuple
+    The step loop keeps each state it computes as a plain tuple
     (x1, x2, xi1, xi2) and updates the running drifts of <x, xi> and
     <x, A xi>, the monotonicity and maximum of |x|, the deviation of xi from
     the explicit leaf xi = e^(-mu tau) R(tau) xi0 (R the counter-clockwise
@@ -377,15 +380,16 @@ def integrate(
     the unwound angle of x over the rows a tenth of the ring width from both
     circles, whose slope approximates the exact pitch mu (None if undefined).
     A step is a function of the state alone, so once one returns its input
-    bit for bit the orbit is frozen: later steps are neither computed nor
-    stored, and once tau is fixed too the loop ends.  ``state_frozen_from`` is
-    the time of the last step that changed the state (by float !=), None if
-    the final step did.  With ``richardson_tol`` set, each step is compared
-    against two half steps and a deviation beyond the tolerance raises
-    StepSizeError.  A negative mu, a ring without 0 < a < b, an ``h`` that
-    does not divide ``t_end`` into a whole number of steps, more than
-    ``_MAX_STEPS`` steps, a zero xi0 or a frozen first step (both vacuous)
-    and a diverging flow raise ValueError.
+    bit for bit the orbit is frozen and the loop ends, with that row counted
+    in the fit for every later row too.  The leaf-tail pass then compares
+    the frozen state with the leaf at each later row until tau stops moving.
+    ``state_frozen_from`` is the time of the last step that changed the state
+    (by float !=), None if the final step did.  With ``richardson_tol`` set,
+    each step is compared against two half steps.  A deviation beyond it, a
+    negative mu, a ring without 0 < a < b, an ``h`` that does not divide
+    ``t_end`` into a whole number of steps, more than ``_MAX_STEPS`` steps, a
+    zero xi0 or a frozen first step (both vacuous) and a diverging flow raise
+    ValueError.
     """
     if not mu >= 0:
         raise ValueError(f"need mu >= 0, got mu = {mu}")
@@ -418,64 +422,55 @@ def integrate(
     # the start's own terms: 0.0, or nan for an overflowed monitor, as max() over every row gives
     drift, a_drift = abs(dot0 - dot0), abs(a_dot0 - a_dot0)
     norm_x = max_norm_x = m["norm_x"]
-    monotone, closed_dev, last_change, frozen = True, 0.0, 0, False
+    monotone, closed_dev, last_change, tau = True, 0.0, 0, 0.0
     xi0 = y[2:]
     lo, hi = a + 0.1 * (b - a), b - 0.1 * (b - a)
     theta, angle = 0.0, math.atan2(y[1], y[0])
     angles, logs = ([theta], [math.log(norm_x)]) if lo <= norm_x <= hi else ([], [])
     leaf = _leaf_taus(mu, s_start, a2, b2, h, n_steps)
     for step in range(1, n_steps + 1):
-        moved = next(leaf, None)  # None once tau is fixed
-        if moved is not None:
-            tau = moved
-        if not frozen:
-            y_next = _rk4_step(y, h, mu, a2, b2)
-            if richardson_tol is not None:
-                half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
-                err = max(abs(half[i] - y_next[i]) for i in range(4))
-                if err > richardson_tol:
-                    raise StepSizeError(
-                        f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
-                    )
-            if y_next != y:
-                last_change = step
-            # bits, not ==, since -0.0 == 0.0: a step that flips a zero's sign is not a fixed point
-            frozen = y_next == y and struct.pack("4d", *y_next) == struct.pack("4d", *y)
-            if frozen and step == 1:
-                raise ValueError(f"at h = {h!r} the first step returns the start bit for bit")
-            y = y_next
-            if not all(map(math.isfinite, y)):
-                raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
-            states.append(y)
-            # max(m, v) keeps m unless v > m, as max() over every row does
-            m = _monitors(y, mu)
-            drift = max(drift, abs(m["x_dot_xi"] - dot0))
-            a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
-            monotone = monotone and m["norm_x"] >= norm_x - 1e-12
-            norm_x = m["norm_x"]
-            max_norm_x = max(max_norm_x, norm_x)
-            prev_angle, angle = angle, math.atan2(y[1], y[0])
-            d = angle - prev_angle
-            while d <= -math.pi:
-                d += 2 * math.pi
-            while d > math.pi:
-                d -= 2 * math.pi
-            theta += d
-        # the window test runs per row, so a frozen row counts once per step it stands for
+        tau = next(leaf, tau)  # the last tau once the leaf has stopped
+        y_next = _rk4_step(y, h, mu, a2, b2)
+        if richardson_tol is not None:
+            half = _rk4_step(_rk4_step(y, 0.5 * h, mu, a2, b2), 0.5 * h, mu, a2, b2)
+            err = max(abs(half[i] - y_next[i]) for i in range(4))
+            if err > richardson_tol:
+                raise ValueError(
+                    f"step {step}: Richardson deviation {err:.3e} exceeds {richardson_tol:.3e}"
+                )
+        if y_next != y:
+            last_change = step
+        # bits, not ==, since -0.0 == 0.0: a step that flips a zero's sign is not a fixed point
+        frozen = y_next == y and struct.pack("4d", *y_next) == struct.pack("4d", *y)
+        if frozen and step == 1:
+            raise ValueError(f"at h = {h!r} the first step returns the start bit for bit")
+        y = y_next
+        if not all(map(math.isfinite, y)):
+            raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
+        states.append(y)
+        # max(m, v) keeps m unless v > m, as max() over every row does
+        m = _monitors(y, mu)
+        drift = max(drift, abs(m["x_dot_xi"] - dot0))
+        a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
+        monotone = monotone and m["norm_x"] >= norm_x - 1e-12
+        norm_x = m["norm_x"]
+        max_norm_x = max(max_norm_x, norm_x)
+        prev_angle, angle = angle, math.atan2(y[1], y[0])
+        d = angle - prev_angle
+        while d <= -math.pi:
+            d += 2 * math.pi
+        while d > math.pi:
+            d -= 2 * math.pi
+        theta += d
         if lo <= norm_x <= hi:
-            angles.append(theta)
-            logs.append(math.log(norm_x))
-        damp, c, s = math.exp(-mu * tau), math.cos(tau), math.sin(tau)
-        off = math.hypot(damp * (c * xi0[0] - s * xi0[1]) - y[2],
-                         damp * (s * xi0[0] + c * xi0[1]) - y[3])
-        closed_dev = max(closed_dev, off / max(m["norm_xi"], 1e-300))
-        if frozen and moved is None:
-            # every later row repeats this one
-            if lo <= norm_x <= hi:
-                rest = n_steps - step
-                angles.extend([theta] * rest)
-                logs.extend([math.log(norm_x)] * rest)
+            rows = n_steps + 1 - step if frozen else 1  # the frozen row stands for the later ones
+            angles += [theta] * rows
+            logs += [math.log(norm_x)] * rows
+        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, m["norm_xi"]))
+        if frozen:
             break
+    for tau in leaf:  # the rows after the freeze, until tau stops moving
+        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, m["norm_xi"]))
     return Trajectory(
         mu=mu,
         a=a,

@@ -271,7 +271,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
 
 
 def _x1_bracket_poly(j: int, k: int, table: CoeffTable) -> list[Fraction]:
-    """Coefficients (in M^s) of -[X1, N_j] stripped of its left X1 factor."""
+    """-[X1, N_j] without its left X1 factor, over the basis M^s/s! of a[j][s]."""
     coeffs = [Fraction(0)] * j
     for jp in range(1, j + 1):
         a_j_jp = table.entry(j, jp)
@@ -280,7 +280,7 @@ def _x1_bracket_poly(j: int, k: int, table: CoeffTable) -> list[Fraction]:
         for ell in range(1, jp + 1):
             s = jp - ell
             a_h = Fraction(-1, k) ** ell / factorial(ell)
-            coeffs[s] += a_j_jp * a_h / factorial(s)
+            coeffs[s] += a_j_jp * a_h
     return coeffs
 
 
@@ -306,7 +306,7 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
         coeffs = _x1_bracket_poly(j, k, table)
         gamma = [Fraction(0)] * (j + 1)  # gamma[m] for m = 1..j
         for s in range(j - 1, -1, -1):
-            acc = coeffs[s] * factorial(s)
+            acc = coeffs[s]
             for sp in range(s + 1, j):
                 acc -= gamma[j - sp] * table.entry(sp, s)
             gamma[j - s] = acc

@@ -15,6 +15,7 @@ from stratakit.cutoff import (
     recursion_product,
     write_cutoff_samples_csv,
 )
+from stratakit import cli
 from stratakit import cutoff as co
 
 
@@ -283,6 +284,20 @@ class TestBoundCheck:
 
         monkeypatch.setattr(co, "_eval_derivs", planted)
         assert derivative_bound_check(cut)["pass"] is False
+
+    def test_grid_fails_on_a_kernel_that_fails_every_top_order(self, monkeypatch, tmp_path):
+        # B_N^(N-1) planted as 0 fails each band's top-order check, while
+        # C_measured and the uniformity scan never read that value
+        real = co._eval_derivs
+
+        def planted(n, j, y, count):
+            return [Fraction(0)] * count if j == n - 1 else real(n, j, y, count)
+
+        monkeypatch.setattr(co, "_eval_derivs", planted)
+        grid = bound_check_grid(1, 2, 64)
+        assert grid["uniform_within_factor_2"]
+        assert grid["pass"] is False
+        assert cli.main(["cutoff", "--N", "64", "--grid", "-o", str(tmp_path / "g.json")]) == 1
 
     def test_uniformity_grid_small(self):
         grid = bound_check_grid(0, 1, 64, kmax=8)

@@ -14,8 +14,8 @@ from stratakit.geometry import (
     Covector,
     ModelParams,
     PhasePoly,
-    StepSizeError,
     StratumLabel,
+    _exact_rank,
     _leaf_rhs,
     _leaf_taus,
     _monitors,
@@ -308,6 +308,19 @@ class TestSymplecticRank:
             assert symplectic_rank(StratumLabel.SIGMA2, p2, params)["degenerate"]
 
 
+class TestExactRank:
+    # the bracket matrices of Sigma1 and Sigma2 never need a row eliminated
+    @pytest.mark.parametrize("rows, rank", [
+        ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2),  # row 2 is twice row 1: eliminated to zero
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 3),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),
+    ], ids=["rank-2", "full-rank", "zero"])
+    def test_rank(self, rows, rank):
+        matrix = [[Fraction(v) for v in row] for row in rows]
+        assert _exact_rank(matrix) == rank
+        assert matrix == [[Fraction(v) for v in row] for row in rows]  # works on a copy
+
+
 class TestBracketMatrix:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)])
@@ -465,7 +478,7 @@ class TestIntegrate:
         assert traj.max_norm_x <= B + 1e-9
 
     def test_richardson_rejects_coarse_step(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(ValueError, match="Richardson deviation"):
             integrate(X0, XI0, MU, A, B, t_end=2.0, h=0.5, richardson_tol=1e-12)
 
     def test_richardson_accepts_fine_step(self):

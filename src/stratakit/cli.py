@@ -16,13 +16,13 @@ report-all  every suite, one JSON file per section; each section but the
 One path takes argv to a report: ``main`` parses, ``run_<command>`` turns
 the namespace into a report, ``main`` writes it.  Argparse types check each
 outside input's syntax and range (finite numbers, exact rationals for the
-exact layers; k >= 2); ``ModelParams``, ``build_bands`` and ``integrate``
-check the rest.  Reports are JSON (CSV for trajectories and cutoff samples),
-written atomically (temp file + rename).  Exit codes: 0 all requested checks
-pass, 1 a verification failed (the report is still written), 2 invalid
-configuration (an argparse error, or any ValueError the library raises).
-The environment variable STRATAKIT_REPORT_DIR redirects relative output
-paths.
+exact layers; k >= 2; table depths at most ``_MAX_DEPTH``); ``ModelParams``,
+``build_bands`` and ``integrate`` check the rest.  Reports are JSON (CSV
+for trajectories and cutoff samples), written atomically (temp file +
+rename).  Exit codes: 0 all requested checks pass, 1 a verification failed
+(the report is still written), 2 invalid configuration (an argparse error,
+or any ValueError the library raises).  The environment variable
+STRATAKIT_REPORT_DIR redirects relative output paths.
 
 Layers are imported on use: each runner imports the modules it calls, so
 ``coeffs`` loads exactalg alone, ``cutoff`` only cutoff and exactalg, and
@@ -47,6 +47,10 @@ REPORT_DIR_ENV = "STRATAKIT_REPORT_DIR"
 # the largest relative deviation of |xi| from its closed form
 FLOW_DRIFT_TOL = 1e-8
 FLOW_CLOSED_FORM_TOL = 1e-6
+# the deepest coeffs --jmax and verify --jmax/--pmax: a depth-n table of
+# (n+1)(n+2)/2 exact entries is built before any check runs, and verify's
+# time grows about as depth^4 (at 120, 11 s for k = 2 and 36 s for k >= 120)
+_MAX_DEPTH = 120
 
 
 def _jsonable(obj):
@@ -152,6 +156,14 @@ def _degree(text: str) -> int:
     if k < 2:
         raise argparse.ArgumentTypeError("k must be >= 2")
     return k
+
+
+def _depth(text: str) -> int:
+    """Table depth (--jmax, --pmax): an integer no larger than _MAX_DEPTH."""
+    n = int(text)
+    if n > _MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"depth {n} exceeds the cap of {_MAX_DEPTH}")
+    return n
 
 
 def _degree_list(text: str) -> list[int]:
@@ -414,14 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="dual-route coefficient table verification")
-    p.add_argument("--jmax", type=int, default=40)
+    p.add_argument("--jmax", type=_depth, default=40)
     p.add_argument("--table-out", help="also serialize the table to this JSON file")
     p.add_argument("-o", "--output", help="report file (stdout when omitted)")
 
     p = sub.add_parser("verify", help="operator-identity verification suite")
     p.add_argument("--k", type=_degree, default=2)
-    p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--pmax", type=int, default=8)
+    p.add_argument("--jmax", type=_depth, default=10)
+    p.add_argument("--pmax", type=_depth, default=8)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("classify", help="stratum label for one covector")

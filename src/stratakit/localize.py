@@ -5,19 +5,21 @@ coefficients a[j][j']) and the localized powers
 
     R^p_phi = sum_{j=0}^{p} phi^(j) N_j R^(p-j)
 
-(each N_j once per (k, table, j); R^p_phi by relabelling the keys of the
-N_j), then verifies, as exact zero-residual identities in the free operator
-algebra:
+(each N_j once per (k, table, j), as one linear combination of the memoised
+powers of M; R^p_phi by relabelling the keys of the N_j), then verifies, as
+exact zero-residual identities in the free operator algebra:
 
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R,
 * the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
   X1 commutes with phi and R, so every level relabels the same blocks
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
-  the Dt coefficient of block l+1.  The relabelling is checked against the
-  bracket formed in the algebra at every level, and the delta_l are required
-  to equal the binomial closed form C(-1/k, l+1) and compared against the
-  printed closed-form candidates,
+  the Dt coefficient of block l+1.  Each block is one linear combination of
+  [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one integer
+  pass (``opalg._linear``), not by a chain of ``+``.  The relabelling is
+  checked against the bracket formed in the algebra at every level, and the
+  delta_l are required to equal the binomial closed form C(-1/k, l+1) and
+  compared against the printed closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -91,8 +93,9 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         powers = _M_POWERS.setdefault(k, [opalg.one()])
         while len(powers) <= j:
             powers.append(powers[-1] * build_model(k).M)
-        terms = ((table.entry(j, jp) / factorial(jp)) * powers[jp] for jp in range(j + 1))
-        _N_OPS[key] = sum(terms, opalg.zero())
+        _N_OPS[key] = opalg._linear(
+            (table.entry(j, jp) / factorial(jp), powers[jp]) for jp in range(j + 1)
+        )
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
 
 
@@ -234,7 +237,9 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     delta: list[Fraction] = []
     blocks = brackets[:1]
     for j in range(1, pmax + 1):
-        block = sum((d * x1_localizers[j - 1 - ell] for ell, d in enumerate(delta)), brackets[j])
+        block = opalg._linear(
+            [(1, brackets[j]), *((d, x1_localizers[j - 1 - ell]) for ell, d in enumerate(delta))]
+        )
         delta.append(-block.terms.get((0, (), 1, 0, 0), Fraction(0)))  # the Dt coefficient
         blocks.append(block + delta[-1] * x1_localizers[0])
     cases = [{"p": p, **_residual_case(_localized(blocks, p))} for p in range(1, pmax + 1)]

@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 
-from .exactalg import SparseTerms, _numerators
+from .exactalg import SparseTerms, _numerators, exact
 
 __all__ = [
     "DiffOp",
@@ -82,36 +82,86 @@ class DiffOp(SparseTerms):
             return self.scale(other)
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return DiffOp._over(*_product(self, other, 0))
+        return DiffOp._over(*_product(_split(self), _split(other), 0))
 
 
-def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
-    """Normal-ordered left * right as integer numerators over den(left) den(right).
+def _split(op: DiffOp) -> tuple[int, list]:
+    """(den, [(key, numerator), ...]): op's coefficients as integers over their lcm."""
+    den, ints = _numerators(op.terms.values())
+    return den, list(zip(op.terms, ints))
+
+
+@lru_cache(maxsize=None)
+def _r_moves(f1: tuple, f2: tuple, r1: int) -> tuple:
+    """f1 R^r1 f2 as (i2, weight, phis) terms phis R^(r1 - i2), the i2 = 0 term first.
+
+    ``phis`` is the sorted product of f1 with the i2-th derivative of f2.  A
+    phi-free f2 passes R^r1 unchanged, so it has only the i2 = 0 term.
+    """
+    if not f2:
+        return ((0, 1, f1),)
+    return tuple(
+        (i2, comb(r1, i2) * mult, tuple(sorted(f1 + ms)) if f1 else ms)
+        for i2 in range(r1 + 1)
+        for ms, mult in _phi_derive(f2, i2)
+    )
+
+
+def _product(left: tuple, right: tuple, first: int) -> tuple[int, dict]:
+    """Normal-ordered left * right, both in ``_split`` form, as integer numerators
+    over den(left) den(right).
 
     Each pair of monomials expands over i (Dt^b1 moved across t^a2) and i2
     (R^r1 moved across the phi factors of the right monomial); the terms with
     i + i2 < ``first`` are skipped.  ``first = 0`` gives the whole product;
     ``first = 1`` drops the i = i2 = 0 term, the commuting product, which is
-    the same in both orders and cancels in a commutator.
+    the same in both orders and cancels in a commutator.  A left monomial
+    with neither Dt nor R, and a right one with neither t nor phi, have only
+    that term, so ``first = 1`` skips them whole.
     """
-    den_l, ints_l = _numerators(left.terms.values())
-    den_r, ints_r = _numerators(right.terms.values())
-    right_items = list(zip(right.terms, ints_r))
+    den_l, left_items = left
+    den_r, right_items = right
+    if first:
+        right_items = [item for item in right_items if item[0][0] or item[0][1]]
     out: dict = {}
-    for (a1, f1, b1, r1, d1), n1 in zip(left.terms, ints_l):
+    for (a1, f1, b1, r1, d1), n1 in left_items:
+        if first and not (b1 or r1):
+            continue
         for (a2, f2, b2, r2, d2), n2 in right_items:
             base = n1 * n2
+            moves = _r_moves(f1, f2, r1)
+            r_pow, d_pow = r1 + r2, d1 + d2
             # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
             for i in range(min(b1, a2) + 1):
-                ct = base * comb(b1, i) * perm(a2, i)  # perm is the falling factorial a2^(i)
+                # perm is the falling factorial a2^(i)
+                ct = base * comb(b1, i) * perm(a2, i) if i else base
                 t_pow = a1 + a2 - i
                 dt_pow = b1 - i + b2
-                for i2 in range(max(first - i, 0), r1 + 1):
-                    cr = ct * comb(r1, i2)
-                    for ms, mult in _phi_derive(f2, i2):
-                        key = (t_pow, tuple(sorted(f1 + ms)), dt_pow, r1 - i2 + r2, d1 + d2)
-                        out[key] = out.get(key, 0) + cr * mult
+                for i2, weight, phis in moves[1:] if first > i else moves:
+                    key = (t_pow, phis, dt_pow, r_pow - i2, d_pow)
+                    out[key] = out.get(key, 0) + ct * weight
     return den_l * den_r, out
+
+
+def _linear(pairs) -> DiffOp:
+    """sum c * op over exact (c, op) pairs, as integer numerators over one lcm.
+
+    Each output coefficient becomes a Fraction once, where a chain of ``+``
+    would reduce a fresh Fraction at every step.
+    """
+    parts = []
+    for c, op in pairs:
+        c = exact(c)
+        if c and op.terms:
+            den, items = _split(op)
+            parts.append((c.numerator, c.denominator * den, items))
+    den = lcm(*(part[1] for part in parts))
+    out: dict = {}
+    for num, part_den, items in parts:
+        factor = num * (den // part_den)
+        for key, n in items:
+            out[key] = out.get(key, 0) + factor * n
+    return DiffOp._over(den, out)
 
 
 # -- generators ---------------------------------------------------------------
@@ -154,6 +204,7 @@ def phi(j: int) -> DiffOp:
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] from the normal-ordering corrections of a b and b a alone."""
+    a, b = _split(a), _split(b)
     den, out = _product(a, b, 1)
     for key, n in _product(b, a, 1)[1].items():
         out[key] = out.get(key, 0) - n

@@ -90,6 +90,22 @@ class TestVerifyCommand:
             "4865a044141f4416fd35f37ef2e9fd8b0a044dc8ab6a2b1ffb9d014e0386d7e1"
         )
 
+    @pytest.mark.parametrize(
+        "depths, digest",
+        [
+            (["--k", "3", "--jmax", "12", "--pmax", "40"],
+             "50069b46360a5343f0b99232408dcd11b913bd18867773df3a48d7b43d08a25e"),
+            (["--k", "5", "--jmax", "8", "--pmax", "12"],
+             "3863e828c287537b4a7ecb0a7b54cc82fec756b1205ceac5db6ec33286995425"),
+        ],
+    )
+    def test_ci_deep_report_bytes_are_pinned(self, tmp_path, depths, digest):
+        # the two deep runs CI makes, where Dt moves across t^3 and t^5; taken
+        # before the product skipped the terms that are zero by structure
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", *depths, "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
+
     def test_failing_report_bytes_are_pinned(self, tmp_path, monkeypatch):
         # a[3][1] off by 1/7 moves delta_2, read from block 3, so every level
         # p >= 4 keeps a residual; these are the bytes the per-level
@@ -207,6 +223,36 @@ class TestCoeffsCommand:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert "error: jmax must be >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--jmax", str(cli._MAX_DEPTH + 1), "--table-out", "table.json"],
+        ["verify", "--jmax", str(cli._MAX_DEPTH + 1)],
+        ["verify", "--pmax", str(cli._MAX_DEPTH + 1)],
+        ["verify", "--jmax", "1000000", "--pmax", "1000000"],
+    ],
+)
+def test_depth_above_the_cap_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    # a depth-n table holds (n+1)(n+2)/2 entries: a refused depth builds none
+    # and writes nothing
+    def must_not_run(jmax):
+        raise AssertionError("a table was built for a refused depth")
+
+    monkeypatch.setattr(exactalg, "a_table_recurrence", must_not_run)
+    monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "-o", "report.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"exceeds the cap of {cli._MAX_DEPTH}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_depth_cap_accepts_the_cap():
+    assert cli._depth(str(cli._MAX_DEPTH)) == cli._MAX_DEPTH
+    assert cli._depth("-3") == -3  # lower bounds are each check's own
 
 
 class TestClassifyCommand:

@@ -183,6 +183,88 @@ def test_kernels_match_reference_on_mixed_operators_that_cancel():
     assert bracket == Fraction(1, 2) * tvar() * phi(1)
 
 
+# left monomials the product expands in fewer terms: no Dt and no R (only the
+# commuting term, which a commutator drops), and R^r1 moved across right
+# monomials with and without phi factors
+_SKIP_LEFT = [
+    dtheta(),
+    Fraction(2, 3) * tvar(3) * phi(2),
+    Fraction(-5, 4) * rr() ** 3,
+    Fraction(3, 7) * dt() ** 2 * rr() ** 2,
+]
+_PHI_FREE_RIGHT = [
+    Fraction(1, 6) * tvar(2),
+    tvar(3),
+    Fraction(-3, 2) * dtheta(),
+    Fraction(5, 9) * tvar(2) * dt(),
+]
+_PHI_RIGHT = [
+    Fraction(7, 5) * phi(0),
+    Fraction(-1, 3) * tvar(2) * phi(1) * rr(),
+    phi(0) * phi(3) * dt() * dtheta(),
+    Fraction(4, 11) * tvar(3) * phi(2) * phi(2) * dt() ** 2,
+]
+
+
+@pytest.mark.parametrize(
+    "right",
+    _PHI_FREE_RIGHT + _PHI_RIGHT,
+    ids=["t2", "t3", "Dth", "t2Dt", "phi0", "t2phi1R", "phi0phi3DtDth", "t3phi2phi2Dt2"],
+)
+@pytest.mark.parametrize("left", _SKIP_LEFT, ids=["Dth", "t3phi2", "R3", "Dt2R2"])
+def test_skipped_expansion_terms_match_reference(left, right):
+    for a, b in ((left, right), (right, left)):
+        assert a * b == reference_product(a, b) and _exact_terms(a * b)
+        bracket = commutator(a, b)
+        assert bracket == reference_product(a, b) - reference_product(b, a)
+        assert _exact_terms(bracket)
+
+
+def test_skipped_expansion_terms_keep_their_corrections():
+    # R^3 phi^(0) keeps all three R-derivatives of phi; Dt^2 R^2 t^3 keeps the
+    # Leibniz terms of Dt^2 across t^3 and passes R^2 through unchanged
+    assert commutator(rr() ** 3, phi(0)) == (
+        3 * phi(1) * rr() ** 2 + 3 * phi(2) * rr() + phi(3)
+    )
+    assert commutator(dt() ** 2 * rr() ** 2, tvar(3)) == (
+        6 * tvar(2) * dt() * rr() ** 2 + 6 * tvar() * rr() ** 2
+    )
+    assert commutator(dtheta(), tvar(3) * phi(2)).is_zero
+    assert commutator(tvar(3) * phi(2), dt()) == -3 * tvar(2) * phi(2)
+
+
+_linear_pairs = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+        st.one_of(_rational_ops, st.just(DiffOp())),
+    ),
+    max_size=5,
+)
+
+
+@given(_linear_pairs)
+@settings(max_examples=120, deadline=None)
+def test_linear_matches_chained_sum(pairs):
+    chained = opalg.zero()
+    for c, op in pairs:
+        chained = chained + op.scale(c)
+    combined = opalg._linear(pairs)
+    assert combined == chained and _exact_terms(combined)
+    # the same combination minus itself cancels to the zero operator
+    assert opalg._linear(pairs + [(-c, op) for c, op in pairs]).is_zero
+
+
+def test_linear_edges():
+    a = Fraction(3, 4) * tvar(2) * phi(1) * dt() + Fraction(-5, 6) * rr() * dtheta()
+    assert opalg._linear([]).is_zero
+    assert opalg._linear([(0, a), (Fraction(1, 2), opalg.zero())]).is_zero
+    assert opalg._linear([(1, a), (Fraction(1, 2), a), (Fraction(-3, 2), a)]).is_zero
+    partial = opalg._linear([(2, a), (Fraction(-6, 5), Fraction(5, 4) * tvar(2) * phi(1) * dt())])
+    assert partial == Fraction(-5, 3) * rr() * dtheta() and _exact_terms(partial)
+    with pytest.raises(TypeError):
+        opalg._linear([(0.5, a)])
+
+
 @given(_ops, _ops)
 @settings(max_examples=60, deadline=None)
 def test_commutator_lowers_derivation_order(a, b):

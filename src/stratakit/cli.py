@@ -49,7 +49,8 @@ FLOW_DRIFT_TOL = 1e-8
 FLOW_CLOSED_FORM_TOL = 1e-6
 # the deepest coeffs --jmax and verify --jmax/--pmax: a depth-n table of
 # (n+1)(n+2)/2 exact entries is built before any check runs, and verify's
-# time grows about as depth^4 (at 120, 11 s for k = 2 and 36 s for k >= 120)
+# time grows about as depth^4 (at 120 on a shared 2-vCPU VM: 11 s for k = 2,
+# 36 s for k >= 120)
 _MAX_DEPTH = 120
 
 

@@ -5,7 +5,8 @@ which keeps values in lowest terms with positive denominator) — no floating
 point.  The shared exact core used by every other module is ``exact`` (the
 strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
 report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
-with their linear arithmetic, the base of ``DiffOp`` and ``PhasePoly``).
+with their linear arithmetic, the base of ``geometry.PhasePoly``; an
+``opalg.DiffOp`` keeps integer numerators over one denominator instead).
 The module also owns the coefficient layer and every check that reads only
 its data: the Bernoulli generating series t/(e^t - 1) from the closed form
 of B_m, the triangular localizer-coefficient table a[j][j'] with its two
@@ -62,10 +63,10 @@ def _numerators(values) -> tuple[int, list[int]]:
 class SparseTerms:
     """Finite sum of monomial keys with nonzero exact rational coefficients.
 
-    Holds the linear structure shared by operators and phase-space
-    polynomials; subclasses add their own product and rendering and set
-    ``_UNIT_KEY``, the key of the constant monomial 1.  Values are immutable
-    once built: every operation returns a fresh instance.
+    Holds the linear structure of phase-space polynomials; a subclass adds
+    its own product and rendering and sets ``_UNIT_KEY``, the key of the
+    constant monomial 1.  Values are immutable once built: every operation
+    returns a fresh instance.
     """
 
     __slots__ = ("terms",)
@@ -85,11 +86,6 @@ class SparseTerms:
         result = cls.__new__(cls)
         result.terms = terms
         return result
-
-    @classmethod
-    def _over(cls, den: int, nums: dict):
-        """Build from integer numerators over one denominator; zero numerators are dropped."""
-        return cls._of({key: Fraction(n, den) for key, n in nums.items() if n})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

@@ -15,11 +15,12 @@ exact zero-residual identities in the free operator algebra:
   X1 commutes with phi and R, so every level relabels the same blocks
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
   the Dt coefficient of block l+1.  Each block is one linear combination of
-  [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one integer
-  pass (``opalg._linear``), not by a chain of ``+``.  The relabelling is
-  checked against the bracket formed in the algebra at every level, and the
-  delta_l are required to equal the binomial closed form C(-1/k, l+1) and
-  compared against the printed closed-form candidates,
+  [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one pass over
+  the operators' integer numerators (``opalg._linear``), not by a chain of
+  ``+``.  The relabelling is checked against the bracket formed in the
+  algebra at every level, and the delta_l are required to equal the binomial
+  closed form C(-1/k, l+1) and compared against the printed closed-form
+  candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from . import opalg
 from .exactalg import CoeffTable, exact, fmt_fraction
@@ -61,9 +62,10 @@ _MAX_REPORTED_MONOMIALS = 20
 def _residual_case(residual: DiffOp) -> dict:
     case = {"residual_terms": len(residual), "pass": residual.is_zero}
     if not residual.is_zero:
-        keys = sorted(residual.terms)[:_MAX_REPORTED_MONOMIALS]
+        terms = residual.terms
         case["offending_monomials"] = [
-            f"{fmt_fraction(residual.terms[k])} * {opalg._render_key(k)}" for k in keys
+            f"{fmt_fraction(terms[k])} * {opalg._render_key(k)}"
+            for k in sorted(terms)[:_MAX_REPORTED_MONOMIALS]
         ]
     return case
 
@@ -100,12 +102,15 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
 
 
 def _localized(parts: list[DiffOp], q: int) -> DiffOp:
-    """sum_{j<=q} phi^(j) parts[j] R^(q-j); parts free of phi and R just get relabelled."""
-    terms = {}
+    """sum_{j<=q} phi^(j) parts[j] R^(q-j); parts free of phi and R just get relabelled,
+    their numerators brought to the lcm of the parts' denominators."""
+    den = lcm(*(part.den for part in parts[: q + 1]))
+    nums = {}
     for j in range(q + 1):
-        for (a, _, b, _, d), c in parts[j].terms.items():
-            terms[(a, (j,), b, q - j, d)] = c
-    return DiffOp._of(terms)
+        factor = den // parts[j].den
+        for (a, _, b, _, d), n in parts[j].nums.items():
+            nums[(a, (j,), b, q - j, d)] = n * factor
+    return DiffOp._over(den, nums)
 
 
 def build_Rp_phi(p: int, k: int, table: CoeffTable) -> DiffOp:
@@ -171,16 +176,14 @@ def binomial(a, n: int) -> Fraction:
 def stirling_B(j: int, ell: int) -> Fraction:
     """Stirling number of the second kind B[j][l] in closed form.
 
-    B[j][l] = sum_{m=0}^{l-1} (-1)^m (l-m)^(j-1) / (m! (l-m-1)!); the values
-    are positive integers (returned as Fractions with denominator 1).
+    B[j][l] = sum_{m=0}^{l-1} (-1)^m (l-m)^(j-1) / (m! (l-m-1)!), summed as the
+    integer sum_m (-1)^m C(l-1, m) (l-m)^(j-1) and divided once by (l-1)!; the
+    values are positive integers (returned as Fractions with denominator 1).
     """
     if j < 1 or not 1 <= ell <= j:
         raise ValueError("need j >= 1 and 1 <= ell <= j")
-    acc = Fraction(0)
-    for m in range(ell):
-        term = Fraction((ell - m) ** (j - 1), factorial(m) * factorial(ell - m - 1))
-        acc += -term if m % 2 else term
-    return acc
+    total = sum((-1) ** m * comb(ell - 1, m) * (ell - m) ** (j - 1) for m in range(ell))
+    return Fraction(total, factorial(ell - 1))
 
 
 def _delta_candidates(count: int, k: int) -> dict[str, list[Fraction]]:
@@ -240,7 +243,8 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         block = opalg._linear(
             [(1, brackets[j]), *((d, x1_localizers[j - 1 - ell]) for ell, d in enumerate(delta))]
         )
-        delta.append(-block.terms.get((0, (), 1, 0, 0), Fraction(0)))  # the Dt coefficient
+        # minus the Dt coefficient
+        delta.append(Fraction(-block.nums.get((0, (), 1, 0, 0), 0), block.den))
         blocks.append(block + delta[-1] * x1_localizers[0])
     cases = [{"p": p, **_residual_case(_localized(blocks, p))} for p in range(1, pmax + 1)]
     p_independent = all(
@@ -277,15 +281,14 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
 
 def _x1_bracket_poly(j: int, k: int, table: CoeffTable) -> list[Fraction]:
     """-[X1, N_j] without its left X1 factor, over the basis M^s/s! of a[j][s]."""
+    weights = [Fraction(-1, k) ** ell / factorial(ell) for ell in range(j + 1)]
     coeffs = [Fraction(0)] * j
     for jp in range(1, j + 1):
         a_j_jp = table.entry(j, jp)
         if a_j_jp == 0:
             continue
         for ell in range(1, jp + 1):
-            s = jp - ell
-            a_h = Fraction(-1, k) ** ell / factorial(ell)
-            coeffs[s] += a_j_jp * a_h
+            coeffs[jp - ell] += a_j_jp * weights[ell]
     return coeffs
 
 
@@ -343,15 +346,9 @@ def verify_stirling_identity(jmax: int) -> dict:
     power = opalg.one()
     for j in range(1, jmax + 1):
         power = power * euler
-        expected = DiffOp(
-            {
-                (ell, (), ell, 0, 0): stirling_B(j, ell)
-                for ell in range(1, j + 1)
-            }
-        )
-        residual = power - expected
-        case = {"j": j, **_residual_case(residual)}
         row = [stirling_B(j, ell) for ell in range(1, j + 1)]
+        expected = DiffOp({(ell, (), ell, 0, 0): b for ell, b in enumerate(row, 1)})
+        case = {"j": j, **_residual_case(power - expected)}
         case["row_positive_integers"] = all(
             b >= 1 and b.denominator == 1 for b in row
         )

@@ -17,6 +17,10 @@ algebra.
 
 A monomial key is the tuple (t_pow, phis, dt_pow, r_pow, dth_pow) where
 ``phis`` is the sorted tuple of phi derivative orders appearing as factors.
+A DiffOp holds its coefficients as integer numerators over one positive
+denominator, in lowest terms, so every kernel (product, commutator, linear
+combination) reads and writes integers and no Fraction is built inside the
+algebra; ``DiffOp.terms`` gives the coefficients as Fractions for reports.
 DiffOp values are immutable once built; all operations are pure functions.
 """
 
@@ -25,9 +29,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 
-from .exactalg import SparseTerms, _numerators, exact
+from .exactalg import exact
 
 __all__ = [
     "DiffOp",
@@ -68,27 +72,84 @@ def _phi_derive(phis: tuple, times: int) -> tuple:
     return tuple(current.items())
 
 
-class DiffOp(SparseTerms):
+class DiffOp:
     """Finite rational combination of normal-ordered monomials.
 
-    Addition, negation, scaling, powers and equality come from ``SparseTerms``.
+    Stored as ``den``, one positive integer denominator, and ``nums``, a dict
+    from monomial key to nonzero integer numerator, reduced so that
+    gcd(den, *nums) = 1.  The form is canonical, so equality is structural.
+    ``terms`` is a fresh dict of the coefficients as Fractions, for reports.
     """
 
-    __slots__ = ()
-    _UNIT_KEY = _ZERO_KEY
+    __slots__ = ("den", "nums")
+
+    def __init__(self, terms: dict | None = None):
+        values = {}
+        for key, coeff in (terms or {}).items():
+            c = exact(coeff)
+            if c:
+                values[tuple(key)] = c
+        # over the lcm of the reduced denominators, gcd(den, *nums) is already 1
+        self.den = lcm(*(c.denominator for c in values.values()))
+        self.nums = {key: c.numerator * (self.den // c.denominator) for key, c in values.items()}
+
+    @classmethod
+    def _over(cls, den: int, nums: dict) -> "DiffOp":
+        """Take ownership of integer numerators over den > 0: drop zeros, reduce by the gcd."""
+        nums = {key: n for key, n in nums.items() if n}
+        g = gcd(den, *nums.values()) if nums else den
+        result = cls.__new__(cls)
+        result.den = den // g
+        result.nums = {key: n // g for key, n in nums.items()} if g > 1 else nums
+        return result
+
+    @property
+    def terms(self) -> dict:
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __add__(self, other) -> "DiffOp":
+        return _linear(((1, self), (1, other)))
+
+    def __sub__(self, other) -> "DiffOp":
+        return _linear(((1, self), (-1, other)))
+
+    def __neg__(self) -> "DiffOp":
+        return _linear(((-1, self),))
+
+    def scale(self, factor) -> "DiffOp":
+        return _linear(((factor, self),))
 
     def __mul__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return DiffOp._over(*_product(_split(self), _split(other), 0))
+        return DiffOp._over(*_product(self, other, 0))
 
+    def __rmul__(self, factor) -> "DiffOp":
+        if isinstance(factor, (int, Fraction)):
+            return self.scale(factor)
+        return NotImplemented
 
-def _split(op: DiffOp) -> tuple[int, list]:
-    """(den, [(key, numerator), ...]): op's coefficients as integers over their lcm."""
-    den, ints = _numerators(op.terms.values())
-    return den, list(zip(op.terms, ints))
+    def __pow__(self, exponent: int) -> "DiffOp":
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
+        result = one()
+        for _ in range(exponent):
+            result = result * self
+        return result
 
 
 @lru_cache(maxsize=None)
@@ -107,9 +168,8 @@ def _r_moves(f1: tuple, f2: tuple, r1: int) -> tuple:
     )
 
 
-def _product(left: tuple, right: tuple, first: int) -> tuple[int, dict]:
-    """Normal-ordered left * right, both in ``_split`` form, as integer numerators
-    over den(left) den(right).
+def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
+    """Normal-ordered left * right as integer numerators over den(left) den(right).
 
     Each pair of monomials expands over i (Dt^b1 moved across t^a2) and i2
     (R^r1 moved across the phi factors of the right monomial); the terms with
@@ -119,47 +179,43 @@ def _product(left: tuple, right: tuple, first: int) -> tuple[int, dict]:
     with neither Dt nor R, and a right one with neither t nor phi, have only
     that term, so ``first = 1`` skips them whole.
     """
-    den_l, left_items = left
-    den_r, right_items = right
+    right_items = right.nums.items()
     if first:
         right_items = [item for item in right_items if item[0][0] or item[0][1]]
     out: dict = {}
-    for (a1, f1, b1, r1, d1), n1 in left_items:
+    for (a1, f1, b1, r1, d1), n1 in left.nums.items():
         if first and not (b1 or r1):
             continue
         for (a2, f2, b2, r2, d2), n2 in right_items:
             base = n1 * n2
             moves = _r_moves(f1, f2, r1)
-            r_pow, d_pow = r1 + r2, d1 + d2
-            # move Dt^b1 across t^a2, and R^r1 across the phi factors f2
-            for i in range(min(b1, a2) + 1):
-                # perm is the falling factorial a2^(i)
-                ct = base * comb(b1, i) * perm(a2, i) if i else base
-                t_pow = a1 + a2 - i
-                dt_pow = b1 - i + b2
-                for i2, weight, phis in moves[1:] if first > i else moves:
-                    key = (t_pow, phis, dt_pow, r_pow - i2, d_pow)
+            t_pow, dt_pow, r_pow, d_pow = a1 + a2, b1 + b2, r1 + r2, d1 + d2
+            # i = 0: Dt^b1 passes t^a2; R^r1 moves across the phi factors f2
+            for i2, weight, phis in moves[first:]:
+                key = (t_pow, phis, dt_pow, r_pow - i2, d_pow)
+                out[key] = out.get(key, 0) + base * weight
+            # i >= 1: Dt^b1 moved across t^a2; perm is the falling factorial a2^(i)
+            for i in range(1, min(b1, a2) + 1):
+                ct = base * comb(b1, i) * perm(a2, i)
+                for i2, weight, phis in moves:
+                    key = (t_pow - i, phis, dt_pow - i, r_pow - i2, d_pow)
                     out[key] = out.get(key, 0) + ct * weight
-    return den_l * den_r, out
+    return left.den * right.den, out
 
 
 def _linear(pairs) -> DiffOp:
-    """sum c * op over exact (c, op) pairs, as integer numerators over one lcm.
-
-    Each output coefficient becomes a Fraction once, where a chain of ``+``
-    would reduce a fresh Fraction at every step.
-    """
+    """sum c * op over exact (c, op) pairs, in one pass over integer numerators
+    brought to the lcm of the parts' denominators."""
     parts = []
     for c, op in pairs:
         c = exact(c)
-        if c and op.terms:
-            den, items = _split(op)
-            parts.append((c.numerator, c.denominator * den, items))
+        if c and op.nums:
+            parts.append((c.numerator, c.denominator * op.den, op.nums))
     den = lcm(*(part[1] for part in parts))
     out: dict = {}
-    for num, part_den, items in parts:
+    for num, part_den, nums in parts:
         factor = num * (den // part_den)
-        for key, n in items:
+        for key, n in nums.items():
             out[key] = out.get(key, 0) + factor * n
     return DiffOp._over(den, out)
 
@@ -204,7 +260,6 @@ def phi(j: int) -> DiffOp:
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] from the normal-ordering corrections of a b and b a alone."""
-    a, b = _split(a), _split(b)
     den, out = _product(a, b, 1)
     for key, n in _product(b, a, 1)[1].items():
         out[key] = out.get(key, 0) - n

@@ -67,6 +67,28 @@ class TestLocalizerConstruction:
         assert build_N(4, 3, TABLE).op == expected
 
 
+    def test_one_unit_in_a_cached_numerator_fails_both_x2_checks(self):
+        # N_3 moved by 1/den on its t^3 Dt^3 monomial: [X2, N_3] and t^k N_3 R
+        # move, so the bracket checks at j = 3, 4 and every p >= 3 fail
+        table = exactalg.a_table_recurrence(6)
+        k, j = 2, 3
+        n3 = build_N(j, k, table).op
+        key = (3, (), 3, 0, 0)
+        try:
+            planted = opalg.DiffOp._over(n3.den, {**n3.nums, key: n3.nums[key] + 1})
+            localize._N_OPS[(k, table, j)] = planted
+            assert build_N(j, k, table).op - n3 == opalg.DiffOp({key: Fraction(1, n3.den)})
+            x2 = verify_x2_bracket(6, k, table)
+            localizer = verify_localizer_bracket(6, k, table)
+        finally:
+            localize._N_OPS.clear()
+        for report, index, failing in ((x2, "p", [3, 4, 5, 6]), (localizer, "j", [3, 4])):
+            assert report["pass"] is False
+            assert [c[index] for c in report["cases"] if not c["pass"]] == failing
+            assert all((c["residual_terms"] > 0) != c["pass"] for c in report["cases"])
+        assert verify_x2_bracket(6, k, table)["pass"]
+
+
 class TestLocalizedPower:
     def test_p0_is_phi(self):
         assert build_Rp_phi(0, 2, TABLE) == phi(0)

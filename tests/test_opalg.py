@@ -233,6 +233,38 @@ def test_skipped_expansion_terms_keep_their_corrections():
     assert commutator(tvar(3) * phi(2), dt()) == -3 * tvar(2) * phi(2)
 
 
+def test_stored_form_is_canonical():
+    # one operator from coefficients 2/4 and 1/2, over unreduced numerators,
+    # and through arithmetic: one stored form, so == is structural
+    key = (1, (0,), 2, 0, 0)
+    mono = DiffOp({key: 1})
+    forms = [
+        DiffOp({key: Fraction(2, 4)}),
+        DiffOp({key: Fraction(1, 2)}),
+        DiffOp._over(4, {key: 2}),
+        Fraction(1, 4) * (2 * mono),
+        Fraction(1, 6) * mono + Fraction(1, 3) * mono,
+    ]
+    for op in forms:
+        assert op == forms[0] and (op.den, op.nums) == (2, {key: 1})
+    a = Fraction(3, 4) * tvar(2) * phi(1) * dt() + Fraction(-5, 6) * rr() * dtheta()
+    cancelled = [a - a, a + -a, a.scale(0), opalg._linear([(Fraction(1, 3), a), (Fraction(-1, 3), a)])]
+    for op in cancelled:
+        assert op.is_zero and op.den == 1 and op == DiffOp() and not op.nums
+
+
+def test_terms_view_leaves_the_operator_unchanged():
+    op = Fraction(3, 4) * tvar(2) * dt() + Fraction(-1, 6) * phi(1)
+    stored = (op.den, dict(op.nums))
+    view = op.terms
+    assert view == {(2, (), 1, 0, 0): Fraction(3, 4), (0, (1,), 0, 0, 0): Fraction(-1, 6)}
+    view[(0, (), 0, 0, 0)] = Fraction(7)
+    view[(2, (), 1, 0, 0)] = Fraction(1)
+    view.clear()
+    assert (op.den, op.nums) == stored and op.terms is not op.terms
+    assert op == Fraction(3, 4) * tvar(2) * dt() + Fraction(-1, 6) * phi(1)
+
+
 _linear_pairs = st.lists(
     st.tuples(
         st.one_of(st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=12)),

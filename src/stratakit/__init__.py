@@ -4,7 +4,8 @@ The package machine-checks the algebra and geometry attached to the model
 operator P = X1^2 + X2^2 with X1 = d/dt and X2 = d/dtheta + t^k r d/dr:
 
 * :mod:`stratakit.exactalg`  — the shared exact core (``exact``, ``fmt_fraction``,
-  ``SparseTerms``), rational series and coefficient engines
+  ``SparseTerms``, the one integer-numerator form of ``DiffOp`` and
+  ``PhasePoly``), rational series and coefficient engines
 * :mod:`stratakit.opalg`     — normal-ordered differential operator algebra
 * :mod:`stratakit.localize`  — localizer operators and bracket identities
 * :mod:`stratakit.geometry`  — strata, Poisson brackets, Hamilton flows

@@ -4,9 +4,10 @@ Everything here is computed over the rationals (stdlib ``fractions.Fraction``,
 which keeps values in lowest terms with positive denominator) — no floating
 point.  The shared exact core used by every other module is ``exact`` (the
 strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
-report form) and ``SparseTerms`` (sparse dicts of nonzero exact coefficients
-with their linear arithmetic, the base of ``geometry.PhasePoly``; an
-``opalg.DiffOp`` keeps integer numerators over one denominator instead).
+report form) and ``SparseTerms``, the one integer-numerator core of every
+exact sparse polynomial: integer numerators over one reduced denominator,
+with their linear arithmetic, the base of both ``opalg.DiffOp`` and
+``geometry.PhasePoly``, which add only their products.
 The module also owns the coefficient layer and every check that reads only
 its data: the Bernoulli generating series t/(e^t - 1) from the closed form
 of B_m, the triangular localizer-coefficient table a[j][j'] with its two
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 __all__ = [
     "exact",
@@ -63,61 +64,81 @@ def _numerators(values) -> tuple[int, list[int]]:
 class SparseTerms:
     """Finite sum of monomial keys with nonzero exact rational coefficients.
 
-    Holds the linear structure of phase-space polynomials; a subclass adds
-    its own product and rendering and sets ``_UNIT_KEY``, the key of the
+    Stored as ``den``, one positive integer denominator, and ``nums``, a dict
+    from monomial key to nonzero integer numerator, reduced so that
+    gcd(den, *nums) = 1.  The form is canonical, so equality is structural.
+    ``terms`` is a fresh dict of the coefficients as Fractions, for reports.
+    A subclass adds its own product and sets ``_UNIT_KEY``, the key of the
     constant monomial 1.  Values are immutable once built: every operation
     returns a fresh instance.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: dict | None = None):
-        pruned = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = exact(coeff)
-                if c != 0:
-                    pruned[tuple(key)] = c
-        self.terms = pruned
+        values = {}
+        for key, coeff in (terms or {}).items():
+            c = exact(coeff)
+            if c:
+                values[tuple(key)] = c
+        # over the lcm of the reduced denominators, gcd(den, *nums) is already 1
+        self.den, nums = _numerators(values.values())
+        self.nums = dict(zip(values, nums))
 
     @classmethod
-    def _of(cls, terms: dict):
-        """Wrap an already pruned dict of exact coefficients without copying it."""
+    def _over(cls, den: int, nums: dict):
+        """Take ownership of integer numerators over den > 0: drop zeros, reduce by the gcd."""
+        nums = {key: n for key, n in nums.items() if n}
+        g = gcd(den, *nums.values()) if nums else den
         result = cls.__new__(cls)
-        result.terms = terms
+        result.den = den // g
+        result.nums = {key: n // g for key, n in nums.items()} if g > 1 else nums
         return result
+
+    @classmethod
+    def _linear(cls, pairs):
+        """sum c * op over exact (c, op) pairs, in one pass over integer numerators
+        brought to the lcm of the parts' denominators."""
+        parts = []
+        for c, op in pairs:
+            c = exact(c)
+            if c and op.nums:
+                parts.append((c.numerator, c.denominator * op.den, op.nums))
+        den = lcm(*(part[1] for part in parts))
+        out: dict = {}
+        for num, part_den, nums in parts:
+            factor = num * (den // part_den)
+            for key, n in nums.items():
+                out[key] = out.get(key, 0) + factor * n
+        return cls._over(den, out)
+
+    @property
+    def terms(self) -> dict:
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        return self.den == other.den and self.nums == other.nums
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return self._of(out)
-
-    def __neg__(self):
-        return self._of({k: -c for k, c in self.terms.items()})
+        return self._linear(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._linear(((1, self), (-1, other)))
+
+    def __neg__(self):
+        return self._linear(((-1, self),))
 
     def scale(self, factor):
-        f = exact(factor)
-        return self._of({} if f == 0 else {k: f * c for k, c in self.terms.items()})
+        return self._linear(((factor, self),))
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -128,7 +149,7 @@ class SparseTerms:
         """Repeated product from the subclass's unit monomial ``_UNIT_KEY``."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = self._of({self._UNIT_KEY: Fraction(1)})
+        result = self._over(1, {self._UNIT_KEY: 1})
         for _ in range(exponent):
             result = result * self
         return result

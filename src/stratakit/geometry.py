@@ -11,7 +11,10 @@ logarithmic spirals between the circles |x| = a and |x| = b for mu > 0.
 
 Stratum membership, Poisson brackets, and the bracket-matrix rank test run
 in exact rational arithmetic: a ``Covector`` holds Fractions only (a float
-component raises TypeError), so every zero test is exact.  The bracket
+component raises TypeError), so every zero test is exact.  A ``PhasePoly``
+is an ``exactalg.SparseTerms`` (integer numerators over one reduced
+denominator, the form ``opalg.DiffOp`` shares) with its product, partial
+derivative and point value added here.  The bracket
 polynomials are built once per model and only evaluated per point.  The flow
 integrator is a fixed-step classical Runge-Kutta loop that keeps each state
 as a plain (x1, x2, xi1, xi2) tuple and takes the conserved-quantity
@@ -24,11 +27,12 @@ of the leaf.  Runs of more than 10^6 steps are refused.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from .exactalg import SparseTerms, exact
 
@@ -61,8 +65,9 @@ _ZERO6 = (0, 0, 0, 0, 0, 0)
 class PhasePoly(SparseTerms):
     """Polynomial on phase space with exact rational coefficients.
 
-    Keys are exponent 6-tuples over ``_VARS``; addition, negation, scaling,
-    powers and equality come from ``SparseTerms``.
+    Keys are exponent 6-tuples over ``_VARS``; storage, equality and the
+    linear operations come from ``SparseTerms``.  Products, derivatives and
+    values are formed on the integer numerators.
     """
 
     __slots__ = ()
@@ -76,38 +81,32 @@ class PhasePoly(SparseTerms):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, n1 in self.nums.items():
+            for k2, n2 in other.nums.items():
                 key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return self._of(out)
+                out[key] = out.get(key, 0) + n1 * n2
+        return self._over(self.den * other.den, out)
 
     def diff(self, name: str) -> "PhasePoly":
         idx = _VAR_INDEX[name]
         out: dict = {}
-        for key, coeff in self.terms.items():
+        for key, n in self.nums.items():
             e = key[idx]
-            if e == 0:
-                continue
-            down = key[:idx] + (e - 1,) + key[idx + 1:]
-            out[down] = out.get(down, Fraction(0)) + coeff * e
-        return self._of(out)
+            if e:  # lowering one exponent sends distinct keys to distinct keys
+                out[key[:idx] + (e - 1,) + key[idx + 1:]] = n * e
+        return self._over(self.den, out)
 
     def eval(self, point) -> Fraction:
-        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2)."""
+        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2), dividing by ``den`` once."""
         values = tuple(point)
-        acc = Fraction(0)
-        for key, coeff in self.terms.items():
-            term = coeff
+        acc = 0
+        for key, n in self.nums.items():
+            term = n
             for v, e in zip(values, key):
                 if e:
                     term = term * v ** e
             acc += term
-        return acc
+        return Fraction(acc, self.den)
 
 
 def var(name: str) -> PhasePoly:
@@ -499,18 +498,24 @@ def write_trajectory_csv(traj: Trajectory, stream) -> None:
         stream.write(f"{i * traj.h:.17g},{columns}\n")
 
 
+def _sum(xs) -> float:
+    """Left-to-right float sum: the builtin ``sum`` compensates its rounding
+    since Python 3.12, which would move the fit's last digits by version."""
+    return reduce(operator.add, xs, 0.0)
+
+
 def _line_fit(angles, logs) -> dict | None:
     """Least-squares line through the points (angles[i], logs[i]); None with
     fewer than two points or a single angle, where the slope is undefined."""
     n = len(angles)
     if n < 2:
         return None
-    mean_a = sum(angles) / n
-    mean_l = sum(logs) / n
-    sxx = sum((av - mean_a) ** 2 for av in angles)
+    mean_a = _sum(angles) / n
+    mean_l = _sum(logs) / n
+    sxx = _sum((av - mean_a) ** 2 for av in angles)
     if sxx == 0:
         return None
-    sxy = sum((av - mean_a) * (lv - mean_l) for av, lv in zip(angles, logs))
+    sxy = _sum((av - mean_a) * (lv - mean_l) for av, lv in zip(angles, logs))
     slope = sxy / sxx
     intercept = mean_l - slope * mean_a
     residual = max(abs(lv - (slope * av + intercept)) for av, lv in zip(angles, logs))

@@ -16,7 +16,7 @@ exact zero-residual identities in the free operator algebra:
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
   the Dt coefficient of block l+1.  Each block is one linear combination of
   [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one pass over
-  the operators' integer numerators (``opalg._linear``), not by a chain of
+  the operators' integer numerators (``DiffOp._linear``), not by a chain of
   ``+``.  The relabelling is checked against the bracket formed in the
   algebra at every level, and the delta_l are required to equal the binomial
   closed form C(-1/k, l+1) and compared against the printed closed-form
@@ -95,7 +95,7 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         powers = _M_POWERS.setdefault(k, [opalg.one()])
         while len(powers) <= j:
             powers.append(powers[-1] * build_model(k).M)
-        _N_OPS[key] = opalg._linear(
+        _N_OPS[key] = DiffOp._linear(
             (table.entry(j, jp) / factorial(jp), powers[jp]) for jp in range(j + 1)
         )
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
@@ -240,7 +240,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     delta: list[Fraction] = []
     blocks = brackets[:1]
     for j in range(1, pmax + 1):
-        block = opalg._linear(
+        block = DiffOp._linear(
             [(1, brackets[j]), *((d, x1_localizers[j - 1 - ell]) for ell, d in enumerate(delta))]
         )
         # minus the Dt coefficient

@@ -17,9 +17,11 @@ algebra.
 
 A monomial key is the tuple (t_pow, phis, dt_pow, r_pow, dth_pow) where
 ``phis`` is the sorted tuple of phi derivative orders appearing as factors.
-A DiffOp holds its coefficients as integer numerators over one positive
-denominator, in lowest terms, so every kernel (product, commutator, linear
-combination) reads and writes integers and no Fraction is built inside the
+A DiffOp is an ``exactalg.SparseTerms``, the package's one integer-numerator
+core: its coefficients are integer numerators over one positive denominator,
+in lowest terms, and its linear combinations (``DiffOp._linear``) come from
+there.  This module adds the normal-ordered product and the commutator, so
+every kernel reads and writes integers and no Fraction is built inside the
 algebra; ``DiffOp.terms`` gives the coefficients as Fractions for reports.
 DiffOp values are immutable once built; all operations are pure functions.
 """
@@ -29,9 +31,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, perm
 
-from .exactalg import exact
+from .exactalg import SparseTerms
 
 __all__ = [
     "DiffOp",
@@ -72,64 +74,17 @@ def _phi_derive(phis: tuple, times: int) -> tuple:
     return tuple(current.items())
 
 
-class DiffOp:
+class DiffOp(SparseTerms):
     """Finite rational combination of normal-ordered monomials.
 
-    Stored as ``den``, one positive integer denominator, and ``nums``, a dict
-    from monomial key to nonzero integer numerator, reduced so that
-    gcd(den, *nums) = 1.  The form is canonical, so equality is structural.
-    ``terms`` is a fresh dict of the coefficients as Fractions, for reports.
+    Storage, equality and the linear operations come from ``SparseTerms``:
+    integer numerators ``nums`` over one reduced denominator ``den``, with
+    ``terms`` the Fraction view for reports.  This class adds the
+    normal-ordered product.
     """
 
-    __slots__ = ("den", "nums")
-
-    def __init__(self, terms: dict | None = None):
-        values = {}
-        for key, coeff in (terms or {}).items():
-            c = exact(coeff)
-            if c:
-                values[tuple(key)] = c
-        # over the lcm of the reduced denominators, gcd(den, *nums) is already 1
-        self.den = lcm(*(c.denominator for c in values.values()))
-        self.nums = {key: c.numerator * (self.den // c.denominator) for key, c in values.items()}
-
-    @classmethod
-    def _over(cls, den: int, nums: dict) -> "DiffOp":
-        """Take ownership of integer numerators over den > 0: drop zeros, reduce by the gcd."""
-        nums = {key: n for key, n in nums.items() if n}
-        g = gcd(den, *nums.values()) if nums else den
-        result = cls.__new__(cls)
-        result.den = den // g
-        result.nums = {key: n // g for key, n in nums.items()} if g > 1 else nums
-        return result
-
-    @property
-    def terms(self) -> dict:
-        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __add__(self, other) -> "DiffOp":
-        return _linear(((1, self), (1, other)))
-
-    def __sub__(self, other) -> "DiffOp":
-        return _linear(((1, self), (-1, other)))
-
-    def __neg__(self) -> "DiffOp":
-        return _linear(((-1, self),))
-
-    def scale(self, factor) -> "DiffOp":
-        return _linear(((factor, self),))
+    __slots__ = ()
+    _UNIT_KEY = _ZERO_KEY
 
     def __mul__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction)):
@@ -137,19 +92,6 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         return DiffOp._over(*_product(self, other, 0))
-
-    def __rmul__(self, factor) -> "DiffOp":
-        if isinstance(factor, (int, Fraction)):
-            return self.scale(factor)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "DiffOp":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = one()
-        for _ in range(exponent):
-            result = result * self
-        return result
 
 
 @lru_cache(maxsize=None)
@@ -177,12 +119,15 @@ def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
     ``first = 1`` drops the i = i2 = 0 term, the commuting product, which is
     the same in both orders and cancels in a commutator.  A left monomial
     with neither Dt nor R, and a right one with neither t nor phi, have only
-    that term, so ``first = 1`` skips them whole.
+    that term, so ``first = 1`` skips them whole, and every left monomial
+    when no right one is left.
     """
     right_items = right.nums.items()
+    out: dict = {}
     if first:
         right_items = [item for item in right_items if item[0][0] or item[0][1]]
-    out: dict = {}
+        if not right_items:
+            return left.den * right.den, out
     for (a1, f1, b1, r1, d1), n1 in left.nums.items():
         if first and not (b1 or r1):
             continue
@@ -201,23 +146,6 @@ def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:
                     key = (t_pow - i, phis, dt_pow - i, r_pow - i2, d_pow)
                     out[key] = out.get(key, 0) + ct * weight
     return left.den * right.den, out
-
-
-def _linear(pairs) -> DiffOp:
-    """sum c * op over exact (c, op) pairs, in one pass over integer numerators
-    brought to the lcm of the parts' denominators."""
-    parts = []
-    for c, op in pairs:
-        c = exact(c)
-        if c and op.nums:
-            parts.append((c.numerator, c.denominator * op.den, op.nums))
-    den = lcm(*(part[1] for part in parts))
-    out: dict = {}
-    for num, part_den, nums in parts:
-        factor = num * (den // part_den)
-        for key, n in nums.items():
-            out[key] = out.get(key, 0) + factor * n
-    return DiffOp._over(den, out)
 
 
 # -- generators ---------------------------------------------------------------

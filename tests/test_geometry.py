@@ -50,8 +50,12 @@ def exact_cov(t, x, tau, xi):
 # -- polynomials and brackets --------------------------------------------------
 
 _exponents = st.tuples(*[st.integers(min_value=0, max_value=2) for _ in range(6)])
+# rational coefficients, so products, derivatives and cancellations meet denominators
 _polys = st.dictionaries(
-    _exponents, st.integers(min_value=-3, max_value=3), min_size=1, max_size=3
+    _exponents,
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    min_size=1,
+    max_size=3,
 ).map(PhasePoly)
 
 
@@ -70,6 +74,18 @@ def test_bracket_of_tau_with_char_function():
     # vanishes at t = 0, nonzero on the depth-one stratum
     assert br.eval((0, 1, 0, 0, 2, 0)) == 0
     assert br.eval((1, 1, 0, 0, 1, -1)) == 2
+
+
+_points = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=5) for _ in range(6)])
+
+
+@given(_polys, _polys, _points)
+@settings(max_examples=30, deadline=None)
+def test_eval_respects_products_and_differences(f, g, point):
+    value = (f * g).eval(point)
+    assert value == f.eval(point) * g.eval(point) and type(value) is Fraction
+    assert (f - g).eval(point) == f.eval(point) - g.eval(point)
+    assert PhasePoly().eval(point) == 0 and type(PhasePoly().eval(point)) is Fraction
 
 
 @given(_polys)

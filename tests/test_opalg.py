@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opalg_helpers import derivation_order, reference_product, substitute_phi_unit
 
 from stratakit import opalg
+from stratakit.geometry import PhasePoly, var
 from stratakit.opalg import (
     DiffOp,
     build_model,
@@ -248,9 +249,24 @@ def test_stored_form_is_canonical():
     for op in forms:
         assert op == forms[0] and (op.den, op.nums) == (2, {key: 1})
     a = Fraction(3, 4) * tvar(2) * phi(1) * dt() + Fraction(-5, 6) * rr() * dtheta()
-    cancelled = [a - a, a + -a, a.scale(0), opalg._linear([(Fraction(1, 3), a), (Fraction(-1, 3), a)])]
+    cancelled = [a - a, a + -a, a.scale(0), DiffOp._linear([(Fraction(1, 3), a), (Fraction(-1, 3), a)])]
     for op in cancelled:
         assert op.is_zero and op.den == 1 and op == DiffOp() and not op.nums
+    # a phase-space polynomial shares the same stored form
+    key6 = (1, 0, 2, 0, 0, 1)
+    mono6 = PhasePoly({key6: 1})
+    forms6 = [
+        PhasePoly({key6: Fraction(2, 4)}),
+        PhasePoly({key6: Fraction(1, 2)}),
+        PhasePoly._over(4, {key6: 2}),
+        Fraction(1, 4) * (2 * mono6),
+        Fraction(1, 6) * mono6 + Fraction(1, 3) * mono6,
+    ]
+    for poly in forms6:
+        assert poly == forms6[0] and (poly.den, poly.nums) == (2, {key6: 1})
+    f = Fraction(3, 4) * var("t") * var("xi2") + Fraction(-5, 6) * var("x1") ** 2
+    for poly in [f - f, f + -f, f.scale(0), f * PhasePoly(), f.diff("tau")]:
+        assert poly.is_zero and poly.den == 1 and poly == PhasePoly() and not poly.nums
 
 
 def test_terms_view_leaves_the_operator_unchanged():
@@ -280,21 +296,21 @@ def test_linear_matches_chained_sum(pairs):
     chained = opalg.zero()
     for c, op in pairs:
         chained = chained + op.scale(c)
-    combined = opalg._linear(pairs)
+    combined = DiffOp._linear(pairs)
     assert combined == chained and _exact_terms(combined)
     # the same combination minus itself cancels to the zero operator
-    assert opalg._linear(pairs + [(-c, op) for c, op in pairs]).is_zero
+    assert DiffOp._linear(pairs + [(-c, op) for c, op in pairs]).is_zero
 
 
 def test_linear_edges():
     a = Fraction(3, 4) * tvar(2) * phi(1) * dt() + Fraction(-5, 6) * rr() * dtheta()
-    assert opalg._linear([]).is_zero
-    assert opalg._linear([(0, a), (Fraction(1, 2), opalg.zero())]).is_zero
-    assert opalg._linear([(1, a), (Fraction(1, 2), a), (Fraction(-3, 2), a)]).is_zero
-    partial = opalg._linear([(2, a), (Fraction(-6, 5), Fraction(5, 4) * tvar(2) * phi(1) * dt())])
+    assert DiffOp._linear([]).is_zero
+    assert DiffOp._linear([(0, a), (Fraction(1, 2), opalg.zero())]).is_zero
+    assert DiffOp._linear([(1, a), (Fraction(1, 2), a), (Fraction(-3, 2), a)]).is_zero
+    partial = DiffOp._linear([(2, a), (Fraction(-6, 5), Fraction(5, 4) * tvar(2) * phi(1) * dt())])
     assert partial == Fraction(-5, 3) * rr() * dtheta() and _exact_terms(partial)
     with pytest.raises(TypeError):
-        opalg._linear([(0.5, a)])
+        DiffOp._linear([(0.5, a)])
 
 
 @given(_ops, _ops)

@@ -1,0 +1,96 @@
+"""Every boolean that feeds a ``pass`` can be false: one planted fault per flag.
+
+Each row names a flag and runs the check that reports it, with or without
+a planted fault (a table entry, a closed form or a kernel result).  The clean
+run must report the flag and the check's ``pass`` as true, and the planted
+run both as false.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from stratakit import cli, cutoff, exactalg, geometry, localize
+
+
+def _table(jmax, key, shift):
+    table = exactalg.a_table_recurrence(jmax)
+    entries = dict(table.entries)
+    entries[key] += shift
+    return exactalg.CoeffTable(jmax, entries, table.provenance)
+
+
+def _gamma_j_independent(plant, monkeypatch, tmp_path):
+    # an off-diagonal entry moves the gamma of rows j >= 3 only
+    report = localize.verify_gamma_expansion(8, 2, _table(8, (3, 1), Fraction(plant, 7)))
+    return report, report
+
+
+def _delta_abs_le_1(plant, monkeypatch, tmp_path):
+    report = localize.extract_delta(8, 2, _table(8, (2, 1), 100 * plant))
+    return report, report
+
+
+def _row_positive_integers(plant, monkeypatch, tmp_path):
+    # B[3][2] = 3 planted as 5/2, in both the expected operator and the row
+    closed = localize.stirling_B
+    if plant:
+        monkeypatch.setattr(
+            localize, "stirling_B",
+            lambda j, ell: Fraction(5, 2) if (j, ell) == (3, 2) else closed(j, ell),
+        )
+    report = localize.verify_stirling_identity(4)
+    return report["cases"][2], report
+
+
+def _norm_x_monotone(plant, monkeypatch, tmp_path):
+    # the fifth step halves x once; every other step is the true RK4 step
+    step, calls = geometry._rk4_step, []
+
+    def planted(y, *args):
+        calls.append(None)
+        y = step(y, *args)
+        return (y[0] / 2, y[1] / 2, y[2], y[3]) if len(calls) == 5 else y
+
+    if plant:
+        monkeypatch.setattr(geometry, "_rk4_step", planted)
+    out = tmp_path / "flow.json"
+    assert cli.main(["flow", "--t-end", "0.1", "-o", str(out)]) == plant
+    report = json.loads(out.read_text())
+    return report, report
+
+
+def _uniform_within_factor_2(plant, monkeypatch, tmp_path):
+    # the first band (N = 4, k = 1) reads a constant 100 times its own
+    check_band = cutoff.derivative_bound_check
+    seen = []
+
+    def planted(band):
+        check = check_band(band)
+        seen.append(band)
+        if len(seen) == 1:
+            check = {**check, "C_measured": 100 * check["C_measured"]}
+        return check
+
+    if plant:
+        monkeypatch.setattr(cutoff, "derivative_bound_check", planted)
+    report = cutoff.bound_check_grid(1, 2, 64)
+    return report, report
+
+
+FAULTS = {
+    "gamma_j_independent": _gamma_j_independent,
+    "delta_abs_le_1": _delta_abs_le_1,
+    "row_positive_integers": _row_positive_integers,
+    "norm_x_monotone": _norm_x_monotone,
+    "uniform_within_factor_2": _uniform_within_factor_2,
+}
+
+
+@pytest.mark.parametrize("flag", list(FAULTS))
+def test_planted_fault_makes_the_flag_and_pass_false(flag, monkeypatch, tmp_path):
+    holder, report = FAULTS[flag](0, monkeypatch, tmp_path)
+    assert holder[flag] is True and report["pass"] is True
+    holder, report = FAULTS[flag](1, monkeypatch, tmp_path)
+    assert holder[flag] is False and report["pass"] is False

@@ -74,11 +74,18 @@ def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
     over (n-i-1)! q^(n-i-1); 0 ** 0 == 1 gives (y - s)_+^0 = 1 at the knot
     y = s.  The orders share their bases p - s q: each base is raised to the
     lowest degree n-j-1 once, then multiplied by itself once per further order.
-    C(n, s) is carried through the loop, which reads only s <= floor(y).
+    C(n, s) is carried through the loop, which reads only s <= floor(y).  B_n
+    is symmetric about n/2, so past it the sum runs at n - y, the shorter side:
+    B_n^(i)(y) = (-1)^i B_n^(i)(n - y), and the ramp is 1 - B_n^(-1)(n - y).
     """
     if y <= 0 or y >= n:
         return [Fraction(0)] * count
     deg = n - j - 1
+    # at a knot the piecewise-constant order n-1 takes its right-hand value, which
+    # the mirror would turn into the left-hand one
+    if 2 * y > n and (deg or y.denominator > 1):
+        mirror = _eval_derivs(n, j, n - y, count)
+        return [1 - v if i > j else -v if (j - i) % 2 else v for i, v in enumerate(mirror)]
     p, q = y.numerator, y.denominator
     binom = 1
     nums = [0] * count
@@ -156,8 +163,8 @@ class Band(namedtuple("Band", "k lo hi d budget")):
 # the largest family: a bound check's time about quadruples per doubling of N
 # (--N 65536 --grid took 1.6 s, and 7.0 s at 131072 with the cap lifted)
 _MAX_N = 1 << 16
-# the largest family whose samples CSV is written: its time grows five- to
-# sevenfold per doubling of N (3.4 s at N = 1024, 17-23 s at 2048)
+# the largest family whose samples CSV is written: its time grows about
+# sixfold per doubling of N (2.0-2.5 s at N = 1024, 12.5 s at 2048)
 _MAX_SAMPLES_N = 1 << 11
 
 

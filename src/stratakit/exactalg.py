@@ -25,6 +25,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 __all__ = [
     "exact",
@@ -129,9 +130,13 @@ class SparseTerms:
         return self.den == other.den and self.nums == other.nums
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self._linear(((1, self), (1, other)))
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self._linear(((1, self), (-1, other)))
 
     def __neg__(self):
@@ -160,18 +165,24 @@ def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
     """Coefficients B_m/m! of t/(e^t - 1) through t^order.
 
     B_m = sum_{k<=m} 1/(k+1) sum_{j<=k} (-1)^j C(k, j) j^m (so B_1 = -1/2), with
-    integer sums over lcm(1, ..., m+1): no series is inverted, so this route
-    shares no step with ``matrix_inverse_coeffs``.  Cached: ``coeffs`` needs
-    the same series twice, and a tuple cannot be changed by a caller.
+    integer sums over lcm(1, ..., m+1).  The signed binomials are built once,
+    and each j^m from j^(m-1) by one product.  No series is inverted, so this
+    route shares no step with ``matrix_inverse_coeffs``.  Cached: ``coeffs``
+    needs the same series twice, and a tuple cannot be changed by a caller.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    signed = [[(-1) ** j * comb(k, j) for j in range(k + 1)] for k in range(order + 1)]
+    powers = [1] * (order + 1)  # j^m, with 0^0 = 1
+    den = fact = 1
     out = []
     for m in range(order + 1):
-        den = lcm(*range(1, m + 2))
-        num = sum(den // (k + 1) * sum((-1) ** j * comb(k, j) * j**m for j in range(k + 1))
-                  for k in range(m + 1))
-        out.append(Fraction(num, den * factorial(m)))
+        if m:
+            powers = [p * j for j, p in enumerate(powers)]
+            fact *= m
+        den = lcm(den, m + 1)
+        num = sum(den // (k + 1) * sum(map(mul, signed[k], powers)) for k in range(m + 1))
+        out.append(Fraction(num, den * fact))
     return tuple(out)
 
 

@@ -80,6 +80,8 @@ class PhasePoly(SparseTerms):
     def __mul__(self, other) -> "PhasePoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, PhasePoly):
+            return NotImplemented
         out: dict = {}
         for k1, n1 in self.nums.items():
             for k2, n2 in other.nums.items():
@@ -97,16 +99,20 @@ class PhasePoly(SparseTerms):
         return self._over(self.den, out)
 
     def eval(self, point) -> Fraction:
-        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2), dividing by ``den`` once."""
-        values = tuple(point)
+        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2) on integers: the point
+        over one denominator d, each term padded to the top degree, and one
+        division by ``den * d**top``."""
+        d = math.lcm(*(v.denominator for v in point))
+        ints = [v.numerator * (d // v.denominator) for v in point]
+        top = max(map(sum, self.nums), default=0)
         acc = 0
         for key, n in self.nums.items():
-            term = n
-            for v, e in zip(values, key):
+            term = n * d ** (top - sum(key))
+            for v, e in zip(ints, key):
                 if e:
-                    term = term * v ** e
+                    term *= v ** e
             acc += term
-        return Fraction(acc, self.den)
+        return Fraction(acc, self.den * d ** top)
 
 
 def var(name: str) -> PhasePoly:
@@ -447,14 +453,15 @@ def integrate(
         if not all(map(math.isfinite, y)):
             raise ValueError(f"the flow diverged: the state at step {step} is {y!r}")
         states.append(y)
-        # max(m, v) keeps m unless v > m, as max() over every row does
-        m = _monitors(y, mu)
-        drift = max(drift, abs(m["x_dot_xi"] - dot0))
-        a_drift = max(a_drift, abs(m["x_A_xi"] - a_dot0))
-        monotone = monotone and m["norm_x"] >= norm_x - 1e-12
-        norm_x = m["norm_x"]
+        # the monitors of ``_monitors``, inline; max(m, v) keeps m unless v > m, as max() does
+        x1, x2, xi1, xi2 = y
+        drift = max(drift, abs(x1 * xi1 + x2 * xi2 - dot0))
+        a_drift = max(a_drift, abs(x1 * (mu * xi1 + xi2) + x2 * (-xi1 + mu * xi2) - a_dot0))
+        prev_norm, norm_x = norm_x, math.hypot(x1, x2)
+        monotone = monotone and norm_x >= prev_norm - 1e-12
         max_norm_x = max(max_norm_x, norm_x)
-        prev_angle, angle = angle, math.atan2(y[1], y[0])
+        norm_xi = math.hypot(xi1, xi2)
+        prev_angle, angle = angle, math.atan2(x2, x1)
         d = angle - prev_angle
         while d <= -math.pi:
             d += 2 * math.pi
@@ -462,14 +469,16 @@ def integrate(
             d -= 2 * math.pi
         theta += d
         if lo <= norm_x <= hi:
-            rows = n_steps + 1 - step if frozen else 1  # the frozen row stands for the later ones
-            angles += [theta] * rows
-            logs += [math.log(norm_x)] * rows
-        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, m["norm_xi"]))
+            angles.append(theta)
+            logs.append(math.log(norm_x))
+            if frozen:  # the frozen row stands for the later ones
+                angles += [theta] * (n_steps - step)
+                logs += [logs[-1]] * (n_steps - step)
+        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, norm_xi))
         if frozen:
             break
     for tau in leaf:  # the rows after the freeze, until tau stops moving
-        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, m["norm_xi"]))
+        closed_dev = max(closed_dev, _leaf_dev(tau, mu, xi0, y, norm_xi))
     return Trajectory(
         mu=mu,
         a=a,
@@ -487,15 +496,30 @@ def integrate(
     )
 
 
+_CSV_BLOCK = 256  # rows formatted per write: few writes, and peak memory flat in n_steps
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+
 def write_trajectory_csv(traj: Trajectory, stream) -> None:
-    """Trajectory table: a mandatory header, then one row per step in 17-digit floats."""
+    """Trajectory table: a mandatory header, then one row per step in 17-digit floats.
+
+    Rows are formatted a block at a time, with the monitor columns of
+    ``_monitors`` by the same expressions.  The rows after the freeze repeat
+    the frozen state, so its seven cells are formatted once and each of those
+    rows adds only its time.
+    """
+    mu, h, states = traj.mu, traj.h, traj.states
     stream.write("time,x1,x2,xi1,xi2,dot_x_xi,x_A_xi,norm_x\n")
-    for i, y in enumerate(traj.states):
-        m = _monitors(y, traj.mu)
-        columns = ",".join(f"{v:.17g}" for v in (*y, m["x_dot_xi"], m["x_A_xi"], m["norm_x"]))
-        stream.write(f"{i * traj.h:.17g},{columns}\n")
-    for i in range(len(traj.states), traj.n_steps + 1):
-        stream.write(f"{i * traj.h:.17g},{columns}\n")
+    for start in range(0, len(states), _CSV_BLOCK):
+        cells = []
+        for i, (x1, x2, xi1, xi2) in enumerate(states[start:start + _CSV_BLOCK], start):
+            cells += (i * h, x1, x2, xi1, xi2, x1 * xi1 + x2 * xi2,
+                      x1 * (mu * xi1 + xi2) + x2 * (-xi1 + mu * xi2), math.hypot(x1, x2))
+        stream.write(_CSV_ROW * (len(cells) // 8) % tuple(cells))
+    frozen = _CSV_ROW[_CSV_ROW.index(","):] % tuple(cells[-7:])
+    for start in range(len(states), traj.n_steps + 1, _CSV_BLOCK):
+        times = [i * h for i in range(start, min(start + _CSV_BLOCK, traj.n_steps + 1))]
+        stream.write(("%.17g" + frozen) * len(times) % tuple(times))
 
 
 def _sum(xs) -> float:

@@ -167,6 +167,21 @@ class TestBsplineSups:
         assert abs(co._eval_derivs(n, n - 2, Fraction(6), 1)[0]) == math.comb(n - 2, 5)
         assert abs(co._eval_derivs(n, n - 1, Fraction(11, 2), 1)[0]) == math.comb(n - 1, 5)
 
+    @pytest.mark.parametrize("n", [2, 4, 5, 8])
+    def test_mirrored_half_matches_the_full_sum(self, n):
+        # the truncated-power sum over every s <= y, order -1 the ramp, 0 ** 0 == 1 at a knot;
+        # the points cover y < n/2, y = n/2, y > n/2 and every knot
+        def full_sum(i, y):
+            deg = n - i - 1
+            acc = sum((-1) ** s * math.comb(n, s) * (y - s) ** deg for s in range(n + 1) if s <= y)
+            return acc / math.factorial(deg)
+
+        for y in (Fraction(i, 6) for i in range(1, 6 * n)):
+            for j in range(n):
+                orders = list(range(j, -2, -1))
+                assert co._eval_derivs(n, j, y, len(orders)) == [full_sum(i, y) for i in orders]
+                assert co._eval_derivs(n, j, y, 1) == [full_sum(j, y)]
+
     def test_bad_order_rejected(self):
         cut = build_bands(0, 1, 8)[0]
         with pytest.raises(ValueError):

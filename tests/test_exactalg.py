@@ -1,8 +1,9 @@
 """Exact coefficient engines: oracles, boundary identities, serialization."""
 
 import json
+import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,20 @@ class TestBernoulliGenerator:
 
     def test_matches_matrix_inverse_head(self):
         assert bernoulli_generator(1)[1] == matrix_inverse_coeffs(1)[1] == Fraction(-1, 2)
+
+    def test_matches_the_per_order_loop_through_sixty(self):
+        # the closed form summed afresh at every m: binomials and powers recomputed
+        def per_order(order):
+            out = []
+            for m in range(order + 1):
+                den = lcm(*range(1, m + 2))
+                num = sum(den // (k + 1) * sum((-1) ** j * comb(k, j) * j**m for j in range(k + 1))
+                          for k in range(m + 1))
+                out.append(Fraction(num, den * factorial(m)))
+            return tuple(out)
+
+        assert bernoulli_generator.__wrapped__(60) == per_order(60)
+        assert bernoulli_generator.__wrapped__(1) == per_order(1)
 
     def test_printed_bernoulli_numbers_to_order_forty(self):
         g = bernoulli_generator(40)
@@ -337,6 +352,26 @@ class TestExactnessGuard:
     def test_float_coefficient_refused(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                             ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (geometry.var("t"), 0.5),
+            (0.5, geometry.var("t")),
+            (opalg.tvar(), 0.5),
+            (0.5, opalg.tvar()),
+            (geometry.var("t"), opalg.tvar()),
+            (opalg.tvar(), geometry.var("t")),
+        ],
+        ids=["PhasePoly-float", "float-PhasePoly", "DiffOp-float", "float-DiffOp",
+             "PhasePoly-DiffOp", "DiffOp-PhasePoly"],
+    )
+    def test_float_or_other_class_operand_refused(self, left, right, op):
+        # no float is rounded in, and a PhasePoly never holds DiffOp keys
+        with pytest.raises(TypeError):
+            op(left, right)
 
     def test_exact_inputs_pass_through(self):
         half = Fraction(1, 2)

@@ -88,6 +88,16 @@ def test_eval_respects_products_and_differences(f, g, point):
     assert PhasePoly().eval(point) == 0 and type(PhasePoly().eval(point)) is Fraction
 
 
+@given(_polys, _points)
+@settings(max_examples=30, deadline=None)
+def test_eval_matches_the_fraction_sum(f, point):
+    # each term's coefficient times its monomial, all in Fractions
+    expected = Fraction(0)
+    for key, c in f.terms.items():
+        expected += c * math.prod(v ** e for v, e in zip(point, key))
+    assert f.eval(point) == expected
+
+
 @given(_polys)
 @settings(max_examples=30, deadline=None)
 def test_bracket_antisymmetry(f):
@@ -693,6 +703,10 @@ def freeze_after(monkeypatch, n):
         ((1.2, 0.7), 0.5, 20.0, 1e-6, None),
         (X0, 0.5, 1.0, None, 300),  # frozen mid-ring: the frozen row is in the fit's window
         (X0, 0.5, 8.0, None, 300),  # frozen in the window, tau saturated before t_end
+        # the frozen row last in the CSV's first 256-row block, first in the second, and after it
+        (X0, 0.5, 1.0, None, 254),
+        (X0, 0.5, 1.0, None, 255),
+        (X0, 0.5, 1.0, None, 256),
     ],
 )
 def test_tail_rows_match_the_per_row_oracle(monkeypatch, x0, mu, t_end, richardson_tol,

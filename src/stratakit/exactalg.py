@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
 __all__ = [
@@ -300,17 +300,18 @@ def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
 
     The unit upper-triangular Toeplitz matrix with 1/(m+1)! on band m has a
     Toeplitz inverse determined by its first row, solved here from the
-    convolution identity sum_{i+h=m} c_i/(h+1)! = [m == 0].
+    convolution identity sum_{i+h=m} c_i/(h+1)! = [m == 0].  Times (m+1)!, the
+    identity at m >= 1 is sum_{i<=m} C(m+1, i) b_i/(i+1)! = 0 in
+    b_i = i! (i+1)! c_i, so b_m = -sum_{i<m} C(m+1, i) (m!/(i+1)!) b_i: integers
+    from b_0 = 1, with no division, since i + 1 <= m.  Each c_m is built once,
+    as b_m over m! (m+1)!.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    coeffs = [Fraction(1)]
+    b = [1]
     for m in range(1, m_max + 1):
-        acc = Fraction(0)
-        for h in range(1, m + 1):
-            acc += coeffs[m - h] / factorial(h + 1)
-        coeffs.append(-acc)
-    return coeffs
+        b.append(-sum(comb(m + 1, i) * perm(m, m - 1 - i) * b[i] for i in range(m)))
+    return [Fraction(n, factorial(m) * factorial(m + 1)) for m, n in enumerate(b)]
 
 
 def bound_scan_a(jmax: int, table: CoeffTable) -> dict:

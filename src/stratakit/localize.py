@@ -10,19 +10,23 @@ powers of M; R^p_phi by relabelling the keys of the N_j), then verifies, as
 exact zero-residual identities in the free operator algebra:
 
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R,
-* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p,
+* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p, each level's
+  bracket formed from the one below as [X2, R^(p-1)_phi] R + [X2, phi^(p) N_p]
+  (R^p_phi = R^(p-1)_phi R + phi^(p) N_p and [X2, R] = 0), so a level costs
+  O(p) monomials, not a commutator over the whole of R^p_phi,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
   X1 commutes with phi and R, so every level relabels the same blocks
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
   the Dt coefficient of block l+1.  Each block is one linear combination of
   [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one pass over
   the operators' integer numerators (``DiffOp._linear``), not by a chain of
-  ``+``.  The relabelling is checked against the bracket formed in the
-  algebra at every level, and the delta_l are required to equal the binomial
-  closed form C(-1/k, l+1) and compared against the printed closed-form
-  candidates,
+  ``+``.  The relabelling is checked against the bracket [X1, R^p_phi]
+  formed in the algebra at every level (``delta_p_independent``, the one
+  per-level check over the whole operand), and the delta_l are required to
+  equal the binomial closed form C(-1/k, l+1) and compared against the
+  printed closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
-  (the gamma coefficients), and
+  (the gamma coefficients, back-substituted on integers), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
 
 The closed forms these checks compare against (C(a, n), the Stirling numbers
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
+from operator import mul
 
 from . import opalg
 from .exactalg import CoeffTable, exact, fmt_fraction
@@ -141,17 +146,30 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
     }
 
 
+def _x2_brackets(pmax: int, k: int, table: CoeffTable):
+    """Yield [X2, R^p_phi] for p = 0..pmax, each formed from the one below as
+    [X2, R^(p-1)_phi] R + [X2, phi^(p) N_p] (see the module docstring)."""
+    model = build_model(k)
+    bracket = opalg.zero()
+    for p in range(pmax + 1):
+        top = opalg.phi(p) * build_N(p, k, table).op
+        bracket = bracket * model.R + commutator(model.X2, top)
+        yield bracket
+
+
 def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
-    """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax."""
+    """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax.
+
+    The brackets come from ``_x2_brackets``, so R^p_phi is not built here;
+    ``extract_delta``'s ``delta_p_independent`` is the per-level check that
+    forms a bracket over the whole of each R^p_phi.
+    """
     if pmax < 0:
         raise ValueError("pmax must be >= 0")
-    model = build_model(k)
     tk = opalg.tvar(k)
     cases = []
-    for p in range(pmax + 1):
-        rp = build_Rp_phi(p, k, table)
-        np_op = build_N(p, k, table).op
-        residual = commutator(model.X2, rp) - tk * opalg.phi(p + 1) * np_op
+    for p, bracket in enumerate(_x2_brackets(pmax, k, table)):
+        residual = bracket - tk * opalg.phi(p + 1) * build_N(p, k, table).op
         cases.append({"p": p, **_residual_case(residual)})
     return {
         "identity": "x2-localized-power-bracket",
@@ -279,19 +297,6 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     }
 
 
-def _x1_bracket_poly(j: int, k: int, table: CoeffTable) -> list[Fraction]:
-    """-[X1, N_j] without its left X1 factor, over the basis M^s/s! of a[j][s]."""
-    weights = [Fraction(-1, k) ** ell / factorial(ell) for ell in range(j + 1)]
-    coeffs = [Fraction(0)] * j
-    for jp in range(1, j + 1):
-        a_j_jp = table.entry(j, jp)
-        if a_j_jp == 0:
-            continue
-        for ell in range(1, jp + 1):
-            coeffs[jp - ell] += a_j_jp * weights[ell]
-    return coeffs
-
-
 def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     """Expand the scalar X1-bracket polynomial over the localizer basis.
 
@@ -305,21 +310,40 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     gamma_(j-l) (1 - a[l][l]) == 0: it fails only on a diagonal entry other
     than 1.  ``cli.run_verify`` checks that the gamma reproduce the
     operator-extracted delta (delta_m = gamma_(m+1)).
+
+    The back-substitution runs on z[s] = j! k^j gamma_(j-s) / s!.  With
+    q[r][c] = a[r][c] r!/c!, step s reads
+
+        z[s] = k^s sum_(m>s) (-1)^(m-s) C(m, s) k^(j-m) q[j][m]
+               - sum_(s<r<j) z[r] q[r][s].
+
+    A valid table's q are the integer coefficients of prod_(1<=i<=r) (M - i),
+    so every z is an integer and each gamma is one Fraction; a q that is not
+    an integer stays an exact Fraction, so a planted table expands exactly.
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
+    q = []
+    for r in range(jmax + 1):
+        row = [table.entry(r, c) * perm(r, r - c) for c in range(r + 1)]
+        q.append([v.numerator if v.denominator == 1 else v for v in row])
+    columns = [[q[r][c] for r in range(c, jmax + 1)] for c in range(jmax + 1)]
+    # signed[s][m - s] = (-1)^(m-s) C(m, s)
+    signed = [[(-1) ** (m - s) * comb(m, s) for m in range(s, jmax + 1)] for s in range(jmax + 1)]
     gamma_by_j: dict[int, list[Fraction]] = {}
     cases = []
     for j in range(1, jmax + 1):
-        coeffs = _x1_bracket_poly(j, k, table)
-        gamma = [Fraction(0)] * (j + 1)  # gamma[m] for m = 1..j
+        weighted = [k ** (j - m) * v for m, v in enumerate(q[j])]  # k^(j-m) q[j][m]
+        z = [0] * j
         for s in range(j - 1, -1, -1):
-            acc = coeffs[s]
-            for sp in range(s + 1, j):
-                acc -= gamma[j - sp] * table.entry(sp, s)
-            gamma[j - s] = acc
-        gamma_by_j[j] = gamma[1:]
-        identity_ok = all(gamma[j - ell] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j))
+            head = sum(map(mul, signed[s][1:], weighted[s + 1:]))
+            z[s] = k ** s * head - sum(map(mul, z[s + 1:], columns[s][1:]))
+        scale = factorial(j) * k ** j
+        gamma = [Fraction(z[j - m] * factorial(j - m), scale) for m in range(1, j + 1)]
+        gamma_by_j[j] = gamma
+        identity_ok = all(
+            gamma[j - ell - 1] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j)
+        )
         cases.append({"j": j, "scalar_identity": identity_ok, "pass": identity_ok})
     reference = gamma_by_j[jmax]
     j_independent = all(

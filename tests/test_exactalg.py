@@ -226,6 +226,16 @@ class TestMatrixInverseCoeffs:
     def test_equals_bernoulli_generator(self):
         assert matrix_inverse_coeffs(40) == list(bernoulli_generator(40))
 
+    def test_integer_solve_equals_the_fraction_loop_through_m120(self):
+        # oracle: the convolution identity solved one Fraction division at a time
+        coeffs = [Fraction(1)]
+        for m in range(1, 121):
+            acc = Fraction(0)
+            for h in range(1, m + 1):
+                acc += coeffs[m - h] / factorial(h + 1)
+            coeffs.append(-acc)
+        assert matrix_inverse_coeffs(120) == coeffs
+
 
 # the closed forms from here to TestDeltaClosedForm live in localize, beside
 # the operator checks that compare against them

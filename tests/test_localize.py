@@ -133,7 +133,55 @@ class TestX2LocalizerBracket:
         assert [c["j"] for c in report["cases"]] == [1, 2, 3]
 
 
+def _planted(jmax, key, shift):
+    table = exactalg.a_table_recurrence(jmax)
+    entries = dict(table.entries)
+    entries[key] += shift
+    return exactalg.CoeffTable(jmax, entries, table.provenance)
+
+
+PLANTED_ENTRIES = [((3, 1), Fraction(1, 7)), ((2, 2), 1), ((5, 0), Fraction(-2, 3))]
+
+
+def _x2_report_oracle(pmax, k, table):
+    """verify_x2_bracket with one commutator over the whole of R^p_phi per level."""
+    m = build_model(k)
+    cases = []
+    for p in range(pmax + 1):
+        residual = commutator(m.X2, build_Rp_phi(p, k, table)) - (
+            opalg.tvar(k) * phi(p + 1) * build_N(p, k, table).op
+        )
+        cases.append({"p": p, **localize._residual_case(residual)})
+    return {
+        "identity": "x2-localized-power-bracket",
+        "statement": "[X2, R^p_phi] - t^k phi^(p+1) N_p == 0",
+        "k": k,
+        "pmax": pmax,
+        "cases": cases,
+        "pass": all(c["pass"] for c in cases),
+    }
+
+
 class TestX2LocalizedPowerBracket:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ladder_equals_the_whole_operand_bracket_through_p12(self, k):
+        table = exactalg.a_table_recurrence(12)
+        m = build_model(k)
+        ladder = list(localize._x2_brackets(12, k, table))
+        assert len(ladder) == 13
+        for p, bracket in enumerate(ladder):
+            assert bracket == commutator(m.X2, build_Rp_phi(p, k, table))
+            assert len(bracket) == p + 1
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("key, shift", PLANTED_ENTRIES)
+    def test_planted_entry_reports_equal_the_whole_operand_loop(self, k, key, shift):
+        table = _planted(10, key, shift)
+        report = verify_x2_bracket(10, k, table)
+        assert report == _x2_report_oracle(10, k, table)
+        assert report["pass"] is False
+        assert any("offending_monomials" in c for c in report["cases"])
+
     def test_p0_single_bracket(self):
         m = build_model(3)
         lhs = commutator(m.X2, phi(0))
@@ -245,6 +293,37 @@ class TestDeltaExtraction:
             assert (value < 0) == (ell % 2 == 0)
 
 
+def _gamma_report_oracle(jmax, k, table):
+    """verify_gamma_expansion with one Fraction operation per step."""
+    gamma_by_j, cases = {}, []
+    for j in range(1, jmax + 1):
+        coeffs = [Fraction(0)] * j  # -[X1, N_j] / X1 over the basis M^s/s!
+        for jp in range(1, j + 1):
+            for ell in range(1, jp + 1):
+                coeffs[jp - ell] += table.entry(j, jp) * Fraction(-1, k) ** ell / factorial(ell)
+        gamma = [Fraction(0)] * (j + 1)
+        for s in range(j - 1, -1, -1):
+            acc = coeffs[s]
+            for sp in range(s + 1, j):
+                acc -= gamma[j - sp] * table.entry(sp, s)
+            gamma[j - s] = acc
+        gamma_by_j[j] = gamma[1:]
+        ok = all(gamma[j - ell] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j))
+        cases.append({"j": j, "scalar_identity": ok, "pass": ok})
+    reference = gamma_by_j[jmax]
+    independent = all(gamma_by_j[j] == reference[:j] for j in range(1, jmax + 1))
+    return {
+        "identity": "x1-bracket-gamma-expansion",
+        "statement": "sum a[j][j'] (-1/k)^l M^(j'-l)/(l! (j'-l)!) == sum gamma_(j-s) N_s",
+        "k": k,
+        "jmax": jmax,
+        "cases": cases,
+        "gamma": [exactalg.fmt_fraction(g) for g in reference],
+        "gamma_j_independent": independent,
+        "pass": independent and all(c["pass"] for c in cases),
+    }
+
+
 class TestGammaExpansion:
     def test_j1_single_term(self):
         for k in (2, 3):
@@ -267,6 +346,14 @@ class TestGammaExpansion:
         failed = [c["j"] for c in report["cases"] if not c["scalar_identity"]]
         assert failed == list(range(ell + 1, 9))
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("key, shift", [(None, 0), *PLANTED_ENTRIES])
+    def test_integer_back_substitution_equals_the_fraction_loop(self, k, key, shift):
+        table = TABLE if key is None else _planted(12, key, shift)
+        report = verify_gamma_expansion(12, k, table)
+        assert report == _gamma_report_oracle(12, k, table)
+        assert report["pass"] is (key is None)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_gamma_reproduces_operator_delta(self, k):

@@ -44,6 +44,13 @@ def _row_positive_integers(plant, monkeypatch, tmp_path):
     return report["cases"][2], report
 
 
+def _cli_report(argv, plant, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "-o", str(out)]) == plant
+    report = json.loads(out.read_text())
+    return report, report
+
+
 def _norm_x_monotone(plant, monkeypatch, tmp_path):
     # the fifth step halves x once; every other step is the true RK4 step
     step, calls = geometry._rk4_step, []
@@ -55,10 +62,7 @@ def _norm_x_monotone(plant, monkeypatch, tmp_path):
 
     if plant:
         monkeypatch.setattr(geometry, "_rk4_step", planted)
-    out = tmp_path / "flow.json"
-    assert cli.main(["flow", "--t-end", "0.1", "-o", str(out)]) == plant
-    report = json.loads(out.read_text())
-    return report, report
+    return _cli_report(["flow", "--t-end", "0.1"], plant, tmp_path)
 
 
 def _uniform_within_factor_2(plant, monkeypatch, tmp_path):
@@ -79,12 +83,42 @@ def _uniform_within_factor_2(plant, monkeypatch, tmp_path):
     return report, report
 
 
+def _gamma_reproduces_delta(plant, monkeypatch, tmp_path):
+    # the gamma kernel's last value, gamma_6, off by 1/7; its own checks still pass
+    expand = localize.verify_gamma_expansion
+
+    def planted(jmax, k, table):
+        report = expand(jmax, k, table)
+        *head, last = report["gamma"]
+        return {**report, "gamma": [*head, exactalg.fmt_fraction(Fraction(last) + Fraction(1, 7))]}
+
+    if plant:
+        monkeypatch.setattr(localize, "verify_gamma_expansion", planted)
+    return _cli_report(["verify", "--k", "2", "--jmax", "6", "--pmax", "6"], plant, tmp_path)
+
+
+def _bernoulli_identity(plant, monkeypatch, tmp_path):
+    # the band inverse's last coefficient, c_8, off by 1; the printed head is unchanged
+    solve = exactalg.matrix_inverse_coeffs
+
+    def planted(m_max):
+        coeffs = solve(m_max)
+        coeffs[-1] += 1
+        return coeffs
+
+    if plant:
+        monkeypatch.setattr(exactalg, "matrix_inverse_coeffs", planted)
+    return _cli_report(["coeffs", "--jmax", "8"], plant, tmp_path)
+
+
 FAULTS = {
     "gamma_j_independent": _gamma_j_independent,
     "delta_abs_le_1": _delta_abs_le_1,
     "row_positive_integers": _row_positive_integers,
     "norm_x_monotone": _norm_x_monotone,
     "uniform_within_factor_2": _uniform_within_factor_2,
+    "gamma_reproduces_delta": _gamma_reproduces_delta,
+    "bernoulli_identity": _bernoulli_identity,
 }
 
 

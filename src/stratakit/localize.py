@@ -10,21 +10,18 @@ powers of M; R^p_phi by relabelling the keys of the N_j), then verifies, as
 exact zero-residual identities in the free operator algebra:
 
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R,
-* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p, each level's
-  bracket formed from the one below as [X2, R^(p-1)_phi] R + [X2, phi^(p) N_p]
-  (R^p_phi = R^(p-1)_phi R + phi^(p) N_p and [X2, R] = 0), so a level costs
-  O(p) monomials, not a commutator over the whole of R^p_phi,
+* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p, each level's gap
+  formed from the one below (``_bracket_gaps``, shared with X1), so no check
+  builds R^p_phi and a level costs O(p) monomials on a valid table,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
   X1 commutes with phi and R, so every level relabels the same blocks
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
   the Dt coefficient of block l+1.  Each block is one linear combination of
   [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one pass over
   the operators' integer numerators (``DiffOp._linear``), not by a chain of
-  ``+``.  The relabelling is checked against the bracket [X1, R^p_phi]
-  formed in the algebra at every level (``delta_p_independent``, the one
-  per-level check over the whole operand), and the delta_l are required to
-  equal the binomial closed form C(-1/k, l+1) and compared against the
-  printed closed-form candidates,
+  ``+``.  The relabelling is checked at every level (``delta_p_independent``),
+  and the delta_l are required to equal the binomial closed form
+  C(-1/k, l+1) and compared against the printed closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients, back-substituted on integers), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -97,9 +94,9 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         raise ValueError(f"coefficient table too small: jmax={table.jmax} < j={j}")
     key = (k, table, j)
     if key not in _N_OPS:
-        powers = _M_POWERS.setdefault(k, [opalg.one()])
+        powers, m = _M_POWERS.setdefault(k, [opalg.one()]), build_model(k).M
         while len(powers) <= j:
-            powers.append(powers[-1] * build_model(k).M)
+            powers.append(powers[-1] * m)
         _N_OPS[key] = DiffOp._linear(
             (table.entry(j, jp) / factorial(jp), powers[jp]) for jp in range(j + 1)
         )
@@ -146,31 +143,34 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
     }
 
 
-def _x2_brackets(pmax: int, k: int, table: CoeffTable):
-    """Yield [X2, R^p_phi] for p = 0..pmax, each formed from the one below as
-    [X2, R^(p-1)_phi] R + [X2, phi^(p) N_p] (see the module docstring)."""
-    model = build_model(k)
-    bracket = opalg.zero()
-    for p in range(pmax + 1):
-        top = opalg.phi(p) * build_N(p, k, table).op
-        bracket = bracket * model.R + commutator(model.X2, top)
-        yield bracket
+def _bracket_gaps(x: DiffOp, claims, k: int, table: CoeffTable):
+    """Yield G_p = [x, R^p_phi] - E_p for p = 0, 1, ..., one per claim C_p of [x, N_p].
+
+    E_p is what the claims predict: E_p - E_(p-1) R = [x, phi^(p)] N_p + phi^(p) C_p.
+    As R^p_phi = R^(p-1)_phi R + phi^(p) N_p and [x, R] = 0, G_p is formed from
+    G_(p-1), so R^p_phi is never built and a zero gap costs O(p) monomials.
+    """
+    r, gap = build_model(k).R, opalg.zero()
+    for p, claim in enumerate(claims):
+        top, n = opalg.phi(p), build_N(p, k, table).op
+        gap = DiffOp._linear(((1, gap * r), (1, commutator(x, top * n)),
+                              (-1, commutator(x, top) * n), (-1, top * claim)))
+        yield gap
 
 
 def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
     """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax.
 
-    The brackets come from ``_x2_brackets``, so R^p_phi is not built here;
-    ``extract_delta``'s ``delta_p_independent`` is the per-level check that
-    forms a bracket over the whole of each R^p_phi.
+    Each residual is the gap of ``_bracket_gaps`` under the telescoping claims
+    [X2, N_p] = -t^k N_(p-1) R: with [X2, phi^(p)] = t^k phi^(p+1) they predict
+    E_p = t^k phi^(p+1) N_p, so the gap is the residual itself.
     """
     if pmax < 0:
         raise ValueError("pmax must be >= 0")
-    tk = opalg.tvar(k)
-    cases = []
-    for p, bracket in enumerate(_x2_brackets(pmax, k, table)):
-        residual = bracket - tk * opalg.phi(p + 1) * build_N(p, k, table).op
-        cases.append({"p": p, **_residual_case(residual)})
+    model, tk = build_model(k), opalg.tvar(k)
+    claims = [opalg.zero(), *(-(tk * build_N(p, k, table).op * model.R) for p in range(pmax))]
+    gaps = _bracket_gaps(model.X2, claims, k, table)
+    cases = [{"p": p, **_residual_case(gap)} for p, gap in enumerate(gaps)]
     return {
         "identity": "x2-localized-power-bracket",
         "statement": "[X2, R^p_phi] - t^k phi^(p+1) N_p == 0",
@@ -241,13 +241,13 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
     before that term joins it.  Each level's residual sum_j phi^(j) B_j R^(p-j)
     is then required to vanish exactly (the structural claim), and
     ``delta_p_independent`` checks the relabelling the argument rests on: at
-    every level the bracket [X1, R^p_phi] formed in the algebra equals
-    sum_j phi^(j) [X1, N_j] R^(p-j).  |delta_l| <= 1 is checked, and the
-    delta_l must equal the binomial closed form C(-1/k, l+1) under
-    ``closed_form``.  The comparison against both printed closed-form
-    conventions (at both index alignments) is recorded — it is documentation,
-    not a pass criterion, because the printed forms disagree with each other
-    and with the extracted values.
+    every level [X1, R^p_phi] = sum_j phi^(j) [X1, N_j] R^(p-j), that is, every
+    gap of ``_bracket_gaps`` under the claims C_j = [X1, N_j] is zero.
+    |delta_l| <= 1 is checked, and the delta_l must equal the binomial closed
+    form C(-1/k, l+1) under ``closed_form``.  The comparison against both
+    printed closed-form conventions (at both index alignments) is recorded —
+    it is documentation, not a pass criterion, because the printed forms
+    disagree with each other and with the extracted values.
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
@@ -265,10 +265,7 @@ def extract_delta(pmax: int, k: int, table: CoeffTable) -> dict:
         delta.append(Fraction(-block.nums.get((0, (), 1, 0, 0), 0), block.den))
         blocks.append(block + delta[-1] * x1_localizers[0])
     cases = [{"p": p, **_residual_case(_localized(blocks, p))} for p in range(1, pmax + 1)]
-    p_independent = all(
-        commutator(x1, build_Rp_phi(p, k, table)) == _localized(brackets, p)
-        for p in range(1, pmax + 1)
-    )
+    p_independent = all(gap.is_zero for gap in _bracket_gaps(x1, brackets, k, table))
     bounded = all(abs(d) <= 1 for d in delta)
     comparison = {
         name: _compare_candidate(delta, values)

@@ -165,13 +165,17 @@ def _x2_report_oracle(pmax, k, table):
 class TestX2LocalizedPowerBracket:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_ladder_equals_the_whole_operand_bracket_through_p12(self, k):
+        # each gap is the whole-operand residual, and zero: the bracket is then
+        # t^k phi^(p+1) N_p, p + 1 monomials
         table = exactalg.a_table_recurrence(12)
-        m = build_model(k)
-        ladder = list(localize._x2_brackets(12, k, table))
-        assert len(ladder) == 13
-        for p, bracket in enumerate(ladder):
-            assert bracket == commutator(m.X2, build_Rp_phi(p, k, table))
-            assert len(bracket) == p + 1
+        m, tk = build_model(k), opalg.tvar(k)
+        claims = [opalg.zero(), *(-(tk * build_N(p, k, table).op * rr()) for p in range(12))]
+        gaps = list(localize._bracket_gaps(m.X2, claims, k, table))
+        assert len(gaps) == 13
+        for p, gap in enumerate(gaps):
+            bracket = commutator(m.X2, build_Rp_phi(p, k, table))
+            assert gap == bracket - tk * phi(p + 1) * build_N(p, k, table).op
+            assert gap.is_zero and len(bracket) == p + 1
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("key, shift", PLANTED_ENTRIES)
@@ -202,7 +206,39 @@ class TestX2LocalizedPowerBracket:
             assert phis == (p + 1,)
 
 
+def _p_independent_oracle(pmax, k, table):
+    """extract_delta's delta_p_independent with one commutator over the whole of
+    R^p_phi per level; ``localize.commutator`` is read at call time, so a
+    planted commutator reaches it."""
+    x1 = build_model(k).X1
+    brackets = [localize.commutator(x1, build_N(j, k, table).op) for j in range(pmax + 1)]
+    return all(
+        localize.commutator(x1, build_Rp_phi(p, k, table)) == localize._localized(brackets, p)
+        for p in range(1, pmax + 1)
+    )
+
+
 class TestDeltaExtraction:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_x1_gaps_equal_the_whole_operand_bracket_through_p12(self, k):
+        table = exactalg.a_table_recurrence(12)
+        x1 = build_model(k).X1
+        brackets = [commutator(x1, build_N(j, k, table).op) for j in range(13)]
+        gaps = list(localize._bracket_gaps(x1, brackets, k, table))
+        assert len(gaps) == 13
+        for p, gap in enumerate(gaps):
+            bracket = commutator(x1, build_Rp_phi(p, k, table))
+            assert gap == bracket - localize._localized(brackets, p)
+            assert gap.is_zero
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("key, shift", [(None, 0), *PLANTED_ENTRIES])
+    def test_p_independence_equals_the_whole_operand_loop(self, k, key, shift):
+        table = exactalg.a_table_recurrence(10) if key is None else _planted(10, key, shift)
+        report = extract_delta(10, k, table)
+        assert report["delta_p_independent"] is _p_independent_oracle(10, k, table) is True
+        assert report["pass"] is (key is None)
+
     def test_p1_bracket_by_hand(self):
         m = build_model(2)
         bracket = commutator(m.X1, build_Rp_phi(1, 2, TABLE))
@@ -270,6 +306,7 @@ class TestDeltaExtraction:
         monkeypatch.setattr(localize, "commutator", planted)
         report = extract_delta(4, 2, TABLE)
         assert report["delta_p_independent"] is False and report["pass"] is False
+        assert _p_independent_oracle(4, 2, TABLE) is False
         assert all(c["pass"] for c in report["cases"])
         assert report["closed_form"]["matches"] and report["delta_abs_le_1"]
 

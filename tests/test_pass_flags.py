@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from stratakit import cli, cutoff, exactalg, geometry, localize
+from stratakit import cli, cutoff, exactalg, geometry, localize, opalg
 
 
 def _table(jmax, key, shift):
@@ -29,6 +29,21 @@ def _gamma_j_independent(plant, monkeypatch, tmp_path):
 
 def _delta_abs_le_1(plant, monkeypatch, tmp_path):
     report = localize.extract_delta(8, 2, _table(8, (2, 1), 100 * plant))
+    return report, report
+
+
+def _delta_p_independent(plant, monkeypatch, tmp_path):
+    # phi^(1) added to every bracket whose right operand carries a phi: the
+    # [X1, N_j] carry none, so delta and every block stay exact
+    real = localize.commutator
+
+    def planted(a, b):
+        out = real(a, b)
+        return out + opalg.phi(1) if any(key[1] for key in b.nums) else out
+
+    if plant:
+        monkeypatch.setattr(localize, "commutator", planted)
+    report = localize.extract_delta(4, 2, exactalg.a_table_recurrence(4))
     return report, report
 
 
@@ -111,14 +126,32 @@ def _bernoulli_identity(plant, monkeypatch, tmp_path):
     return _cli_report(["coeffs", "--jmax", "8"], plant, tmp_path)
 
 
+def _generating_entry_moved(plant, monkeypatch, tmp_path):
+    # a[3][1] of the generating route's table off by 1/7: the routes disagree,
+    # and the relation fails on that table at rows 3 and 4
+    build = exactalg.a_table_generating
+
+    def planted(jmax):
+        table = build(jmax)
+        entries = {**table.entries, (3, 1): table.entries[(3, 1)] + Fraction(1, 7)}
+        return exactalg.CoeffTable(jmax, entries, table.provenance)
+
+    if plant:
+        monkeypatch.setattr(exactalg, "a_table_generating", planted)
+    return _cli_report(["coeffs", "--jmax", "8"], plant, tmp_path)
+
+
 FAULTS = {
     "gamma_j_independent": _gamma_j_independent,
     "delta_abs_le_1": _delta_abs_le_1,
+    "delta_p_independent": _delta_p_independent,
     "row_positive_integers": _row_positive_integers,
     "norm_x_monotone": _norm_x_monotone,
     "uniform_within_factor_2": _uniform_within_factor_2,
     "gamma_reproduces_delta": _gamma_reproduces_delta,
     "bernoulli_identity": _bernoulli_identity,
+    "dual_route_agree": _generating_entry_moved,
+    "recurrence_holds": _generating_entry_moved,
 }
 
 

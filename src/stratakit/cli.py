@@ -50,7 +50,8 @@ FLOW_CLOSED_FORM_TOL = 1e-6
 # the deepest coeffs --jmax and verify --jmax/--pmax: a depth-n table of
 # (n+1)(n+2)/2 exact entries is built before any check runs, and verify's
 # time grew 3.6-fold from depth 60 to 120 (at 120 on a shared 2-vCPU VM, median
-# of three runs: 0.93 s for k = 2, 2.3 s for k = 1000 and any k >= 120)
+# of three runs: 0.93 s for k = 2, 2.3 s for k = 1000 and any k >= 120;
+# coeffs --jmax 120 --table-out 0.72 s)
 _MAX_DEPTH = 120
 
 
@@ -186,7 +187,7 @@ def run_coeffs(args) -> dict:
     from . import exactalg
     recurrence = exactalg.a_table_recurrence(jmax)
     generating = exactalg.a_table_generating(jmax)
-    agree = recurrence.entries == generating.entries
+    agree = recurrence.rows == generating.rows  # canonical rows: equal values, equal tuples
     # the relation is re-checked on the independent route's table
     holds = generating.check_recurrence()
     # the band inverse against the closed-form Bernoulli series, over the whole table

@@ -67,8 +67,8 @@ def _sci_from_log(log_value: float) -> str:
 # -- cardinal B-spline engine ----------------------------------------------------
 
 
-def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
-    """Exact values of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1) at a rational point.
+def _deriv_nums(n: int, j: int, y: Fraction, count: int) -> list[tuple[int, int]]:
+    """(num, den) of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1) at a rational point.
 
     At y = p/q the truncated-power sum of B_n^(i) has an integer numerator
     over (n-i-1)! q^(n-i-1); 0 ** 0 == 1 gives (y - s)_+^0 = 1 at the knot
@@ -77,15 +77,17 @@ def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
     C(n, s) is carried through the loop, which reads only s <= floor(y).  B_n
     is symmetric about n/2, so past it the sum runs at n - y, the shorter side:
     B_n^(i)(y) = (-1)^i B_n^(i)(n - y), and the ramp is 1 - B_n^(-1)(n - y).
+    The pairs are not reduced.
     """
     if y <= 0 or y >= n:
-        return [Fraction(0)] * count
+        return [(0, 1)] * count
     deg = n - j - 1
     # at a knot the piecewise-constant order n-1 takes its right-hand value, which
     # the mirror would turn into the left-hand one
     if 2 * y > n and (deg or y.denominator > 1):
-        mirror = _eval_derivs(n, j, n - y, count)
-        return [1 - v if i > j else -v if (j - i) % 2 else v for i, v in enumerate(mirror)]
+        mirror = _deriv_nums(n, j, n - y, count)
+        return [(den - num if i > j else -num if (j - i) % 2 else num, den)
+                for i, (num, den) in enumerate(mirror)]
     p, q = y.numerator, y.denominator
     binom = 1
     nums = [0] * count
@@ -97,7 +99,13 @@ def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
             power *= base
             nums[i] += power
         binom = binom * (n - s) // (s + 1)
-    return [Fraction(num, factorial(deg + i) * q ** (deg + i)) for i, num in enumerate(nums)]
+    return [(num, factorial(deg + i) * q ** (deg + i)) for i, num in enumerate(nums)]
+
+
+def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
+    """Exact values of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1): the Fraction view
+    of ``_deriv_nums``."""
+    return [Fraction(num, den) for num, den in _deriv_nums(n, j, y, count)]
 
 
 # -- bands and their cutoffs ------------------------------------------------------
@@ -144,19 +152,22 @@ class Band(namedtuple("Band", "k lo hi d budget")):
         integral of B_N: the smoothed unit step at knot scale.  A float r
         raises TypeError.
         """
+        return [Fraction(num, den) for num, den in self._derivative_nums(r, lo, hi)]
+
+    def _derivative_nums(self, r, lo: int, hi: int) -> list[tuple[int, int]]:
+        """``derivatives`` as unreduced (num, den) pairs: B_N^(l-1)'s numerator
+        times w_den^l over its denominator times w_num^l, the sign on num."""
         if lo < 0:
             raise ValueError("derivative order must be >= 0")
         if hi > self.budget:
             raise ValueError(f"derivative order {hi} exceeds budget {self.budget}")
         y, side = self._knot_coord(r)
-        values = _eval_derivs(self.budget, hi - 1, y, hi - lo + 1)[::-1]
+        w = self.box_width
+        values = _deriv_nums(self.budget, hi - 1, y, hi - lo + 1)[::-1]
         for i, ell in enumerate(range(lo, hi + 1)):
-            if ell:
-                values[i] /= self.box_width ** ell
-                if side < 0 and ell % 2 == 1:
-                    values[i] = -values[i]
-            elif y >= self.budget:
-                values[i] = Fraction(1)
+            num, den = (1, 1) if ell == 0 and y >= self.budget else values[i]
+            sign = side if ell % 2 else 1
+            values[i] = (sign * num * w.denominator ** ell, den * w.numerator ** ell)
         return values
 
 
@@ -164,7 +175,8 @@ class Band(namedtuple("Band", "k lo hi d budget")):
 # (--N 65536 --grid took 1.6 s, and 7.0 s at 131072 with the cap lifted)
 _MAX_N = 1 << 16
 # the largest family whose samples CSV is written: its time grows about
-# sixfold per doubling of N (2.0-2.5 s at N = 1024, 12.5 s at 2048)
+# fivefold per doubling of N (on a shared 2-vCPU VM, a median 1.4 s over three
+# runs at N = 1024, and 7.7-9.4 s in two runs at 2048)
 _MAX_SAMPLES_N = 1 << 11
 
 
@@ -297,12 +309,15 @@ def write_cutoff_samples_csv(band: Band, stream) -> None:
     """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting.
 
     The points r_i = lo - m + (hi - lo + 2m) i/200, m = (hi - lo)/20, are
-    exact rationals; each exact value is rounded to a float once.
+    exact rationals.  Each value is rounded to a float once, by int true
+    division of the (num, den) pair behind ``Band.derivatives``, which is
+    correctly rounded, as ``float`` of the exact Fraction is.
     """
     lo, hi = band.support_lo, band.support_hi
     margin = (hi - lo) / 20
+    start, span = lo - margin, hi - lo + 2 * margin
     stream.write("r,phi,dphi,d2phi\n")
     for i in range(201):
-        r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        row = (r, *band.derivatives(r, 0, 2))
-        stream.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+        r = start + span * Fraction(i, 200)
+        row = [float(r)] + [num / den for num, den in band._derivative_nums(r, 0, 2)]
+        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

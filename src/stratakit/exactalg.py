@@ -98,13 +98,15 @@ class SparseTerms:
 
     @classmethod
     def _linear(cls, pairs):
-        """sum c * op over exact (c, op) pairs, in one pass over integer numerators
-        brought to the lcm of the parts' denominators."""
-        parts = []
-        for c, op in pairs:
-            c = exact(c)
-            if c and op.nums:
-                parts.append((c.numerator, c.denominator * op.den, op.nums))
+        """sum c * op over exact (c, op) pairs (see ``_combine``)."""
+        exacts = ((exact(c), op) for c, op in pairs)
+        return cls._combine([(c.numerator, c.denominator, op) for c, op in exacts])
+
+    @classmethod
+    def _combine(cls, parts):
+        """sum (num/den) op over (num, den, op) triples with den > 0, in one pass
+        over integer numerators brought to the lcm of the parts' denominators."""
+        parts = [(num, den * op.den, op.nums) for num, den, op in parts if num and op.nums]
         den = lcm(*(part[1] for part in parts))
         out: dict = {}
         for num, part_den, nums in parts:
@@ -189,17 +191,33 @@ def bernoulli_generator(order: int) -> tuple[Fraction, ...]:
 class CoeffTable:
     """Triangular table of the localizer coefficients a[j][j'], 0 <= j' <= j.
 
-    Plain data, hashed and compared by identity; its fields cannot be
-    reassigned.  Not a dataclass, so the cutoff path never imports
-    ``dataclasses``.  Boundary values are a[j][j] = 1 and a[j][0] = (-1)^j;
-    successive rows are linked by the factorial convolution
-    sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
+    Row j is held as ``rows[j] = (den, ints)``: the integer numerators of
+    a[j][0..j] over one positive denominator, reduced so that
+    gcd(den, *ints) = 1, so equal rows are equal tuples.  ``entries`` (a dict
+    keyed by (j, j'), built on first use, or the dict the table was made
+    from) and ``entry`` are Fraction views for reports.  Plain data, hashed
+    and compared by identity; its fields cannot be reassigned.  Not a
+    dataclass, so the cutoff path never imports ``dataclasses``.  Boundary
+    values are a[j][j] = 1 and a[j][0] = (-1)^j; successive rows are linked
+    by the factorial convolution sum_{s=1}^{j-l} a[j][l+s]/s! = a[j-1][l].
     """
 
-    __slots__ = ("jmax", "entries", "provenance")
+    __slots__ = ("jmax", "rows", "provenance", "_entries")
 
     def __init__(self, jmax: int, entries: dict, provenance: str):
-        for name, value in (("jmax", jmax), ("entries", entries), ("provenance", provenance)):
+        rows = [_numerators(entries[(j, jp)] for jp in range(j + 1)) for j in range(jmax + 1)]
+        self._set(jmax, rows, provenance, entries)
+
+    @classmethod
+    def _of_rows(cls, rows: list, provenance: str) -> "CoeffTable":
+        """A table from reduced (den, ints) rows, its Fraction view built on first use."""
+        table = cls.__new__(cls)
+        table._set(len(rows) - 1, rows, provenance, None)
+        return table
+
+    def _set(self, jmax, rows, provenance, entries):
+        rows = tuple((den, tuple(ints)) for den, ints in rows)
+        for name, value in zip(self.__slots__, (jmax, rows, provenance, entries)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -207,29 +225,41 @@ class CoeffTable:
 
     __delattr__ = __setattr__
 
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            view = {(j, jp): Fraction(n, den)
+                    for j, (den, ints) in enumerate(self.rows) for jp, n in enumerate(ints)}
+            object.__setattr__(self, "_entries", view)
+        return self._entries
+
     def entry(self, j: int, jprime: int) -> Fraction:
         if not 0 <= jprime <= j <= self.jmax:
             raise KeyError(f"entry ({j}, {jprime}) outside triangle jmax={self.jmax}")
-        return self.entries[(j, jprime)]
+        den, ints = self.rows[j]
+        return Fraction(ints[jprime], den)
 
     def check_recurrence(self) -> bool:
         """Whether this is the one table with a[j][0] = (-1)^j and the defining relation.
 
         The relations of row j are unit triangular in a[j][1..j], so with the
         pin on a[j][0] they determine the table from a[0][0] = 1.  Each is
-        checked as sum_s ints[l+s] n!/s! = a[j-1][l] den n! (n = j - l) on
-        row j's integer numerators.
+        checked on the rows' integer numerators as
+        sum_s ints[l+s] n!/s! * den(j-1) = ints(j-1)[l] den n!  (n = j - l).
         """
-        if any(self.entry(j, 0) != (-1) ** j for j in range(self.jmax + 1)):
+        rows = self.rows
+        if any(ints[0] != (-1) ** j * den for j, (den, ints) in enumerate(rows)):
             return False
+        # falling[n] = [n!/s! for s = 1..n], its first entry n!
+        falling = [[]]
+        for n in range(1, self.jmax + 1):
+            falling.append([n * f for f in falling[-1]] + [1])
         for j in range(1, self.jmax + 1):
-            den, ints = _numerators(self.entry(j, jp) for jp in range(j + 1))
+            (prev_den, prev), (den, ints) = rows[j - 1], rows[j]
             for ell in range(j):
-                lhs = 0
-                for s in range(1, j - ell + 1):
-                    lhs = lhs * s + ints[ell + s]
-                prev = self.entry(j - 1, ell)
-                if lhs * prev.denominator != prev.numerator * den * factorial(j - ell):
+                weights = falling[j - ell]
+                lhs = sum(map(mul, ints[ell + 1:], weights))
+                if lhs * prev_den != prev[ell] * den * weights[0]:
                     return False
         return True
 
@@ -237,40 +267,26 @@ class CoeffTable:
 def a_table_recurrence(jmax: int) -> CoeffTable:
     """Build the a[j][j'] table from its closed form N_j(M) = C(M-1, j).
 
-    C(M-1, j) = prod_{i<=j} (M - i) / j!, so a[j][j'] = p_j[j'] j'!/j! with
-    p_j the integer coefficients of prod_{i<=j} (M - i).  Pascal's rule
-    C(M, j) - C(M-1, j) = C(M-1, j-1) is the defining relation
-    N_j(M+1) - N_j(M) = N_(j-1)(M), and N_j(0) = C(-1, j) = (-1)^j, so this
-    is the unique table that ``check_recurrence`` accepts.
+    C(M-1, j) = prod_{i<=j} (M - i) / j!, so row j is the integer numerators
+    p_j[j'] j'! over j!, with p_j the integer coefficients of
+    prod_{i<=j} (M - i).  Pascal's rule C(M, j) - C(M-1, j) = C(M-1, j-1) is
+    the defining relation N_j(M+1) - N_j(M) = N_(j-1)(M), and
+    N_j(0) = C(-1, j) = (-1)^j, so this is the unique table that
+    ``check_recurrence`` accepts.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    entries: dict = {}
-    poly = [1]  # p_j, lowest degree first
+    rows = []
+    poly, facts = [1], [1]  # p_j, lowest degree first, and 0!, ..., j!
     for j in range(jmax + 1):
         if j:
             poly = [lo - j * hi for lo, hi in zip([0] + poly, poly + [0])]
-        fj = factorial(j)
-        for jp, c in enumerate(poly):
-            entries[(j, jp)] = Fraction(c * factorial(jp), fj)
+            facts.append(facts[-1] * j)
+        ints = list(map(mul, poly, facts))
+        g = gcd(facts[j], *ints)
+        rows.append((facts[j] // g, [n // g for n in ints]))
     # labelled by the relation it solves uniquely; table files carry this label
-    return CoeffTable(jmax=jmax, entries=entries, provenance="recurrence")
-
-
-def _truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Coefficients of a * b, truncated at their common order len(a) - 1.
-
-    Both lists are scaled to integer numerators, so the products accumulate
-    as ints over den(a) den(b) and each output Fraction is built once.
-    """
-    den_a, ints_a = _numerators(a)
-    den_b, ints_b = _numerators(b)
-    out = [0] * len(a)
-    for i, x in enumerate(ints_a):
-        for j, y in enumerate(ints_b[: len(a) - i]):
-            if y:
-                out[i + j] += x * y
-    return [Fraction(n, den_a * den_b) for n in out]
+    return CoeffTable._of_rows(rows, provenance="recurrence")
 
 
 def a_table_generating(jmax: int) -> CoeffTable:
@@ -278,21 +294,28 @@ def a_table_generating(jmax: int) -> CoeffTable:
 
     a[j][j'] is the coefficient of t^(j-j') in [t/(e^t-1)]^(j+1); the Taylor
     1/(j-j')! normalization is already part of the series coefficient.  The
-    series is taken from the closed form in ``bernoulli_generator``, so this
-    route solves no triangular system, and its powers are formed by truncated
-    products of coefficient lists.
+    series is taken from the closed form in ``bernoulli_generator`` and split
+    once into integer numerators, so this route solves no triangular system.
+    Each power g^(j+1), truncated at t^jmax, is carried as (den, ints): row j
+    is its head through t^j, and one gcd over the power, taken head first,
+    reduces both the row and the power before the next product by g.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    g = list(bernoulli_generator(jmax))
-    entries: dict = {}
-    gpow = g  # g^(j+1) for current j
+    g_den, g_ints = _numerators(bernoulli_generator(jmax))
+    g_rev = g_ints[::-1]
+    den, ints = g_den, g_ints  # g^(j+1) for the current j
+    rows = []
     for j in range(jmax + 1):
-        for jp in range(j + 1):
-            entries[(j, jp)] = gpow[j - jp]
+        head = gcd(den, *ints[: j + 1])
+        rows.append((den // head, [n // head for n in ints[j::-1]]))
         if j < jmax:
-            gpow = _truncated_product(gpow, g)
-    return CoeffTable(jmax=jmax, entries=entries, provenance="generating-function")
+            common = gcd(head, *ints[j + 1:])
+            ints = [n // common for n in ints]
+            # coefficient m of the product: sum_(i<=m) ints[i] g[m - i], map stopping at i = m
+            ints = [sum(map(mul, ints, g_rev[jmax - m:])) for m in range(jmax + 1)]
+            den = den // common * g_den
+    return CoeffTable._of_rows(rows, provenance="generating-function")
 
 
 def matrix_inverse_coeffs(m_max: int) -> list[Fraction]:
@@ -326,7 +349,8 @@ def bound_scan_a(jmax: int, table: CoeffTable) -> dict:
     per_j = []
     c_min = 0.0
     for j in range(jmax + 1):
-        m_j = max(abs(table.entry(j, jp)) for jp in range(j + 1))
+        den, ints = table.rows[j]
+        m_j = Fraction(max(map(abs, ints)), den)
         rate = float(m_j) ** (1.0 / j) if j >= 1 else float(m_j)
         per_j.append({"j": j, "max_abs": fmt_fraction(m_j), "rate": rate})
         if j >= 2:

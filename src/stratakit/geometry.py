@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
 
-from .exactalg import SparseTerms, exact
+from .exactalg import SparseTerms, _numerators, exact
 
 __all__ = [
     "PhasePoly",
@@ -99,12 +99,15 @@ class PhasePoly(SparseTerms):
         return self._over(self.den, out)
 
     def eval(self, point) -> Fraction:
-        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2) on integers: the point
-        over one denominator d, each term padded to the top degree, and one
-        division by ``den * d**top``."""
-        d = math.lcm(*(v.denominator for v in point))
-        ints = [v.numerator * (d // v.denominator) for v in point]
-        top = max(map(sum, self.nums), default=0)
+        """Evaluate exactly at (t, x1, x2, tau, xi1, xi2)."""
+        return Fraction(*self._at(*_numerators(point)))
+
+    def _at(self, d: int, ints) -> tuple[int, int]:
+        """(num, den) of the value at the point ints/d, on integers: each term
+        padded to the top degree, over ``den * d**top``; (0, 1) at once if empty."""
+        if not self.nums:
+            return 0, 1
+        top = max(map(sum, self.nums))
         acc = 0
         for key, n in self.nums.items():
             term = n * d ** (top - sum(key))
@@ -112,7 +115,7 @@ class PhasePoly(SparseTerms):
                 if e:
                     term *= v ** e
             acc += term
-        return Fraction(acc, self.den * d ** top)
+        return acc, self.den * d ** top
 
 
 def var(name: str) -> PhasePoly:
@@ -259,8 +262,9 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
     observed = classify_detailed(point, params)[0]
     if observed is not stratum:
         raise ValueError(f"point classifies as {observed.value}, not {stratum.value}")
-    comps = point.components()
-    matrix = [[entry.eval(comps) for entry in row] for row in bracket_matrix(stratum, params)]
+    point_over_d = _numerators(point.components())  # the point over one denominator, once
+    matrix = [[Fraction(*entry._at(*point_over_d)) for entry in row]
+              for row in bracket_matrix(stratum, params)]
     rank = _exact_rank(matrix)
     return {"bracket_matrix": matrix, "rank": rank, "degenerate": rank < len(matrix)}
 

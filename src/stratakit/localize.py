@@ -97,8 +97,9 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         powers, m = _M_POWERS.setdefault(k, [opalg.one()]), build_model(k).M
         while len(powers) <= j:
             powers.append(powers[-1] * m)
-        _N_OPS[key] = DiffOp._linear(
-            (table.entry(j, jp) / factorial(jp), powers[jp]) for jp in range(j + 1)
+        den, ints = table.rows[j]  # a[j][j'] / j'! = ints[j'] / (den j'!)
+        _N_OPS[key] = DiffOp._combine(
+            (n, den * factorial(jp), powers[jp]) for jp, n in enumerate(ints)
         )
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
 
@@ -320,10 +321,15 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
     """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    q = []
-    for r in range(jmax + 1):
-        row = [table.entry(r, c) * perm(r, r - c) for c in range(r + 1)]
-        q.append([v.numerator if v.denominator == 1 else v for v in row])
+    q, diagonal_one = [], []
+    for r, (den, ints) in enumerate(table.rows[: jmax + 1]):
+        row = []
+        for c, n in enumerate(ints):
+            v = n * perm(r, r - c)
+            whole, rest = divmod(v, den)
+            row.append(Fraction(v, den) if rest else whole)
+        q.append(row)
+        diagonal_one.append(ints[r] == den)
     columns = [[q[r][c] for r in range(c, jmax + 1)] for c in range(jmax + 1)]
     # signed[s][m - s] = (-1)^(m-s) C(m, s)
     signed = [[(-1) ** (m - s) * comb(m, s) for m in range(s, jmax + 1)] for s in range(jmax + 1)]
@@ -338,9 +344,7 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
         scale = factorial(j) * k ** j
         gamma = [Fraction(z[j - m] * factorial(j - m), scale) for m in range(1, j + 1)]
         gamma_by_j[j] = gamma
-        identity_ok = all(
-            gamma[j - ell - 1] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j)
-        )
+        identity_ok = all(diagonal_one[ell] or not gamma[j - ell - 1] for ell in range(1, j))
         cases.append({"j": j, "scalar_identity": identity_ok, "pass": identity_ok})
     reference = gamma_by_j[jmax]
     j_independent = all(

@@ -210,6 +210,16 @@ class TestCoeffsCommand:
             "f5fa54707ae2183ba7cbce5cab002e36f9fd59b01c0d548fbd480b7fa3304157"
         )
 
+    def test_table_bytes_at_the_depth_cap_are_pinned(self, tmp_path, monkeypatch):
+        # the table file of Fraction rows and chained truncated products, taken
+        # before rows were held as integer numerators
+        monkeypatch.setenv(cli.REPORT_DIR_ENV, str(tmp_path))
+        argv = ["coeffs", "--jmax", "120", "--table-out", "table.json", "-o", "coeffs.json"]
+        assert cli.main(argv) == 0
+        assert sha256_of(tmp_path / "table.json") == (
+            "f612e97d4166e8afcc944abdcd31fa2c091fe57a6a79048235ab6828bd77977a"
+        )
+
     def test_tiny_jmax_rejected(self, monkeypatch, capsys):
         # every refused depth gets the growth scan's message before any table is built
         def must_not_run(jmax):
@@ -405,6 +415,14 @@ class TestCutoffCommand:
                          "-o", str(tmp_path / "cut.json")]) == 0
         assert hashlib.sha256(samples.read_bytes()).hexdigest() == (
             "073c42bed6eb55ecb944daedccec5e20449a5dba9fc4502b32cc4f8ca4169d60"
+        )
+
+    def test_report_all_samples_csv_bytes_are_pinned(self, tmp_path, capsys):
+        # the N = 64 CSV that report-all writes, taken while each value was
+        # rounded from an exact Fraction
+        assert cli.main(["report-all", "--outdir", str(tmp_path)]) == 0
+        assert sha256_of(tmp_path / "cutoff_samples.csv") == (
+            "e16fe7bb1d4705f9252bb7e051172674e401b05f3261f6b92f42e07ae8cc9151"
         )
 
     def test_grid_report_bytes_are_pinned(self, tmp_path):

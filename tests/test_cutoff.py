@@ -403,3 +403,41 @@ def test_samples_csv_shape():
     assert len(lines) == 202
     values = [float(c) for c in lines[100].split(",")]
     assert 0.0 <= values[1] <= 1.0
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_samples_csv_rows_match_the_exact_oracle_text(n):
+    # the per-row loop the integer rounding replaced: band.derivatives, then
+    # float of each exact value, compared as text, so a -0 cannot pass as 0
+    cut = build_bands(1, 2, n)[0]
+    buf = io.StringIO()
+    write_cutoff_samples_csv(cut, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    lo, hi = cut.support_lo, cut.support_hi
+    margin = (hi - lo) / 20
+    for i, row in enumerate(rows):
+        r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
+        exact = (r, *cut.derivatives(r, 0, 2))
+        assert row == ",".join(f"{float(v):.17g}" for v in exact)
+    assert len(rows) == 201
+
+
+def test_samples_csv_right_side_exact_zero_prints_zero():
+    # r = 1.5055 lies right of the band's midpoint, on the plateau: phi' is an
+    # exact 0 that the right side negates, and must still print as 0, not -0
+    cut = build_bands(1, 2, 64)[0]
+    buf = io.StringIO()
+    write_cutoff_samples_csv(cut, buf)
+    row = buf.getvalue().splitlines()[1 + 101]
+    assert cut._knot_coord(Fraction(30110, 20000))[1] == -1
+    assert row == "1.5055000000000001,1,0,0"
+
+
+def test_deriv_nums_are_the_eval_derivs_values():
+    # the integer pairs behind the Fraction view, mirrored side, ramp and knots included
+    n = 9
+    for y in [Fraction(i, 4) for i in range(-1, 4 * n + 2)]:
+        for j in range(n):
+            pairs = co._deriv_nums(n, j, y, j + 2)
+            assert all(den > 0 for _, den in pairs)
+            assert [Fraction(num, den) for num, den in pairs] == co._eval_derivs(n, j, y, j + 2)

@@ -62,6 +62,32 @@ def reference_a_table(jmax: int) -> dict:
     return entries
 
 
+def truncated_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The generating route's former kernel: a * b truncated at order len(a) - 1,
+    both lists re-split into integer numerators on every call."""
+    den_a, ints_a = exactalg._numerators(a)
+    den_b, ints_b = exactalg._numerators(b)
+    out = [0] * len(a)
+    for i, x in enumerate(ints_a):
+        for j, y in enumerate(ints_b[: len(a) - i]):
+            if y:
+                out[i + j] += x * y
+    return [Fraction(n, den_a * den_b) for n in out]
+
+
+def chained_product_table(jmax: int) -> dict:
+    """The generating route's former loop: a[j][j'] read off the Fraction list
+    of g^(j+1), the next power its truncated product with g."""
+    g = list(bernoulli_generator(jmax))
+    entries, gpow = {}, g
+    for j in range(jmax + 1):
+        for jp in range(j + 1):
+            entries[(j, jp)] = gpow[j - jp]
+        if j < jmax:
+            gpow = truncated_product(gpow, g)
+    return entries
+
+
 class TestBernoulliGenerator:
     def test_order_four_against_long_division_oracle(self):
         expected = divide_t_by_expm1(4)
@@ -168,6 +194,31 @@ class TestCoeffTable:
             entries[(j, jp)] += delta
             assert table.check_recurrence()
             assert not CoeffTable(jmax, entries, table.provenance).check_recurrence()
+
+    @pytest.mark.parametrize("jmax", [0, 1, 2, 40, 120])
+    def test_generating_rows_match_the_chained_fraction_products(self, jmax):
+        table = a_table_generating(jmax)
+        expected = chained_product_table(jmax)
+        assert table.entries == expected
+        assert all(type(v) is Fraction for v in table.entries.values())
+        # each row is canonical: the reduced integer form of the expected Fractions
+        for j, (den, ints) in enumerate(table.rows):
+            assert den > 0 and len(ints) == j + 1
+            assert [Fraction(n, den) for n in ints] == [expected[(j, jp)] for jp in range(j + 1)]
+            assert den == lcm(*(expected[(j, jp)].denominator for jp in range(j + 1)))
+
+    @pytest.mark.parametrize("build", [a_table_recurrence, a_table_generating])
+    def test_table_rebuilt_from_its_view_is_equal(self, build):
+        t = build(30)
+        u = CoeffTable(t.jmax, t.entries, t.provenance)
+        assert u.rows == t.rows and u.entries == t.entries
+        assert (u.jmax, u.provenance) == (t.jmax, t.provenance)
+        assert all(u.entry(j, jp) == t.entry(j, jp) == t.entries[(j, jp)]
+                   for j in range(31) for jp in range(j + 1))
+
+    def test_view_is_built_once(self):
+        t = a_table_recurrence(6)
+        assert t.entries is t.entries
 
     def test_generating_entry(self):
         assert a_table_generating(2).entry(2, 1) == Fraction(-3, 2)

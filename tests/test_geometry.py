@@ -334,6 +334,28 @@ class TestSymplecticRank:
             assert symplectic_rank(StratumLabel.SIGMA2, p2, params)["degenerate"]
 
 
+    @pytest.mark.parametrize("params", [ModelParams(2), ModelParams(3), SPIRAL],
+                             ids=["k2", "k3", "k2-mu-half"])
+    def test_matrix_matches_per_entry_eval_on_report_all_points(self, params):
+        # the points of report-all's geometry suite (seed 20260401, 100 of each
+        # stratum, drawn in its order); every entry against PhasePoly.eval
+        rng = random.Random(20260401)
+        for _ in range(100):
+            for label, sample in ((StratumLabel.SIGMA1, sample_sigma1),
+                                  (StratumLabel.SIGMA2, sample_sigma2)):
+                point = sample(rng, params)
+                out = symplectic_rank(label, point, params)
+                expected = [[entry.eval(point.components()) for entry in row]
+                            for row in bracket_matrix(label, params)]
+                assert out["bracket_matrix"] == expected
+                assert all(type(v) is Fraction for row in out["bracket_matrix"] for v in row)
+                assert out["rank"] == _exact_rank(expected)
+
+    def test_empty_entry_evaluates_to_zero(self):
+        point = geometry._numerators((Fraction(1, 3), 2, Fraction(-5, 7), 0, 1, Fraction(1, 2)))
+        assert PhasePoly()._at(*point) == (0, 1)
+        assert PhasePoly.const(Fraction(3, 4))._at(*point) == (3, 4)
+
 class TestExactRank:
     # the bracket matrices of Sigma1 and Sigma2 never need a row eliminated
     @pytest.mark.parametrize("rows, rank", [

@@ -393,6 +393,17 @@ class TestGammaExpansion:
         assert report["pass"] is (key is None)
 
     @pytest.mark.parametrize("k", [2, 3])
+    def test_non_integer_q_entry_fails_j_independence(self, k):
+        # a[4][2] + 1/5 makes q[4][2] = a[4][2] 4!/2! gain 12/5: no integer, so
+        # it stays a Fraction through the back-substitution of rows j >= 4
+        table = _planted(10, (4, 2), Fraction(1, 5))
+        den, ints = table.rows[4]
+        assert ints[2] * 12 % den
+        report = verify_gamma_expansion(10, k, table)
+        assert report["gamma_j_independent"] is False and report["pass"] is False
+        assert report == _gamma_report_oracle(10, k, table)
+
+    @pytest.mark.parametrize("k", [2, 3])
     def test_gamma_reproduces_operator_delta(self, k):
         gamma = [Fraction(v) for v in verify_gamma_expansion(7, k, TABLE)["gamma"]]
         delta = [Fraction(v) for v in extract_delta(7, k, TABLE)["delta"]]

@@ -3,7 +3,8 @@
 Each row names a flag and runs the check that reports it, with or without
 a planted fault (a table entry, a closed form or a kernel result).  The clean
 run must report the flag and the check's ``pass`` as true, and the planted
-run both as false.
+run both as false.  A walk over the reports of ``report-all --quick`` fails
+on any boolean key that no row names.
 """
 
 import json
@@ -141,23 +142,86 @@ def _generating_entry_moved(plant, monkeypatch, tmp_path):
     return _cli_report(["coeffs", "--jmax", "8"], plant, tmp_path)
 
 
-FAULTS = {
-    "gamma_j_independent": _gamma_j_independent,
-    "delta_abs_le_1": _delta_abs_le_1,
-    "delta_p_independent": _delta_p_independent,
-    "row_positive_integers": _row_positive_integers,
-    "norm_x_monotone": _norm_x_monotone,
-    "uniform_within_factor_2": _uniform_within_factor_2,
-    "gamma_reproduces_delta": _gamma_reproduces_delta,
-    "bernoulli_identity": _bernoulli_identity,
-    "dual_route_agree": _generating_entry_moved,
-    "recurrence_holds": _generating_entry_moved,
-}
+def _bernoulli_coefficient_moved(plant, monkeypatch, tmp_path):
+    # B_4/4! off by 1/7 in the series the generating route reads, and there
+    # alone: that route's table leaves the closed form from row 3 on
+    build, series = exactalg.a_table_generating, exactalg.bernoulli_generator
+
+    def moved(order):
+        return tuple(c + Fraction(1, 7) if m == 4 else c for m, c in enumerate(series(order)))
+
+    def planted(jmax):
+        with monkeypatch.context() as patch:
+            patch.setattr(exactalg, "bernoulli_generator", moved)
+            return build(jmax)
+
+    if plant:
+        monkeypatch.setattr(exactalg, "a_table_generating", planted)
+    return _cli_report(["coeffs", "--jmax", "8"], plant, tmp_path)
 
 
-@pytest.mark.parametrize("flag", list(FAULTS))
-def test_planted_fault_makes_the_flag_and_pass_false(flag, monkeypatch, tmp_path):
-    holder, report = FAULTS[flag](0, monkeypatch, tmp_path)
+def _closed_form_matches(plant, monkeypatch, tmp_path):
+    # the closed form C(-1/k, l+1) at l = 2 off by 1/7; the extracted delta are untouched
+    closed = localize.binomial
+    if plant:
+        monkeypatch.setattr(
+            localize, "binomial",
+            lambda a, n: closed(a, n) + (Fraction(1, 7) if n == 3 else 0),
+        )
+    report = localize.extract_delta(6, 2, exactalg.a_table_recurrence(6))
+    return report["closed_form"], report
+
+
+def _scalar_identity(plant, monkeypatch, tmp_path):
+    # the diagonal entry a[2][2] = 2: row j = 3 reads gamma_1 (1 - a[2][2]) != 0
+    report = localize.verify_gamma_expansion(6, 2, _table(6, (2, 2), plant))
+    return report["cases"][2], report
+
+
+# (test id, flag, fault); a flag may have more than one row
+FAULTS = [
+    ("gamma_j_independent", "gamma_j_independent", _gamma_j_independent),
+    ("delta_abs_le_1", "delta_abs_le_1", _delta_abs_le_1),
+    ("delta_p_independent", "delta_p_independent", _delta_p_independent),
+    ("row_positive_integers", "row_positive_integers", _row_positive_integers),
+    ("norm_x_monotone", "norm_x_monotone", _norm_x_monotone),
+    ("uniform_within_factor_2", "uniform_within_factor_2", _uniform_within_factor_2),
+    ("gamma_reproduces_delta", "gamma_reproduces_delta", _gamma_reproduces_delta),
+    ("bernoulli_identity", "bernoulli_identity", _bernoulli_identity),
+    ("dual_route_agree", "dual_route_agree", _generating_entry_moved),
+    ("recurrence_holds", "recurrence_holds", _generating_entry_moved),
+    ("dual_route_agree-bernoulli-coefficient", "dual_route_agree", _bernoulli_coefficient_moved),
+    ("matches", "matches", _closed_form_matches),
+    ("scalar_identity", "scalar_identity", _scalar_identity),
+]
+
+
+@pytest.mark.parametrize("flag, fault", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS])
+def test_planted_fault_makes_the_flag_and_pass_false(flag, fault, monkeypatch, tmp_path):
+    holder, report = fault(0, monkeypatch, tmp_path)
     assert holder[flag] is True and report["pass"] is True
-    holder, report = FAULTS[flag](1, monkeypatch, tmp_path)
+    holder, report = fault(1, monkeypatch, tmp_path)
     assert holder[flag] is False and report["pass"] is False
+
+
+def _boolean_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, bool):
+                yield key
+            yield from _boolean_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _boolean_keys(value)
+
+
+def test_every_boolean_of_report_all_has_a_fault_row(tmp_path, capsys):
+    # ``pass`` is what each row checks beside its flag; the summary's section
+    # flags are the sections' own ``pass``
+    assert cli.main(["report-all", "--quick", "--outdir", str(tmp_path)]) == 0
+    seen = set()
+    for path in sorted(tmp_path.glob("*.json")):
+        if path.name != "summary.json":
+            seen.update(_boolean_keys(json.loads(path.read_text())))
+    assert "scalar_identity" in seen and "norm_x_monotone" in seen
+    assert sorted(seen - {"pass"} - {row[1] for row in FAULTS}) == []

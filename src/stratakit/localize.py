@@ -1,27 +1,24 @@
 """Localizer operators and machine verification of their bracket identities.
 
 Builds the localizers N_j (polynomials in M = (t/k) d/dt with the triangular
-coefficients a[j][j']) and the localized powers
+coefficients a[j][j'], each once per (k, table, j), as one linear combination
+of the memoised powers of M), then verifies, as exact zero-residual
+identities in the free operator algebra, with R^p_phi = sum_j phi^(j) N_j R^(p-j):
 
-    R^p_phi = sum_{j=0}^{p} phi^(j) N_j R^(p-j)
-
-(each N_j once per (k, table, j), as one linear combination of the memoised
-powers of M; R^p_phi by relabelling the keys of the N_j), then verifies, as
-exact zero-residual identities in the free operator algebra:
-
-* the telescoping bracket [X2, N_j] = -t^k N_{j-1} R,
-* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p, each level's gap
-  formed from the one below (``_bracket_gaps``, shared with X1), so no check
-  builds R^p_phi and a level costs O(p) monomials on a valid table,
+* the telescoping bracket [X2, N_j] = -t^k N_{j-1} R, its residual res_j
+  formed once per (k, table, j),
+* the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p: its residual is
+  the res_j relabelled plus the generator defects [X2, phi^(j)] - t^k phi^(j+1),
+  so no check builds R^p_phi or forms [X2, N_j] twice,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
   X1 commutes with phi and R, so every level relabels the same blocks
   phi^(j) B_j R^(p-j), one per localizer, and each delta_l is read once, from
   the Dt coefficient of block l+1.  Each block is one linear combination of
   [X1, N_j] and the X1 N_(j-l-1).  Like N_j, it is formed in one pass over
   the operators' integer numerators (``DiffOp._linear``), not by a chain of
-  ``+``.  The relabelling is checked at every level (``delta_p_independent``),
-  and the delta_l are required to equal the binomial closed form
-  C(-1/k, l+1) and compared against the printed closed-form candidates,
+  ``+``.  ``delta_p_independent`` checks the commutator's Leibniz rule at
+  every level, and the delta_l must equal the binomial closed form
+  C(-1/k, l+1) and are compared against the printed closed-form candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients, back-substituted on integers), and
 * the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
@@ -48,7 +45,6 @@ from .opalg import DiffOp, build_model, commutator
 __all__ = [
     "LocalizerN",
     "build_N",
-    "build_Rp_phi",
     "verify_localizer_bracket",
     "verify_x2_bracket",
     "extract_delta",
@@ -83,7 +79,7 @@ class LocalizerN(namedtuple("LocalizerN", "j k op")):
 
 
 _M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
-_N_OPS: dict[tuple, DiffOp] = {}  # (k, table, j) -> N_j; holding the table keeps its id unique
+_N_OPS: dict[tuple, DiffOp] = {}  # (k, table, j) -> N_j and (k, table, j, "X2") -> res_j
 
 
 def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
@@ -92,7 +88,7 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
         raise ValueError("j must be >= 0")
     if table.jmax < j:
         raise ValueError(f"coefficient table too small: jmax={table.jmax} < j={j}")
-    key = (k, table, j)
+    key = (k, table, j)  # holding the table keeps its id unique
     if key not in _N_OPS:
         powers, m = _M_POWERS.setdefault(k, [opalg.one()]), build_model(k).M
         while len(powers) <= j:
@@ -105,22 +101,25 @@ def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
 
 
 def _localized(parts: list[DiffOp], q: int) -> DiffOp:
-    """sum_{j<=q} phi^(j) parts[j] R^(q-j); parts free of phi and R just get relabelled,
-    their numerators brought to the lcm of the parts' denominators."""
+    """sum_{j<=q} phi^(j) parts[j] R^(q-j) for phi-free parts: each monomial gets phi^(j)
+    and q - j more powers of R, its numerator brought to the lcm of the parts' denominators."""
     den = lcm(*(part.den for part in parts[: q + 1]))
     nums = {}
     for j in range(q + 1):
         factor = den // parts[j].den
-        for (a, _, b, _, d), n in parts[j].nums.items():
-            nums[(a, (j,), b, q - j, d)] = n * factor
+        for (a, _, b, r, d), n in parts[j].nums.items():
+            nums[(a, (j,), b, r + q - j, d)] = n * factor
     return DiffOp._over(den, nums)
 
 
-def build_Rp_phi(p: int, k: int, table: CoeffTable) -> DiffOp:
-    """R^p_phi = sum_j phi^(j) N_j R^(p-j)."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    return _localized([build_N(j, k, table).op for j in range(p + 1)], p)
+def _x2_residual(j: int, model: opalg.ModelOps, table: CoeffTable) -> DiffOp:
+    """res_j = [X2, N_j] + t^k N_(j-1) R (res_0 = [X2, N_0]), formed once per (k, table, j)."""
+    k = model.k
+    key = (k, table, j, "X2")
+    if key not in _N_OPS:
+        res = commutator(model.X2, build_N(j, k, table).op)
+        _N_OPS[key] = res + opalg.tvar(k) * build_N(j - 1, k, table).op * model.R if j else res
+    return _N_OPS[key]
 
 
 def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
@@ -128,12 +127,7 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
     model = build_model(k)
-    tk = opalg.tvar(k)
-    cases = []
-    for j in range(1, jmax + 1):
-        previous = build_N(j - 1, k, table).op
-        residual = commutator(model.X2, build_N(j, k, table).op) + tk * previous * model.R
-        cases.append({"j": j, **_residual_case(residual)})
+    cases = [{"j": j, **_residual_case(_x2_residual(j, model, table))} for j in range(1, jmax + 1)]
     return {
         "identity": "x2-localizer-bracket",
         "statement": "[X2, N_j] + t^k N_(j-1) R == 0",
@@ -147,9 +141,10 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
 def _bracket_gaps(x: DiffOp, claims, k: int, table: CoeffTable):
     """Yield G_p = [x, R^p_phi] - E_p for p = 0, 1, ..., one per claim C_p of [x, N_p].
 
-    E_p is what the claims predict: E_p - E_(p-1) R = [x, phi^(p)] N_p + phi^(p) C_p.
-    As R^p_phi = R^(p-1)_phi R + phi^(p) N_p and [x, R] = 0, G_p is formed from
-    G_(p-1), so R^p_phi is never built and a zero gap costs O(p) monomials.
+    E_p - E_(p-1) R = [x, phi^(p)] N_p + phi^(p) C_p, and R^p_phi = R^(p-1)_phi R
+    + phi^(p) N_p with [x, R] = 0, so G_p is formed from G_(p-1) without R^p_phi.
+    Under ``extract_delta``'s claims C_p = [X1, N_p], every gap is zero exactly
+    when ``commutator`` obeys the Leibniz rule on phi^(p) N_p.
     """
     r, gap = build_model(k).R, opalg.zero()
     for p, claim in enumerate(claims):
@@ -162,16 +157,20 @@ def _bracket_gaps(x: DiffOp, claims, k: int, table: CoeffTable):
 def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
     """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax.
 
-    Each residual is the gap of ``_bracket_gaps`` under the telescoping claims
-    [X2, N_p] = -t^k N_(p-1) R: with [X2, phi^(p)] = t^k phi^(p+1) they predict
-    E_p = t^k phi^(p+1) N_p, so the gap is the residual itself.
+    By the Leibniz rule and [X2, R] = 0, with [X2, N_j] = res_j - t^k N_(j-1) R and
+    [X2, phi^(j)] = t^k phi^(j+1) + g_j, the t^k terms telescope to t^k phi^(p+1) N_p:
+    the residual is G_p = sum_(j<=p) (phi^(j) res_j + g_j N_j) R^(p-j), a relabelling
+    of the ``_x2_residual`` plus the generator defects g_j, checked, not assumed.
     """
     if pmax < 0:
         raise ValueError("pmax must be >= 0")
     model, tk = build_model(k), opalg.tvar(k)
-    claims = [opalg.zero(), *(-(tk * build_N(p, k, table).op * model.R) for p in range(pmax))]
-    gaps = _bracket_gaps(model.X2, claims, k, table)
-    cases = [{"p": p, **_residual_case(gap)} for p, gap in enumerate(gaps)]
+    residuals, defects, cases = [], opalg.zero(), []
+    for p in range(pmax + 1):
+        residuals.append(_x2_residual(p, model, table))
+        g = commutator(model.X2, opalg.phi(p)) - tk * opalg.phi(p + 1)
+        defects = defects * model.R + g * build_N(p, k, table).op
+        cases.append({"p": p, **_residual_case(_localized(residuals, p) + defects)})
     return {
         "identity": "x2-localized-power-bracket",
         "statement": "[X2, R^p_phi] - t^k phi^(p+1) N_p == 0",

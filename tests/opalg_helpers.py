@@ -1,8 +1,9 @@
-"""DiffOp evaluations that only the tests need."""
+"""DiffOp evaluations and operands that only the tests need."""
 
 from fractions import Fraction
 from math import comb, perm
 
+from stratakit import localize
 from stratakit.opalg import DiffOp, _phi_derive
 
 
@@ -41,3 +42,10 @@ def reference_product(left: DiffOp, right: DiffOp) -> DiffOp:
                         key = (a1 + a2 - i, phis, b1 - i + b2, r1 - i2 + r2, d1 + d2)
                         out[key] = out.get(key, Fraction(0)) + c1 * c2 * (ct * comb(r1, i2) * mult)
     return DiffOp(out)
+
+
+def build_Rp_phi(p: int, k: int, table) -> DiffOp:
+    """R^p_phi = sum_j phi^(j) N_j R^(p-j): the whole operand the bracket oracles act on."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    return localize._localized([localize.build_N(j, k, table).op for j in range(p + 1)], p)

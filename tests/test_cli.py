@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratakit import cli, exactalg, geometry, localize
+from stratakit import cli, exactalg, geometry, localize, opalg
 
 
 def sha256_of(path):
@@ -74,6 +74,29 @@ class TestVerifyCommand:
         ]
         assert residuals and not any(residuals)
         assert all(c["pass"] for c in report["checks"] if c is not delta)
+
+    def test_each_x2_bracket_is_formed_once(self, tmp_path, monkeypatch):
+        # both X2 checks read one residual per localizer, so [X2, N_j] is formed
+        # once for each j, and the generator brackets [X2, phi^(j)] once each:
+        # no right operand is a product phi^(p) N_p
+        real, operands = localize.commutator, []
+        x2 = opalg.build_model(2).X2
+
+        def recording(a, b):
+            if a == x2:
+                operands.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(localize, "commutator", recording)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--k", "2", "--jmax", "12", "--pmax", "12", "-o", str(out)]) == 0
+        table = exactalg.a_table_recurrence(12)
+        expected = [
+            *(localize.build_N(j, 2, table).op for j in range(13)),
+            *(opalg.phi(j) for j in range(13)),
+        ]
+        assert len(operands) == len(expected) == 26
+        assert all(sum(b == op for b in operands) == 1 for op in expected)
 
     def test_k_below_two_is_config_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,13 +4,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from opalg_helpers import substitute_phi_unit
+from opalg_helpers import build_Rp_phi, substitute_phi_unit
 
 from stratakit import exactalg, localize, opalg
 from stratakit.exactalg import bound_scan_a
 from stratakit.localize import (
     build_N,
-    build_Rp_phi,
     extract_delta,
     verify_gamma_expansion,
     verify_localizer_bracket,
@@ -113,6 +112,8 @@ class TestLocalizedPower:
                 expected = expected + phi(j) * _direct_N(j, k, table) * rr() ** (p - j)
             assert localize._localized(parts, p) == expected
             assert build_Rp_phi(p, k, table) == localize._localized(parts, p)
+            # a part that carries its own R keeps it: the relabelling adds p - j
+            assert localize._localized([n * rr() for n in parts], p) == expected * rr()
 
 
 class TestX2LocalizerBracket:
@@ -141,6 +142,8 @@ def _planted(jmax, key, shift):
 
 
 PLANTED_ENTRIES = [((3, 1), Fraction(1, 7)), ((2, 2), 1), ((5, 0), Fraction(-2, 3))]
+# the gamma expansion never reads row 0, so (0, 0) joins the X2 bracket tests alone
+X2_PLANTED_ENTRIES = [*PLANTED_ENTRIES, ((6, 4), Fraction(3, 5)), ((0, 0), Fraction(1, 2))]
 
 
 def _x2_report_oracle(pmax, k, table):
@@ -178,13 +181,46 @@ class TestX2LocalizedPowerBracket:
             assert gap.is_zero and len(bracket) == p + 1
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    @pytest.mark.parametrize("key, shift", PLANTED_ENTRIES)
-    def test_planted_entry_reports_equal_the_whole_operand_loop(self, k, key, shift):
-        table = _planted(10, key, shift)
-        report = verify_x2_bracket(10, k, table)
-        assert report == _x2_report_oracle(10, k, table)
+    @pytest.mark.parametrize("key, shift", [(None, 0), *X2_PLANTED_ENTRIES])
+    @pytest.mark.parametrize("pmax", [0, 1, 4, 10])
+    def test_planted_entry_reports_equal_the_whole_operand_loop(self, k, key, shift, pmax):
+        # a planted a[i][c] moves t^k N_i R, so res_(i+1), and [X2, N_i] too unless
+        # c = 0 (a constant commutes with X2): every level from i (c > 0) or i + 1 fails
+        table = exactalg.a_table_recurrence(10) if key is None else _planted(10, key, shift)
+        first = pmax + 1 if key is None else key[0] + (key[1] == 0)
+        report = verify_x2_bracket(pmax, k, table)
+        assert report == _x2_report_oracle(pmax, k, table)
+        assert [c["p"] for c in report["cases"] if not c["pass"]] == list(range(first, pmax + 1))
+        assert any("offending_monomials" in c for c in report["cases"]) is not report["pass"]
+        m, tk = build_model(k), opalg.tvar(k)
+        localizer = verify_localizer_bracket(max(pmax, 1), k, table)
+        for case in localizer["cases"]:
+            j = case["j"]
+            residual = commutator(m.X2, build_N(j, k, table).op) + (
+                tk * build_N(j - 1, k, table).op * m.R
+            )
+            assert case == {"j": j, **localize._residual_case(residual)}
+
+    def test_planted_generator_bracket_fails_the_x2_check_alone(self, monkeypatch):
+        # [X2, phi^(2)] gains t phi^(3): the defect t phi^(3) N_2 R^(p-2) is each
+        # level's whole residual from p = 2 on, and no per-j residual reads a phi
+        real = localize.commutator
+        m = build_model(2)
+
+        def planted(a, b):
+            out = real(a, b)
+            return out + opalg.tvar() * phi(3) if a == m.X2 and b == phi(2) else out
+
+        monkeypatch.setattr(localize, "commutator", planted)
+        table = exactalg.a_table_recurrence(6)
+        report = verify_x2_bracket(6, 2, table)
         assert report["pass"] is False
-        assert any("offending_monomials" in c for c in report["cases"])
+        assert [c["p"] for c in report["cases"] if not c["pass"]] == [2, 3, 4, 5, 6]
+        defect = opalg.tvar() * phi(3) * build_N(2, 2, table).op
+        for case in report["cases"][2:]:
+            expected = localize._residual_case(defect * rr() ** (case["p"] - 2))
+            assert case == {"p": case["p"], **expected}
+        assert verify_localizer_bracket(6, 2, table)["pass"]
 
     def test_p0_single_bracket(self):
         m = build_model(3)

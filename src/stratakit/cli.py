@@ -49,9 +49,9 @@ FLOW_DRIFT_TOL = 1e-8
 FLOW_CLOSED_FORM_TOL = 1e-6
 # the deepest coeffs --jmax and verify --jmax/--pmax: a depth-n table of
 # (n+1)(n+2)/2 exact entries is built before any check runs, and verify's
-# time grew 4.2-fold from depth 60 to 120 (at 120 on a shared 2-vCPU VM, median
-# of three runs: 0.61 s for k = 2, 1.4 s for k = 1000 and any k >= 120;
-# coeffs --jmax 120 --table-out 0.54 s)
+# time grew 3.8-fold from depth 60 to 120 (at 120 on a shared 2-vCPU VM, median
+# of three runs: 0.73 s for k = 2, 1.6 s for k = 1000 and any k >= 120;
+# coeffs --jmax 120 --table-out 0.84 s)
 _MAX_DEPTH = 120
 
 

@@ -231,24 +231,6 @@ def classify_detailed(cov: Covector, params: ModelParams) -> tuple[StratumLabel,
     return StratumLabel.SIGMA2, flags
 
 
-def _exact_rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        for r in range(n):
-            if r != rank and m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams) -> dict:
     """The stratum's bracket matrix at a point on it.
 
@@ -265,7 +247,8 @@ def symplectic_rank(stratum: StratumLabel, point: Covector, params: ModelParams)
     point_over_d = _numerators(point.components())  # the point over one denominator, once
     matrix = [[Fraction(*entry._at(*point_over_d)) for entry in row]
               for row in bracket_matrix(stratum, params)]
-    rank = _exact_rank(matrix)
+    # antisymmetric and of size 2 or 3, so of even rank at most 2: 2 if any entry is nonzero
+    rank = 2 if any(v for row in matrix for v in row) else 0
     return {"bracket_matrix": matrix, "rank": rank, "degenerate": rank < len(matrix)}
 
 

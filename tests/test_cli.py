@@ -98,6 +98,30 @@ class TestVerifyCommand:
         assert len(operands) == len(expected) == 26
         assert all(sum(b == op for b in operands) == 1 for op in expected)
 
+    def test_each_x1_bracket_is_formed_once(self, tmp_path, monkeypatch):
+        # the X1 check reads one bracket per localizer and checks the generator
+        # brackets [X1, R] and [X1, phi^(j)] once each: no right operand is a
+        # product phi^(p) N_p, and no Leibniz gap is formed
+        real, operands = localize.commutator, []
+        x1 = opalg.build_model(2).X1
+
+        def recording(a, b):
+            if a == x1:
+                operands.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(localize, "commutator", recording)
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--k", "2", "--jmax", "12", "--pmax", "12", "-o", str(out)]) == 0
+        table = exactalg.a_table_recurrence(12)
+        expected = [
+            *(localize.build_N(j, 2, table).op for j in range(13)),
+            opalg.rr(),
+            *(opalg.phi(j) for j in range(13)),
+        ]
+        assert len(operands) == len(expected) == 27
+        assert all(sum(b == op for b in operands) == 1 for op in expected)
+
     def test_k_below_two_is_config_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--k", "1"])

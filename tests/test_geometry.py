@@ -15,7 +15,6 @@ from stratakit.geometry import (
     ModelParams,
     PhasePoly,
     StratumLabel,
-    _exact_rank,
     _leaf_rhs,
     _leaf_taus,
     _monitors,
@@ -355,6 +354,27 @@ class TestSymplecticRank:
         point = geometry._numerators((Fraction(1, 3), 2, Fraction(-5, 7), 0, 1, Fraction(1, 2)))
         assert PhasePoly()._at(*point) == (0, 1)
         assert PhasePoly.const(Fraction(3, 4))._at(*point) == (3, 4)
+
+
+def _exact_rank(matrix):
+    """Rank by Fraction elimination: the oracle for ``symplectic_rank``, which
+    reads the rank of its antisymmetric matrices off their entries."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        for r in range(n):
+            if r != rank and m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
 
 class TestExactRank:
     # the bracket matrices of Sigma1 and Sigma2 never need a row eliminated

@@ -142,7 +142,8 @@ def _planted(jmax, key, shift):
 
 
 PLANTED_ENTRIES = [((3, 1), Fraction(1, 7)), ((2, 2), 1), ((5, 0), Fraction(-2, 3))]
-# the gamma expansion never reads row 0, so (0, 0) joins the X2 bracket tests alone
+# (6, 4) and (0, 0) join the X2 bracket tests, and (0, 0) the gamma test too:
+# of row 0 the gamma expansion reads only the diagonal check's a[0][0]
 X2_PLANTED_ENTRIES = [*PLANTED_ENTRIES, ((6, 4), Fraction(3, 5)), ((0, 0), Fraction(1, 2))]
 
 
@@ -167,18 +168,17 @@ def _x2_report_oracle(pmax, k, table):
 
 class TestX2LocalizedPowerBracket:
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_ladder_equals_the_whole_operand_bracket_through_p12(self, k):
-        # each gap is the whole-operand residual, and zero: the bracket is then
-        # t^k phi^(p+1) N_p, p + 1 monomials
+    def test_whole_operand_bracket_is_the_single_term_through_p12(self, k):
+        # the bracket over the whole of R^p_phi is t^k phi^(p+1) N_p, p + 1
+        # monomials, and the relabelled report is the whole-operand one
         table = exactalg.a_table_recurrence(12)
         m, tk = build_model(k), opalg.tvar(k)
-        claims = [opalg.zero(), *(-(tk * build_N(p, k, table).op * rr()) for p in range(12))]
-        gaps = list(localize._bracket_gaps(m.X2, claims, k, table))
-        assert len(gaps) == 13
-        for p, gap in enumerate(gaps):
+        for p in range(13):
             bracket = commutator(m.X2, build_Rp_phi(p, k, table))
-            assert gap == bracket - tk * phi(p + 1) * build_N(p, k, table).op
-            assert gap.is_zero and len(bracket) == p + 1
+            assert bracket == tk * phi(p + 1) * build_N(p, k, table).op
+            assert len(bracket) == p + 1
+        report = verify_x2_bracket(12, k, table)
+        assert report == _x2_report_oracle(12, k, table) and report["pass"]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("key, shift", [(None, 0), *X2_PLANTED_ENTRIES])
@@ -244,9 +244,9 @@ class TestX2LocalizedPowerBracket:
 
 def _p_independent_oracle(pmax, k, table):
     """extract_delta's delta_p_independent with one commutator over the whole of
-    R^p_phi per level; ``localize.commutator`` is read at call time, so a
-    planted commutator reaches it."""
-    x1 = build_model(k).X1
+    R^p_phi per level; ``localize.commutator`` and ``localize.build_model`` are
+    read at call time, so a planted commutator or model reaches it."""
+    x1 = localize.build_model(k).X1
     brackets = [localize.commutator(x1, build_N(j, k, table).op) for j in range(pmax + 1)]
     return all(
         localize.commutator(x1, build_Rp_phi(p, k, table)) == localize._localized(brackets, p)
@@ -256,16 +256,28 @@ def _p_independent_oracle(pmax, k, table):
 
 class TestDeltaExtraction:
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_x1_gaps_equal_the_whole_operand_bracket_through_p12(self, k):
+    def test_whole_operand_bracket_is_the_relabelling_through_p12(self, k):
+        # X1 commutes with R and every phi^(j), so the bracket over the whole of
+        # R^p_phi is the relabelled sum_j phi^(j) [X1, N_j] R^(p-j)
         table = exactalg.a_table_recurrence(12)
-        x1 = build_model(k).X1
-        brackets = [commutator(x1, build_N(j, k, table).op) for j in range(13)]
-        gaps = list(localize._bracket_gaps(x1, brackets, k, table))
-        assert len(gaps) == 13
-        for p, gap in enumerate(gaps):
-            bracket = commutator(x1, build_Rp_phi(p, k, table))
-            assert gap == bracket - localize._localized(brackets, p)
-            assert gap.is_zero
+        m = build_model(k)
+        assert commutator(m.X1, m.R).is_zero
+        assert all(commutator(m.X1, phi(j)).is_zero for j in range(13))
+        brackets = [commutator(m.X1, build_N(j, k, table).op) for j in range(13)]
+        for p in range(13):
+            bracket = commutator(m.X1, build_Rp_phi(p, k, table))
+            assert bracket == localize._localized(brackets, p)
+        assert extract_delta(12, k, table)["delta_p_independent"] is True
+
+    def test_x1_that_differentiates_phi_fails_p_independence(self, monkeypatch):
+        # X1 = Dt + R: [X1, R] = 0 but [X1, phi^(j)] = phi^(j+1), so the whole
+        # bracket gains sum_j phi^(j+1) N_j R^(p-j) off the relabelling
+        real = localize.build_model
+        monkeypatch.setattr(localize, "build_model", lambda k: real(k)._replace(X1=opalg.dt() + rr()))
+        table = exactalg.a_table_recurrence(6)
+        report = extract_delta(6, 2, table)
+        assert report["delta_p_independent"] is _p_independent_oracle(6, 2, table) is False
+        assert report["pass"] is False
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("key, shift", [(None, 0), *PLANTED_ENTRIES])
@@ -381,7 +393,7 @@ def _gamma_report_oracle(jmax, k, table):
                 acc -= gamma[j - sp] * table.entry(sp, s)
             gamma[j - s] = acc
         gamma_by_j[j] = gamma[1:]
-        ok = all(gamma[j - ell] * (1 - table.entry(ell, ell)) == 0 for ell in range(1, j))
+        ok = all(gamma[j - ell] * (1 - table.entry(ell, ell)) == 0 for ell in range(j))
         cases.append({"j": j, "scalar_identity": ok, "pass": ok})
     reference = gamma_by_j[jmax]
     independent = all(gamma_by_j[j] == reference[:j] for j in range(1, jmax + 1))
@@ -409,7 +421,7 @@ class TestGammaExpansion:
         assert report["pass"]
         assert report["gamma_j_independent"]
 
-    @pytest.mark.parametrize("ell", [1, 4, 7])
+    @pytest.mark.parametrize("ell", [1, 4, 7, 0])
     def test_planted_diagonal_entry_fails_scalar_identity(self, ell):
         # left minus right of the scalar identity is gamma_(j-l) (1 - a[l][l])
         entries = dict(TABLE.entries)
@@ -421,7 +433,7 @@ class TestGammaExpansion:
         assert report["pass"] is False
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    @pytest.mark.parametrize("key, shift", [(None, 0), *PLANTED_ENTRIES])
+    @pytest.mark.parametrize("key, shift", [(None, 0), *PLANTED_ENTRIES, ((0, 0), Fraction(1, 2))])
     def test_integer_back_substitution_equals_the_fraction_loop(self, k, key, shift):
         table = TABLE if key is None else _planted(12, key, shift)
         report = verify_gamma_expansion(12, k, table)

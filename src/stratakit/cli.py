@@ -25,7 +25,7 @@ or any ValueError the library raises).  The environment variable
 STRATAKIT_REPORT_DIR redirects relative output paths.
 
 Layers are imported on use: each runner imports the modules it calls, so
-``coeffs`` loads exactalg alone, ``cutoff`` only cutoff and exactalg, and
+``coeffs`` loads exactalg alone, ``cutoff`` only cutoff, and
 ``import stratakit.cli`` no layer.  Start-up is a large share of a short
 run, and every module imported without cached bytecode is compiled first.
 Runners call ``module.attr``, so a monkeypatched or traced module attribute
@@ -40,7 +40,10 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
+
+from . import fmt_fraction
 
 REPORT_DIR_ENV = "STRATAKIT_REPORT_DIR"
 # the flow's pass thresholds: the largest drift of <x, xi> and <x, A xi>, and
@@ -57,8 +60,7 @@ _MAX_DEPTH = 120
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        from . import exactalg
-        return exactalg.fmt_fraction(obj)
+        return fmt_fraction(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -199,7 +201,7 @@ def run_coeffs(args) -> dict:
         "jmax": jmax,
         "dual_route_agree": agree,
         "recurrence_holds": holds,
-        "bernoulli_head": [exactalg.fmt_fraction(c) for c in inverse[:4]],
+        "bernoulli_head": [fmt_fraction(c) for c in inverse[:4]],
         "bernoulli_identity": bern_match,
         "growth_scan": scan,
         "pass": agree and holds and bern_match and scan["pass"],
@@ -338,7 +340,7 @@ def run_flow(args) -> dict:
 
 
 def run_cutoff(args) -> dict:
-    from . import cutoff, exactalg
+    from . import cutoff
     r1, r2, n, kmax = args.r1, args.r2, args.N, args.kmax
     bands = cutoff.build_bands(r1, r2, n)
     if kmax < 1:
@@ -363,7 +365,7 @@ def run_cutoff(args) -> dict:
     report = {
         "suite": "cutoff-bounds",
         "N": n,
-        "band_gaps": [exactalg.fmt_fraction(b.d) for b in bands],
+        "band_gaps": [fmt_fraction(b.d) for b in bands],
         "budgets": [b.budget for b in bands],
         "bound_check": body,
         "recursion_rate": {
@@ -420,6 +422,7 @@ def _run(args) -> dict:
 # -- argument plumbing -----------------------------------------------------------
 
 
+@cache  # one parser per process: report-all's sections parse with main's
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratakit",

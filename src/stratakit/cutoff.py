@@ -18,8 +18,10 @@ computed from the truncated-power representation
     B_n^(j)(y) = (1/(n-j-1)!) sum_s (-1)^s C(n, s) (y - s)_+^(n-j-1),
 
 whose numerator is an integer for rational y, so evaluation is exact at any
-size.  The suprema need no search.  B_n^(j) is the j-th backward difference
-of B_(n-j),
+size.  ``_deriv_nums`` is the layer's one spline evaluator: the top-order
+check compares its integer pair with the binomial, and the samples CSV
+rounds its pairs.  The suprema need no search.  B_n^(j) is the j-th
+backward difference of B_(n-j),
 
     B_n^(j)(y) = sum_i (-1)^i C(j, i) B_(n-j)(y - i),
 
@@ -35,9 +37,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .exactalg import exact, fmt_fraction
+from . import exact, fmt_fraction
 
 __all__ = [
     "Band",
@@ -102,22 +104,19 @@ def _deriv_nums(n: int, j: int, y: Fraction, count: int) -> list[tuple[int, int]
     return [(num, factorial(deg + i) * q ** (deg + i)) for i, num in enumerate(nums)]
 
 
-def _eval_derivs(n: int, j: int, y: Fraction, count: int) -> list[Fraction]:
-    """Exact values of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1): the Fraction view
-    of ``_deriv_nums``."""
-    return [Fraction(num, den) for num, den in _deriv_nums(n, j, y, count)]
-
-
 # -- bands and their cutoffs ------------------------------------------------------
 
 
 class Band(namedtuple("Band", "k lo hi d budget")):
-    """Band k = [lo, hi] with gap d and budget N_k, and its cutoff phi_k.
+    """Band k = [lo, hi] with gap d and budget N_k: the geometry of its cutoff phi_k.
 
     phi_k is the indicator of [lo, hi] smoothed by ``budget`` boxes of width
     ``box_width``: identically 1 on the band, supported in
     [support_lo, support_hi] (band k-1), with a transition of width d on each
-    side.  Derivatives up to the budget exist and evaluate exactly.  A named
+    side.  At r its order l >= 1 is B_N^(l-1)(y) / w^l, negated for odd l on
+    the right side, with y the knot coordinate (r - support_lo)/w, or
+    (support_hi - r)/w right of the band's midpoint; order 0 is the ramp
+    B_N^(-1)(y).  ``write_cutoff_samples_csv`` evaluates them so.  A named
     tuple (int k and budget, Fraction lo, hi and d), not a dataclass, so the
     cutoff path never imports ``dataclasses``.
     """
@@ -135,40 +134,6 @@ class Band(namedtuple("Band", "k lo hi d budget")):
     @property
     def support_hi(self) -> Fraction:
         return self.hi + self.d
-
-    def _knot_coord(self, r) -> tuple[Fraction, int]:
-        """Map an exact r to (ramp coordinate y in knot units, side sign)."""
-        fr = exact(r)
-        mid = (self.lo + self.hi) / 2
-        if fr <= mid:
-            return (fr - self.support_lo) / self.box_width, +1
-        return (self.support_hi - fr) / self.box_width, -1
-
-    def derivatives(self, r, lo: int, hi: int) -> list[Fraction]:
-        """[phi^(lo)(r), ..., phi^(hi)(r)] exactly, from one shared spline sum.
-
-        Order l >= 1 is B_N^(l-1) at the knot coordinate over w^l, negated
-        for odd l on the right side.  Order 0 is the ramp B_N^(-1), the
-        integral of B_N: the smoothed unit step at knot scale.  A float r
-        raises TypeError.
-        """
-        return [Fraction(num, den) for num, den in self._derivative_nums(r, lo, hi)]
-
-    def _derivative_nums(self, r, lo: int, hi: int) -> list[tuple[int, int]]:
-        """``derivatives`` as unreduced (num, den) pairs: B_N^(l-1)'s numerator
-        times w_den^l over its denominator times w_num^l, the sign on num."""
-        if lo < 0:
-            raise ValueError("derivative order must be >= 0")
-        if hi > self.budget:
-            raise ValueError(f"derivative order {hi} exceeds budget {self.budget}")
-        y, side = self._knot_coord(r)
-        w = self.box_width
-        values = _deriv_nums(self.budget, hi - 1, y, hi - lo + 1)[::-1]
-        for i, ell in enumerate(range(lo, hi + 1)):
-            num, den = (1, 1) if ell == 0 and y >= self.budget else values[i]
-            sign = side if ell % 2 else 1
-            values[i] = (sign * num * w.denominator ** ell, den * w.numerator ** ell)
-        return values
 
 
 # the largest family: a bound check's time about quadruples per doubling of N
@@ -211,7 +176,7 @@ def derivative_bound_check(band: Band) -> dict:
     max(d, (d C(N-1, floor((N-1)/2)))^(1/(N+1))), evaluated in floats: the
     closed form rounded to nearest, not an upper bound (the exact enclosure
     is an open ROADMAP item).  The top order's bound is attained, and
-    ``pass`` requires that value, evaluated from the spline at the centre of
+    ``pass`` requires that value, the spline's integer pair at the centre of
     a piece, to equal the binomial.
     """
     n = band.budget
@@ -233,7 +198,8 @@ def derivative_bound_check(band: Band) -> dict:
     c_measured = max(e["bound_c"] for e in profile)
     mid = (n - 1) // 2
     # B_N^(N-1) is +-C(N-1, i) on the piece (i, i+1)
-    top_ok = abs(_eval_derivs(n, n - 1, Fraction(2 * mid + 1, 2), 1)[0]) == comb(n - 1, mid)
+    num, den = _deriv_nums(n, n - 1, Fraction(2 * mid + 1, 2), 1)[0]
+    top_ok = abs(num) == comb(n - 1, mid) * den
     return {
         "band": band.k,
         "budget": n,
@@ -309,15 +275,29 @@ def write_cutoff_samples_csv(band: Band, stream) -> None:
     """Sampled profile (r, phi, phi', phi'') at 201 points across the support, for plotting.
 
     The points r_i = lo - m + (hi - lo + 2m) i/200, m = (hi - lo)/20, are
-    exact rationals.  Each value is rounded to a float once, by int true
-    division of the (num, den) pair behind ``Band.derivatives``, which is
-    correctly rounded, as ``float`` of the exact Fraction is.
+    exact rationals, held as integer numerators over c, the lcm of the
+    denominators of the start, the step and both support ends.  Each point's
+    knot coordinate is one reduced Fraction, read from the nearer support end
+    as ``Band`` describes, and one ``_deriv_nums`` call gives its three
+    orders.  Each value is rounded to a float once, by int true division of
+    its (num, den) pair, which is correctly rounded, as ``float`` of the
+    exact Fraction is.
     """
+    n, w = band.budget, band.box_width
     lo, hi = band.support_lo, band.support_hi
     margin = (hi - lo) / 20
-    start, span = lo - margin, hi - lo + 2 * margin
+    start, step = lo - margin, (hi - lo + 2 * margin) / 200
+    c = lcm(start.denominator, step.denominator, lo.denominator, hi.denominator)
+    first, step, left, right = (v.numerator * (c // v.denominator) for v in (start, step, lo, hi))
     stream.write("r,phi,dphi,d2phi\n")
     for i in range(201):
-        r = start + span * Fraction(i, 200)
-        row = [float(r)] + [num / den for num, den in band._derivative_nums(r, 0, 2)]
+        r = first + i * step
+        side = 1 if 2 * r <= left + right else -1  # the band's midpoint is the support's
+        y = Fraction((r - left if side > 0 else right - r) * w.denominator, c * w.numerator)
+        row = [r / c]
+        for ell, (num, den) in enumerate(_deriv_nums(n, 1, y, 3)[::-1]):
+            if ell == 0 and y >= n:  # the ramp is 1 past the transition
+                num = den = 1
+            sign = side if ell % 2 else 1
+            row.append(sign * num * w.denominator ** ell / (den * w.numerator ** ell))
         stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

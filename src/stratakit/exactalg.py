@@ -1,10 +1,9 @@
-"""Exact rational coefficient engines and the package's shared exact core.
+"""Exact rational coefficient engines and the package's shared sparse core.
 
 Everything here is computed over the rationals (stdlib ``fractions.Fraction``,
 which keeps values in lowest terms with positive denominator) — no floating
-point.  The shared exact core used by every other module is ``exact`` (the
-strict coercer that refuses floats), ``fmt_fraction`` (the one ``"num/den"``
-report form) and ``SparseTerms``, the one integer-numerator core of every
+point.  Values enter through the package's ``exact`` coercer, which refuses
+floats.  ``SparseTerms`` is the one integer-numerator core of every
 exact sparse polynomial: integer numerators over one reduced denominator,
 with their linear arithmetic, the base of both ``opalg.DiffOp`` and
 ``geometry.PhasePoly``, which add only their products.
@@ -27,9 +26,9 @@ from functools import cache
 from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 
+from . import exact, fmt_fraction
+
 __all__ = [
-    "exact",
-    "fmt_fraction",
     "SparseTerms",
     "CoeffTable",
     "bernoulli_generator",
@@ -39,20 +38,6 @@ __all__ = [
     "bound_scan_a",
     "coeff_table_to_json",
 ]
-
-
-def exact(x) -> Fraction:
-    """Coerce an exact number (Fraction or int) to a Fraction; floats raise TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-def fmt_fraction(q: Fraction) -> str:
-    """The report form of a rational: always "num/den", "1/1" included."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _numerators(values) -> tuple[int, list[int]]:

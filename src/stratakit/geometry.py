@@ -34,7 +34,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
 
-from .exactalg import SparseTerms, _numerators, exact
+from . import exact
+from .exactalg import SparseTerms, _numerators
 
 __all__ = [
     "PhasePoly",

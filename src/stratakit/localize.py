@@ -8,8 +8,9 @@ identities in the free operator algebra, with R^p_phi = sum_j phi^(j) N_j R^(p-j
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R, its residual res_j
   formed once per (k, table, j),
 * the single-term bracket [X2, R^p_phi] = t^k phi^(p+1) N_p: its residual is
-  the res_j relabelled plus the generator defects [X2, phi^(j)] - t^k phi^(j+1),
-  so no check builds R^p_phi or forms [X2, N_j] twice,
+  the res_j relabelled plus the generator defects [X2, phi^(j)] - t^k phi^(j+1)
+  and, were [X2, R] nonzero, the terms it adds, so no check builds R^p_phi
+  on the model or forms [X2, N_j] twice,
 * the expansion [X1, R^p_phi] = -X1 sum_l delta_l R^(p-l-1)_phi^(l+1):
   X1 commutes with R and every phi^(j) (``delta_p_independent`` checks these
   generator brackets, as the X2 check checks [X2, phi^(j)]), so every level
@@ -39,8 +40,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from operator import mul
 
-from . import opalg
-from .exactalg import CoeffTable, exact, fmt_fraction
+from . import exact, fmt_fraction, opalg
+from .exactalg import CoeffTable
 from .opalg import DiffOp, build_model, commutator
 
 __all__ = [
@@ -142,19 +143,25 @@ def verify_localizer_bracket(jmax: int, k: int, table: CoeffTable) -> dict:
 def verify_x2_bracket(pmax: int, k: int, table: CoeffTable) -> dict:
     """Check [X2, R^p_phi] - t^k phi^(p+1) N_p == 0 exactly for p <= pmax.
 
-    By the Leibniz rule and [X2, R] = 0, with [X2, N_j] = res_j - t^k N_(j-1) R and
+    By the Leibniz rule, with [X2, N_j] = res_j - t^k N_(j-1) R and
     [X2, phi^(j)] = t^k phi^(j+1) + g_j, the t^k terms telescope to t^k phi^(p+1) N_p:
-    the residual is G_p = sum_(j<=p) (phi^(j) res_j + g_j N_j) R^(p-j), a relabelling
-    of the ``_x2_residual`` plus the generator defects g_j, checked, not assumed.
+    the residual is G_p = sum_(j<=p) (phi^(j) res_j + g_j N_j) R^(p-j) + e_p, a
+    relabelling of the ``_x2_residual`` plus the generator defects g_j, checked, not
+    assumed.  e_p = sum_j phi^(j) N_j [X2, R^(p-j)] = e_(p-1) R + R^(p-1)_phi [X2, R]
+    (e_0 = 0) is zero on the model, where [X2, R] is formed once and found zero.
     """
     if pmax < 0:
         raise ValueError("pmax must be >= 0")
     model, tk = build_model(k), opalg.tvar(k)
-    residuals, defects, cases = [], opalg.zero(), []
+    x2_r = commutator(model.X2, model.R)
+    residuals, localizers, defects, cases = [], [], opalg.zero(), []
     for p in range(pmax + 1):
         residuals.append(_x2_residual(p, model, table))
+        localizers.append(build_N(p, k, table).op)
         g = commutator(model.X2, opalg.phi(p)) - tk * opalg.phi(p + 1)
-        defects = defects * model.R + g * build_N(p, k, table).op
+        defects = defects * model.R + g * localizers[p]
+        if p and not x2_r.is_zero:
+            defects = defects + _localized(localizers, p - 1) * x2_r
         cases.append({"p": p, **_residual_case(_localized(residuals, p) + defects)})
     return {
         "identity": "x2-localized-power-bracket",

@@ -77,10 +77,11 @@ class TestVerifyCommand:
 
     def test_each_x2_bracket_is_formed_once(self, tmp_path, monkeypatch):
         # both X2 checks read one residual per localizer, so [X2, N_j] is formed
-        # once for each j, and the generator brackets [X2, phi^(j)] once each:
-        # no right operand is a product phi^(p) N_p
+        # once for each j, and the generator brackets [X2, R] and [X2, phi^(j)]
+        # once each: no right operand is a product phi^(p) N_p
         real, operands = localize.commutator, []
-        x2 = opalg.build_model(2).X2
+        model = opalg.build_model(2)
+        x2 = model.X2
 
         def recording(a, b):
             if a == x2:
@@ -93,9 +94,10 @@ class TestVerifyCommand:
         table = exactalg.a_table_recurrence(12)
         expected = [
             *(localize.build_N(j, 2, table).op for j in range(13)),
+            model.R,
             *(opalg.phi(j) for j in range(13)),
         ]
-        assert len(operands) == len(expected) == 26
+        assert len(operands) == len(expected) == 27
         assert all(sum(b == op for b in operands) == 1 for op in expected)
 
     def test_each_x1_bracket_is_formed_once(self, tmp_path, monkeypatch):
@@ -750,11 +752,13 @@ def test_importing_the_cli_loads_no_layer():
     assert not loaded_modules("import stratakit.cli") & LAYERS
 
 
-def test_cutoff_loads_only_cutoff_and_exactalg():
-    loaded = loaded_modules("from stratakit import cli; cli.main(['cutoff', '--N', '16'])")
-    assert {"stratakit.cutoff", "stratakit.exactalg"} <= loaded
-    assert not loaded & {"stratakit.geometry", "stratakit.localize", "stratakit.opalg",
-                         "dataclasses"}
+def test_cutoff_loads_cutoff_alone():
+    # exact and fmt_fraction live in the package, so no coefficient code loads,
+    # with or without the samples CSV
+    for argv in (["cutoff", "--N", "16"], ["cutoff", "--samples-out", "s.csv"]):
+        loaded = loaded_modules(f"from stratakit import cli; cli.main({argv!r})")
+        assert loaded & LAYERS == {"stratakit.cutoff"}
+        assert "dataclasses" not in loaded
 
 
 def test_coeffs_loads_exactalg_alone():

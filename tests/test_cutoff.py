@@ -15,13 +15,50 @@ from stratakit.cutoff import (
     recursion_product,
     write_cutoff_samples_csv,
 )
-from stratakit import cli
+from stratakit import cli, exact
 from stratakit import cutoff as co
 
 
+def _eval_derivs(n, j, y, count):
+    """Exact values of B_n^(j), B_n^(j-1), ..., B_n^(j-count+1): the Fraction view
+    of the kernel ``_deriv_nums``."""
+    return [Fraction(num, den) for num, den in co._deriv_nums(n, j, y, count)]
+
+
+def _knot_coord(cut, r):
+    """Map an exact r to (ramp coordinate y in knot units, side sign)."""
+    fr = exact(r)
+    mid = (cut.lo + cut.hi) / 2
+    if fr <= mid:
+        return (fr - cut.support_lo) / cut.box_width, +1
+    return (cut.support_hi - fr) / cut.box_width, -1
+
+
+def _derivatives(cut, r, lo, hi):
+    """[phi^(lo)(r), ..., phi^(hi)(r)] exactly, from one shared spline sum: the
+    oracle the samples CSV is checked against.
+
+    Order l >= 1 is B_N^(l-1) at the knot coordinate over w^l, negated for odd
+    l on the right side.  Order 0 is the ramp B_N^(-1), the integral of B_N:
+    the smoothed unit step at knot scale.  A float r raises TypeError.
+    """
+    if lo < 0:
+        raise ValueError("derivative order must be >= 0")
+    if hi > cut.budget:
+        raise ValueError(f"derivative order {hi} exceeds budget {cut.budget}")
+    y, side = _knot_coord(cut, r)
+    values = _eval_derivs(cut.budget, hi - 1, y, hi - lo + 1)[::-1]
+    out = []
+    for ell, value in zip(range(lo, hi + 1), values):
+        if ell == 0 and y >= cut.budget:
+            value = Fraction(1)
+        out.append((side if ell % 2 else 1) * value / cut.box_width ** ell)
+    return out
+
+
 def _phi(cut, r, ell=0):
-    """phi^(l)(r) alone, exactly: one order of ``Band.derivatives``."""
-    return cut.derivatives(r, ell, ell)[0]
+    """phi^(l)(r) alone, exactly: one order of ``_derivatives``."""
+    return _derivatives(cut, r, ell, ell)[0]
 
 
 class TestBandGeometry:
@@ -142,20 +179,20 @@ class TestCutoffShape:
 
 class TestBsplineSups:
     def test_hat_function(self):
-        assert co._eval_derivs(2, 0, Fraction(1), 1)[0] == 1 == math.comb(0, 0)
+        assert _eval_derivs(2, 0, Fraction(1), 1)[0] == 1 == math.comb(0, 0)
 
     def test_quadratic_peak(self):
-        assert co._eval_derivs(3, 0, Fraction(3, 2), 1)[0] == Fraction(3, 4)
+        assert _eval_derivs(3, 0, Fraction(3, 2), 1)[0] == Fraction(3, 4)
 
     def test_top_derivative_central_binomial(self):
         # piecewise-constant top derivative has values +-C(n-1, i)
-        assert abs(co._eval_derivs(6, 5, Fraction(5, 2), 1)[0]) == 10  # C(5, 2)
+        assert abs(_eval_derivs(6, 5, Fraction(5, 2), 1)[0]) == 10  # C(5, 2)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_sup_dominates_exact_scan(self, n):
         # C(j, floor(j/2)) against an exact reference: every 1/64 point of (0, n)
         for j in range(n):
-            scan = max(abs(co._eval_derivs(n, j, Fraction(i, 64), 1)[0]) for i in range(1, 64 * n))
+            scan = max(abs(_eval_derivs(n, j, Fraction(i, 64), 1)[0]) for i in range(1, 64 * n))
             bound = math.comb(j, j // 2)
             assert bound >= scan
             assert (bound == scan) or j < n - 1
@@ -164,8 +201,8 @@ class TestBsplineSups:
         # the bound is attained for j >= n - 2: at a knot where B_n^(n-2) is
         # piecewise linear, inside a piece where B_n^(n-1) is constant
         n = 12
-        assert abs(co._eval_derivs(n, n - 2, Fraction(6), 1)[0]) == math.comb(n - 2, 5)
-        assert abs(co._eval_derivs(n, n - 1, Fraction(11, 2), 1)[0]) == math.comb(n - 1, 5)
+        assert abs(_eval_derivs(n, n - 2, Fraction(6), 1)[0]) == math.comb(n - 2, 5)
+        assert abs(_eval_derivs(n, n - 1, Fraction(11, 2), 1)[0]) == math.comb(n - 1, 5)
 
     @pytest.mark.parametrize("n", [2, 4, 5, 8])
     def test_mirrored_half_matches_the_full_sum(self, n):
@@ -179,8 +216,8 @@ class TestBsplineSups:
         for y in (Fraction(i, 6) for i in range(1, 6 * n)):
             for j in range(n):
                 orders = list(range(j, -2, -1))
-                assert co._eval_derivs(n, j, y, len(orders)) == [full_sum(i, y) for i in orders]
-                assert co._eval_derivs(n, j, y, 1) == [full_sum(j, y)]
+                assert _eval_derivs(n, j, y, len(orders)) == [full_sum(i, y) for i in orders]
+                assert _eval_derivs(n, j, y, 1) == [full_sum(j, y)]
 
     def test_bad_order_rejected(self):
         cut = build_bands(0, 1, 8)[0]
@@ -207,7 +244,7 @@ class TestBsplineSups:
 
 def _peak(cut):
     """B_n at its argmax n/2 over the box width: the exact sup of phi'."""
-    return co._eval_derivs(cut.budget, 0, Fraction(cut.budget, 2), 1)[0] / cut.box_width
+    return _eval_derivs(cut.budget, 0, Fraction(cut.budget, 2), 1)[0] / cut.box_width
 
 
 class TestDerivativeValues:
@@ -290,25 +327,25 @@ class TestBoundCheck:
         # B_8^(7) is +-C(7, 3) = +-35 on (3, 4); a planted 36 there must fail the check
         cut = build_bands(0, 1, 8)[0]
         assert derivative_bound_check(cut)["pass"]
-        real = co._eval_derivs
+        real = co._deriv_nums
 
         def planted(n, j, y, count):
             if (n, j, y, count) == (8, 7, Fraction(7, 2), 1):
-                return [Fraction(36)]
+                return [(36, 1)]
             return real(n, j, y, count)
 
-        monkeypatch.setattr(co, "_eval_derivs", planted)
+        monkeypatch.setattr(co, "_deriv_nums", planted)
         assert derivative_bound_check(cut)["pass"] is False
 
     def test_grid_fails_on_a_kernel_that_fails_every_top_order(self, monkeypatch, tmp_path):
         # B_N^(N-1) planted as 0 fails each band's top-order check, while
         # C_measured and the uniformity scan never read that value
-        real = co._eval_derivs
+        real = co._deriv_nums
 
         def planted(n, j, y, count):
-            return [Fraction(0)] * count if j == n - 1 else real(n, j, y, count)
+            return [(0, 1)] * count if j == n - 1 else real(n, j, y, count)
 
-        monkeypatch.setattr(co, "_eval_derivs", planted)
+        monkeypatch.setattr(co, "_deriv_nums", planted)
         grid = bound_check_grid(1, 2, 64)
         assert grid["uniform_within_factor_2"]
         assert grid["pass"] is False
@@ -405,11 +442,17 @@ def test_samples_csv_shape():
     assert 0.0 <= values[1] <= 1.0
 
 
-@pytest.mark.parametrize("n", [4, 16, 64, 256])
-def test_samples_csv_rows_match_the_exact_oracle_text(n):
-    # the per-row loop the integer rounding replaced: band.derivatives, then
-    # float of each exact value, compared as text, so a -0 cannot pass as 0
-    cut = build_bands(1, 2, n)[0]
+@pytest.mark.parametrize(
+    "n, r1, r2",
+    [(4, 1, 2), (16, 1, 2), (64, 1, 2), (256, 1, 2), (64, Fraction(1, 3), Fraction(7, 5))],
+    ids=["4", "16", "64", "256", "64-r1-1_3-r2-7_5"],
+)
+def test_samples_csv_rows_match_the_exact_oracle_text(n, r1, r2):
+    # the per-row loop the integer rounding replaced: the exact derivatives, then
+    # float of each exact value, compared as text, so a -0 cannot pass as 0; the
+    # radii 1/3 and 7/5 put denominators 3 and 1875 on the points, which 200 does
+    # not divide
+    cut = build_bands(r1, r2, n)[0]
     buf = io.StringIO()
     write_cutoff_samples_csv(cut, buf)
     rows = buf.getvalue().splitlines()[1:]
@@ -417,7 +460,7 @@ def test_samples_csv_rows_match_the_exact_oracle_text(n):
     margin = (hi - lo) / 20
     for i, row in enumerate(rows):
         r = lo - margin + (hi - lo + 2 * margin) * Fraction(i, 200)
-        exact = (r, *cut.derivatives(r, 0, 2))
+        exact = (r, *_derivatives(cut, r, 0, 2))
         assert row == ",".join(f"{float(v):.17g}" for v in exact)
     assert len(rows) == 201
 
@@ -429,7 +472,7 @@ def test_samples_csv_right_side_exact_zero_prints_zero():
     buf = io.StringIO()
     write_cutoff_samples_csv(cut, buf)
     row = buf.getvalue().splitlines()[1 + 101]
-    assert cut._knot_coord(Fraction(30110, 20000))[1] == -1
+    assert _knot_coord(cut, Fraction(30110, 20000))[1] == -1
     assert row == "1.5055000000000001,1,0,0"
 
 
@@ -440,4 +483,4 @@ def test_deriv_nums_are_the_eval_derivs_values():
         for j in range(n):
             pairs = co._deriv_nums(n, j, y, j + 2)
             assert all(den > 0 for _, den in pairs)
-            assert [Fraction(num, den) for num, den in pairs] == co._eval_derivs(n, j, y, j + 2)
+            assert [Fraction(num, den) for num, den in pairs] == _eval_derivs(n, j, y, j + 2)

@@ -222,6 +222,29 @@ class TestX2LocalizedPowerBracket:
             assert case == {"p": case["p"], **expected}
         assert verify_localizer_bracket(6, 2, table)["pass"]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_x2_that_does_not_commute_with_r_fails_every_level_from_1(self, monkeypatch, k):
+        # X2 + phi^(0): phi^(0) commutes with every phi^(j) and N_j, so each g_j
+        # and res_j is zero, but [X2, R] = -phi^(1) adds sum_j phi^(j) N_j [X2, R^(p-j)]
+        # to the whole bracket from p = 1 on
+        real = localize.build_model
+        monkeypatch.setattr(
+            localize, "build_model", lambda k: real(k)._replace(X2=real(k).X2 + phi(0))
+        )
+        table = exactalg.a_table_recurrence(6)
+        m, tk = localize.build_model(k), opalg.tvar(k)
+        assert commutator(m.X2, m.R) == -phi(1)
+        report = verify_x2_bracket(6, k, table)
+        assert report["pass"] is False
+        assert [c["p"] for c in report["cases"] if not c["pass"]] == [1, 2, 3, 4, 5, 6]
+        for case in report["cases"]:
+            p = case["p"]
+            residual = commutator(m.X2, build_Rp_phi(p, k, table)) - (
+                tk * phi(p + 1) * build_N(p, k, table).op
+            )
+            assert case == {"p": p, **localize._residual_case(residual)}
+        assert verify_localizer_bracket(6, k, table)["pass"]
+
     def test_p0_single_bracket(self):
         m = build_model(3)
         lhs = commutator(m.X2, phi(0))

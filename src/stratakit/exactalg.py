@@ -6,7 +6,9 @@ point.  Values enter through the package's ``exact`` coercer, which refuses
 floats.  ``SparseTerms`` is the one integer-numerator core of every
 exact sparse polynomial: integer numerators over one reduced denominator,
 with their linear arithmetic, the base of both ``opalg.DiffOp`` and
-``geometry.PhasePoly``, which add only their products.
+``geometry.PhasePoly``, which add only their products.  ``_linear`` is the
+one combination routine: sums, differences, scalings and every weighted sum
+of operators (the localizers N_j among them) run through it.
 The module also owns the coefficient layer and every check that reads only
 its data: the Bernoulli generating series t/(e^t - 1) from the closed form
 of B_m, the triangular localizer-coefficient table a[j][j'] with its two
@@ -83,15 +85,13 @@ class SparseTerms:
 
     @classmethod
     def _linear(cls, pairs):
-        """sum c * op over exact (c, op) pairs (see ``_combine``)."""
-        exacts = ((exact(c), op) for c, op in pairs)
-        return cls._combine([(c.numerator, c.denominator, op) for c, op in exacts])
-
-    @classmethod
-    def _combine(cls, parts):
-        """sum (num/den) op over (num, den, op) triples with den > 0, in one pass
-        over integer numerators brought to the lcm of the parts' denominators."""
-        parts = [(num, den * op.den, op.nums) for num, den, op in parts if num and op.nums]
+        """sum c * op over exact (c, op) pairs, in one pass over integer numerators
+        brought to the lcm of the parts' denominators."""
+        parts = []
+        for c, op in pairs:
+            c = exact(c)
+            if c and op.nums:
+                parts.append((c.numerator, c.denominator * op.den, op.nums))
         den = lcm(*(part[1] for part in parts))
         out: dict = {}
         for num, part_den, nums in parts:

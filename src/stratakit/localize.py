@@ -1,9 +1,10 @@
 """Localizer operators and machine verification of their bracket identities.
 
-Builds the localizers N_j (polynomials in M = (t/k) d/dt with the triangular
-coefficients a[j][j'], each once per (k, table, j), as one linear combination
-of the memoised powers of M), then verifies, as exact zero-residual
-identities in the free operator algebra, with R^p_phi = sum_j phi^(j) N_j R^(p-j):
+Builds the localizers N_j = sum a[j][j'] M^j'/j'!, M = (t/k) d/dt, each once
+per (k, table, j), as one linear combination of the (t d/dt)^j' in one
+process-wide chain that every k and the Stirling check share, then verifies,
+as exact zero-residual identities in the free operator algebra, with
+R^p_phi = sum_j phi^(j) N_j R^(p-j):
 
 * the telescoping bracket [X2, N_j] = -t^k N_{j-1} R, its residual res_j
   formed once per (k, table, j),
@@ -23,7 +24,7 @@ identities in the free operator algebra, with R^p_phi = sum_j phi^(j) N_j R^(p-j
   candidates,
 * the scalar expansion of the X1-bracket polynomial over the N_s basis
   (the gamma coefficients, back-substituted on integers), and
-* the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l.
+* the Stirling identity (t d/dt)^j = sum_l B[j][l] t^l (d/dt)^l on that chain.
 
 The closed forms these checks compare against (C(a, n), the Stirling numbers
 B[j][l], the printed delta candidates) live here; the coefficient table and
@@ -80,24 +81,29 @@ class LocalizerN(namedtuple("LocalizerN", "j k op")):
     __slots__ = ()
 
 
-_M_POWERS: dict[int, list[DiffOp]] = {}  # k -> [M^0, M^1, ...]
+_EULER_POWERS = [opalg.one(), opalg.tvar() * opalg.dt()]  # [(t Dt)^0, (t Dt)^1, ...]
 _N_OPS: dict[tuple, DiffOp] = {}  # (k, table, j) -> N_j and (k, table, j, "X2") -> res_j
+
+
+def _euler_powers(n: int) -> list[DiffOp]:
+    """The one chain of (t Dt)^i, extended on demand through i = n; every k shares it."""
+    while len(_EULER_POWERS) <= n:
+        _EULER_POWERS.append(_EULER_POWERS[-1] * _EULER_POWERS[1])
+    return _EULER_POWERS
 
 
 def build_N(j: int, k: int, table: CoeffTable) -> LocalizerN:
     """Assemble the localizer N_j from a validated coefficient table."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    if j < 0 or k < 2:
+        raise ValueError("need j >= 0 and k >= 2")
     if table.jmax < j:
         raise ValueError(f"coefficient table too small: jmax={table.jmax} < j={j}")
     key = (k, table, j)  # holding the table keeps its id unique
     if key not in _N_OPS:
-        powers, m = _M_POWERS.setdefault(k, [opalg.one()]), build_model(k).M
-        while len(powers) <= j:
-            powers.append(powers[-1] * m)
-        den, ints = table.rows[j]  # a[j][j'] / j'! = ints[j'] / (den j'!)
-        _N_OPS[key] = DiffOp._combine(
-            (n, den * factorial(jp), powers[jp]) for jp, n in enumerate(ints)
+        powers = _euler_powers(j)
+        den, ints = table.rows[j]  # a[j][j'] M^j'/j'! = ints[j'] / (den j'! k^j') (t Dt)^j'
+        _N_OPS[key] = DiffOp._linear(
+            (Fraction(n, den * factorial(jp) * k ** jp), powers[jp]) for jp, n in enumerate(ints)
         )
     return LocalizerN(j=j, k=k, op=_N_OPS[key])
 
@@ -358,17 +364,14 @@ def verify_gamma_expansion(jmax: int, k: int, table: CoeffTable) -> dict:
 
 
 def verify_stirling_identity(jmax: int) -> dict:
-    """Match the (t d/dt)^j expansion against the closed-form Stirling row."""
+    """Match (t d/dt)^j, off the chain every N_j is built from, against the Stirling row."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    euler = opalg.tvar() * opalg.dt()
-    cases = []
-    power = opalg.one()
+    powers, cases = _euler_powers(jmax), []
     for j in range(1, jmax + 1):
-        power = power * euler
         row = [stirling_B(j, ell) for ell in range(1, j + 1)]
         expected = DiffOp({(ell, (), ell, 0, 0): b for ell, b in enumerate(row, 1)})
-        case = {"j": j, **_residual_case(power - expected)}
+        case = {"j": j, **_residual_case(powers[j] - expected)}
         case["row_positive_integers"] = all(
             b >= 1 and b.denominator == 1 for b in row
         )

@@ -23,6 +23,7 @@ in lowest terms, and its linear combinations (``DiffOp._linear``) come from
 there.  This module adds the normal-ordered product and the commutator, so
 every kernel reads and writes integers and no Fraction is built inside the
 algebra; ``DiffOp.terms`` gives the coefficients as Fractions for reports.
+R acts on phi factors by one cached route, ``_r_moves``.
 DiffOp values are immutable once built; all operations are pure functions.
 """
 
@@ -54,26 +55,6 @@ Key = tuple  # (t_pow, phis, dt_pow, r_pow, dth_pow)
 _ZERO_KEY: Key = (0, (), 0, 0, 0)
 
 
-@lru_cache(maxsize=None)
-def _phi_derive(phis: tuple, times: int) -> tuple:
-    """Distribution of R^times acting on a product of phi symbols.
-
-    Returns a tuple of (multiset, integer multiplicity) pairs: R acts as a
-    derivation sending phi^(j) to phi^(j+1).
-    """
-    current = {phis: 1}
-    for _ in range(times):
-        nxt: dict = {}
-        for ms, mult in current.items():
-            for pos in range(len(ms)):
-                bumped = tuple(sorted(ms[:pos] + (ms[pos] + 1,) + ms[pos + 1:]))
-                nxt[bumped] = nxt.get(bumped, 0) + mult
-        current = nxt
-        if not current:
-            break
-    return tuple(current.items())
-
-
 class DiffOp(SparseTerms):
     """Finite rational combination of normal-ordered monomials.
 
@@ -98,16 +79,25 @@ class DiffOp(SparseTerms):
 def _r_moves(f1: tuple, f2: tuple, r1: int) -> tuple:
     """f1 R^r1 f2 as (i2, weight, phis) terms phis R^(r1 - i2), the i2 = 0 term first.
 
-    ``phis`` is the sorted product of f1 with the i2-th derivative of f2.  A
-    phi-free f2 passes R^r1 unchanged, so it has only the i2 = 0 term.
+    R sends phi^(j) to phi^(j+1), so R^i2 f2 is a sum of phi multisets with integer
+    multiplicities, carried from one i2 to the next; ``phis`` is f1 times one of
+    them.  A phi-free f2 passes R^r1 unchanged, so it has only the i2 = 0 term.
     """
     if not f2:
         return ((0, 1, f1),)
-    return tuple(
-        (i2, comb(r1, i2) * mult, tuple(sorted(f1 + ms)) if f1 else ms)
-        for i2 in range(r1 + 1)
-        for ms, mult in _phi_derive(f2, i2)
-    )
+    moves, reached = [], {f2: 1}
+    for i2 in range(r1 + 1):
+        if i2:
+            bumped: dict = {}
+            for ms, mult in reached.items():
+                for pos in range(len(ms)):
+                    key = tuple(sorted(ms[:pos] + (ms[pos] + 1,) + ms[pos + 1:]))
+                    bumped[key] = bumped.get(key, 0) + mult
+            reached = bumped
+        weight = comb(r1, i2)
+        for ms, mult in reached.items():
+            moves.append((i2, weight * mult, tuple(sorted(f1 + ms)) if f1 else ms))
+    return tuple(moves)
 
 
 def _product(left: DiffOp, right: DiffOp, first: int) -> tuple[int, dict]:

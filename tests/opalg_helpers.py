@@ -1,10 +1,11 @@
 """DiffOp evaluations and operands that only the tests need."""
 
 from fractions import Fraction
-from math import comb, perm
+from itertools import product
+from math import comb, factorial, perm
 
 from stratakit import localize
-from stratakit.opalg import DiffOp, _phi_derive
+from stratakit.opalg import DiffOp
 
 
 def derivation_order(op: DiffOp) -> int:
@@ -29,6 +30,25 @@ def substitute_phi_unit(op: DiffOp) -> DiffOp:
     return DiffOp(out)
 
 
+def leibniz(phis: tuple, times: int) -> dict:
+    """R^times on the product of phi^(j), j in phis, by the multinomial Leibniz rule.
+
+    The sum runs over every split e_1 + ... + e_m = times, each weighted by
+    times! / (e_1! ... e_m!) and landing on the sorted multiset of j_l + e_l;
+    a phi-free product is a constant, which R^times kills for times >= 1.
+    """
+    out: dict = {}
+    for split in product(range(times + 1), repeat=len(phis)):
+        if sum(split) != times:
+            continue
+        weight = factorial(times)
+        for e in split:
+            weight //= factorial(e)
+        ms = tuple(sorted(j + e for j, e in zip(phis, split)))
+        out[ms] = out.get(ms, 0) + weight
+    return out
+
+
 def reference_product(left: DiffOp, right: DiffOp) -> DiffOp:
     """left * right with one Fraction product per coefficient pair: the oracle for the kernel."""
     out: dict = {}
@@ -37,7 +57,7 @@ def reference_product(left: DiffOp, right: DiffOp) -> DiffOp:
             for i in range(min(b1, a2) + 1):
                 ct = comb(b1, i) * perm(a2, i)
                 for i2 in range(r1 + 1):
-                    for ms, mult in _phi_derive(f2, i2):
+                    for ms, mult in leibniz(f2, i2).items():
                         phis = tuple(sorted(f1 + ms))
                         key = (a1 + a2 - i, phis, b1 - i + b2, r1 - i2 + r2, d1 + d2)
                         out[key] = out.get(key, Fraction(0)) + c1 * c2 * (ct * comb(r1, i2) * mult)

@@ -753,9 +753,13 @@ def test_importing_the_cli_loads_no_layer():
 
 
 def test_cutoff_loads_cutoff_alone():
-    # exact and fmt_fraction live in the package, so no coefficient code loads,
-    # with or without the samples CSV
-    for argv in (["cutoff", "--N", "16"], ["cutoff", "--samples-out", "s.csv"]):
+    # exact and fmt_fraction live in the package, so no coefficient code loads:
+    # not for one budget, the grid of budgets or the samples CSV
+    for argv in (
+        ["cutoff", "--N", "16"],
+        ["cutoff", "--N", "16", "--grid"],
+        ["cutoff", "--samples-out", "s.csv"],
+    ):
         loaded = loaded_modules(f"from stratakit import cli; cli.main({argv!r})")
         assert loaded & LAYERS == {"stratakit.cutoff"}
         assert "dataclasses" not in loaded

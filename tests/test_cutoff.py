@@ -206,8 +206,9 @@ class TestBsplineSups:
 
     @pytest.mark.parametrize("n", [2, 4, 5, 8])
     def test_mirrored_half_matches_the_full_sum(self, n):
-        # the truncated-power sum over every s <= y, order -1 the ramp, 0 ** 0 == 1 at a knot;
-        # the points cover y < n/2, y = n/2, y > n/2 and every knot
+        # the kernel's integer pairs against the truncated-power sum over every s <= y,
+        # order -1 the ramp, 0 ** 0 == 1 at a knot; the points cover y < n/2, y = n/2,
+        # y > n/2 and every knot
         def full_sum(i, y):
             deg = n - i - 1
             acc = sum((-1) ** s * math.comb(n, s) * (y - s) ** deg for s in range(n + 1) if s <= y)
@@ -216,8 +217,15 @@ class TestBsplineSups:
         for y in (Fraction(i, 6) for i in range(1, 6 * n)):
             for j in range(n):
                 orders = list(range(j, -2, -1))
-                assert _eval_derivs(n, j, y, len(orders)) == [full_sum(i, y) for i in orders]
+                pairs = co._deriv_nums(n, j, y, len(orders))
+                assert all(den > 0 for _, den in pairs)
+                values = [Fraction(num, den) for num, den in pairs]
+                assert values == [full_sum(i, y) for i in orders]
                 assert _eval_derivs(n, j, y, 1) == [full_sum(j, y)]
+        # off the support every order, the ramp included, reads (0, 1)
+        for y in (Fraction(-1, 4), Fraction(0), Fraction(n), Fraction(4 * n + 1, 4)):
+            for j in range(n):
+                assert co._deriv_nums(n, j, y, j + 2) == [(0, 1)] * (j + 2)
 
     def test_bad_order_rejected(self):
         cut = build_bands(0, 1, 8)[0]
@@ -474,13 +482,3 @@ def test_samples_csv_right_side_exact_zero_prints_zero():
     row = buf.getvalue().splitlines()[1 + 101]
     assert _knot_coord(cut, Fraction(30110, 20000))[1] == -1
     assert row == "1.5055000000000001,1,0,0"
-
-
-def test_deriv_nums_are_the_eval_derivs_values():
-    # the integer pairs behind the Fraction view, mirrored side, ramp and knots included
-    n = 9
-    for y in [Fraction(i, 4) for i in range(-1, 4 * n + 2)]:
-        for j in range(n):
-            pairs = co._deriv_nums(n, j, y, j + 2)
-            assert all(den > 0 for _, den in pairs)
-            assert [Fraction(num, den) for num, den in pairs] == _eval_derivs(n, j, y, j + 2)

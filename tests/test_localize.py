@@ -65,6 +65,19 @@ class TestLocalizerConstruction:
         assert op != expected
         assert build_N(4, 3, TABLE).op == expected
 
+    def test_every_k_and_the_stirling_check_read_one_euler_chain(self, monkeypatch):
+        # once N_j is built through j = 12 at k = 2, neither N_j at k = 3 nor
+        # the Stirling check through 12 forms a product: both read its powers
+        table = exactalg.a_table_recurrence(12)
+        for j in range(13):
+            build_N(j, 2, table)
+        products, real = [], opalg._product
+        monkeypatch.setattr(opalg, "_product", lambda *args: products.append(args) or real(*args))
+        localizers = [build_N(j, 3, table).op for j in range(13)]
+        stirling = verify_stirling_identity(12)
+        assert products == []
+        assert stirling["pass"]
+        assert localizers == [_direct_N(j, 3, table) for j in range(13)]
 
     def test_one_unit_in_a_cached_numerator_fails_both_x2_checks(self):
         # N_3 moved by 1/den on its t^3 Dt^3 monomial: [X2, N_3] and t^k N_3 R
@@ -102,7 +115,7 @@ class TestLocalizedPower:
         op = substitute_phi_unit(build_Rp_phi(p, 2, TABLE))
         assert op == rr() ** p
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 1000])
     def test_matches_direct_product_sum(self, k):
         table = exactalg.a_table_recurrence(6)
         for p in range(7):

@@ -1,11 +1,12 @@
 """Normal-ordered operator algebra: rewrite rules, brackets, model fields."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from opalg_helpers import derivation_order, reference_product, substitute_phi_unit
+from opalg_helpers import derivation_order, leibniz, reference_product, substitute_phi_unit
 
 from stratakit import opalg
 from stratakit.geometry import PhasePoly, var
@@ -232,6 +233,24 @@ def test_skipped_expansion_terms_keep_their_corrections():
     )
     assert commutator(dtheta(), tvar(3) * phi(2)).is_zero
     assert commutator(tvar(3) * phi(2), dt()) == -3 * tvar(2) * phi(2)
+
+
+@pytest.mark.parametrize("f2", [(), (0, 0, 0), (0, 1, 2), (1, 1, 3), (2, 4, 4)])
+@pytest.mark.parametrize("f1", [(), (1,), (0, 2)])
+def test_r_moves_match_the_multinomial_leibniz_rule(f1, f2):
+    # three phi factors and R^4: the hypothesis keys reach only two phis and R^2
+    for r1 in range(5):
+        moves = opalg._r_moves(f1, f2, r1)
+        assert moves[0] == (0, 1, tuple(sorted(f1 + f2)))
+        assert [i2 for i2, _, _ in moves].count(0) == 1
+        got, expected = {}, {}
+        for i2, weight, phis in moves:
+            got[i2, phis] = got.get((i2, phis), 0) + weight
+        for i2 in range(r1 + 1):
+            for ms, mult in leibniz(f2, i2).items():
+                key = (i2, tuple(sorted(f1 + ms)))
+                expected[key] = expected.get(key, 0) + comb(r1, i2) * mult
+        assert got == expected
 
 
 def test_stored_form_is_canonical():
